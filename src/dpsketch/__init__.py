@@ -45,6 +45,7 @@ from .sliding import (
 from .streams import (
     EMPTY_EVENT,
     FrequencyTable,
+    IncrementalOracle,
     StreamConfig,
     StreamEvent,
     WindowSpec,

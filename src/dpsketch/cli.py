@@ -1,5 +1,9 @@
 """Command-line front door.
 
+Each streaming subcommand is one row of :data:`STREAMING`; the parsers are
+generated from the rows and :func:`drive` is the one continual-release loop
+(the experiment runner drives it too).
+
 Exit codes: 0 success, 2 configuration error, 3 IO error, 4 enumeration
 budget exceeded.  All randomness derives from --seed (or DPSKETCH_SEED);
 identical invocations produce byte-identical CSV output.
@@ -12,11 +16,14 @@ import json
 import os
 import struct
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 from .countsketch import CountSketchState, L2Config, L2Estimator
 from .distinct import (
     GROUP,
+    INDICATOR_SENSITIVITY,
     TREE,
     DistinctConfig,
     SmallUniverseDistinct,
@@ -26,18 +33,12 @@ from .distinct import (
 from .experiment import ExperimentSpec, run_experiment, sensitivity_check, sensitivity_mappings
 from .heavy_hitters import HHConfig, HHEstimator
 from .low_freq import LowFreqConfig, lowfreq_estimator
-from .moment import MomentConfig, MomentState, moment_estimator
-from .randomness import NoiseContext
+from .moment import MomentConfig, moment_estimator
+from .randomness import NoiseContext, median_boost
 from .sliding import SmoothnessParams, window_estimator
 from .streamio import StreamParseError, parse_stream_file
-from .streams import (
-    FrequencyTable,
-    ResourceBudgetError,
-    StreamEvent,
-    WindowSpec,
-    window_view,
-)
-from .summing import BinaryTreeMechanism, GroupingMechanism
+from .streams import IncrementalOracle, ResourceBudgetError, StreamEvent, event_count
+from .summing import GroupingMechanism
 
 SNAPSHOT_MAGIC = b"DPCS1"
 
@@ -48,6 +49,10 @@ class ConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
+
+
+def _csv_line(row: tuple) -> str:
+    return ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row)
 
 
 def _write_csv(path: str | None, header: str, rows: list[str]) -> None:
@@ -76,71 +81,269 @@ def _load_events(args) -> list[StreamEvent]:
     return events
 
 
-def _event_count(e: StreamEvent) -> int:
-    if e.is_integer():
-        return e.value
-    return 1 if e.is_element() else 0
-
-
-def _ctx(args) -> NoiseContext:
-    return NoiseContext(args.seed, noise_off=(args.noise == "off"))
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# streaming subcommands: estimator builders and CSV rows
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sum(args) -> int:
-    events = _load_events(args)
-    ctx = _ctx(args)
-    if args.mechanism == "tree":
-        mech = BinaryTreeMechanism(args.T, args.epsilon, ctx)
-    else:
-        mech = GroupingMechanism(args.T, args.epsilon, args.eta, args.xi, ctx)
+class _Released:
+    """Event-fed view of an estimator whose own feed does not return its
+    release (summing mechanisms take event counts; L2 reads ``f2``)."""
+
+    def __init__(self, est, read: str, counts: bool = False) -> None:
+        self.est = est
+        self._read = getattr(est, read)
+        self._counts = counts
+
+    def feed(self, e: StreamEvent) -> float:
+        self.est.feed(event_count(e) if self._counts else e)
+        return self._read()
+
+
+def _config(cls, a):
+    """A config dataclass filled from the parameters named like its fields."""
+    return cls(**{f.name: getattr(a, f.name) for f in fields(cls) if hasattr(a, f.name)})
+
+
+def _build_sum(a, ctx):
+    mech = make_summing_backend(a.mechanism, a.T, a.epsilon, a.eta, a.xi, ctx)
+    return _Released(mech, "current", counts=True)
+
+
+def _build_distinct(a, ctx):
+    if a.universe == "small":
+        eps_sum = a.epsilon / INDICATOR_SENSITIVITY
+        inner = make_summing_backend(a.variant, a.T, eps_sum, a.eta, a.xi, ctx)
+        return SmallUniverseDistinct(a.n, inner)
+    return distinct_estimator(_config(DistinctConfig, a), ctx)
+
+
+def _build_f2(a, ctx):
+    return _Released(L2Estimator(_config(L2Config, a), ctx), "f2")
+
+
+def _build_heavy_hitters(a, ctx):
+    return HHEstimator(_config(HHConfig, a), ctx)
+
+
+def _build_low_freq(a, ctx):
+    return lowfreq_estimator(_config(LowFreqConfig, a), ctx)
+
+
+def _build_moment(a, ctx):
+    return moment_estimator(_config(MomentConfig, a), ctx)
+
+
+def _build_sliding(a, ctx):
+    """Smooth histogram over single-copy instances of the --stat subcommand,
+    each built at its per-instance epsilon over the remaining horizon."""
+    inner = STREAMING[a.stat]
+    shared = dict(eta=a.eta, xi=a.xi, n=a.n, p=a.p, tau=a.tau, copies=1)
+
+    def inner_factory(start_t: int, eps_instance: float):
+        params = command_params(
+            a.stat, **shared, T=a.T - start_t + 1, epsilon=eps_instance
+        )
+        return inner.build(params, ctx.child("sliding", start_t))
+
+    probe = GroupingMechanism(a.T, 1.0, a.eta, a.xi, ctx.child("probe"))
+    hist, _ = window_estimator(
+        inner_factory,
+        SmoothnessParams.for_moment(inner.p(a), a.eta),
+        a.W,
+        a.T,
+        a.epsilon,
+        inner_alpha=1.0 + a.eta,
+        inner_gamma=probe.error_bound(),
+    )
+    return hist
+
+
+def _abs_error_row(t, value, exact, a):
+    x = exact.lp()
+    return [(t, value, x, abs(value - x))]
+
+
+def _rel_error_row(t, value, exact, a):
+    x = exact.lp()
+    return [(t, value, x, abs(value - x) / x if x > 0 else 0.0)]
+
+
+def _heavy_hitter_rows(t, report, exact, a):
+    moment = exact.lp()
     rows = []
-    exact = 0
+    for ident in sorted(report):
+        f = exact.table[ident]
+        in_exact = f**a.p >= moment / a.k if moment > 0 else False
+        rows.append((t, ident, report[ident], float(f), int(in_exact)))
+    return rows
+
+
+def _low_freq_rows(t, values, exact, a):
+    return [
+        (t, j, values[j - 1], exact.at_frequency.get(j, 0)) for j in range(1, a.k + 1)
+    ]
+
+
+def _window_row(t, value, exact, a):
+    return [(t, value, exact.lp())]
+
+
+@dataclass(frozen=True)
+class Streaming:
+    """One continual-release subcommand.
+
+    ``build(params, ctx)`` returns an estimator whose ``feed(event)`` returns
+    the tick's release.  ``rows(t, release, exact, params)`` turns it and the
+    exact oracle into CSV rows: ints print as they are, floats with 10
+    significant digits.  ``p(params)`` is the moment order the oracle tracks.
+    """
+
+    help: str
+    params: tuple[tuple[str, dict], ...]
+    build: Callable
+    header: str
+    rows: Callable
+    p: Callable = lambda a: 2.0
+
+
+_EPSILON = ("--epsilon", dict(type=float, required=True))
+_XI = ("--xi", dict(type=float, default=0.1))
+_T = ("--T", dict(type=int, required=True))
+_N = ("--n", dict(type=int, required=True))
+_COPIES = ("--copies", dict(type=int, default=None))
+_TAU = ("--tau", dict(type=float, default=None))
+
+
+def _eta(default: float) -> tuple[str, dict]:
+    return ("--eta", dict(type=float, default=default))
+
+
+STREAMING: dict[str, Streaming] = {
+    "sum": Streaming(
+        "continual-release summing",
+        (
+            ("--mechanism", dict(choices=[TREE, GROUP], default=GROUP)),
+            _EPSILON, _eta(0.1), _XI, _T,
+            ("--mode", dict(choices=["elements", "integers"], default=None)),
+        ),
+        _build_sum,
+        "t,estimate,exact,abs_error",
+        _abs_error_row,
+        lambda a: 1.0,
+    ),
+    "distinct": Streaming(
+        "continual-release distinct elements",
+        (
+            _EPSILON, _eta(0.1), _XI, _T, _N,
+            ("--variant", dict(choices=[TREE, GROUP], default=GROUP)),
+            ("--universe", dict(choices=["small", "general"], default="small")),
+            _COPIES,
+        ),
+        _build_distinct,
+        "t,estimate,exact,abs_error",
+        _abs_error_row,
+        lambda a: 0.0,
+    ),
+    "f2": Streaming(
+        "continual-release l2 frequency moment",
+        (
+            _EPSILON, _eta(0.2), _XI, _T, _N, _COPIES,
+            ("--buckets", dict(type=int, default=None)),
+            ("--snapshot-out", dict(default=None)),
+        ),
+        _build_f2,
+        "t,estimate,exact,abs_error",
+        _abs_error_row,
+    ),
+    "heavy-hitters": Streaming(
+        "continual-release lp heavy hitters",
+        (
+            ("--p", dict(type=float, required=True)),
+            ("--k", dict(type=int, required=True)),
+            _EPSILON, _eta(0.2), _XI, _T, _N, _COPIES,
+        ),
+        _build_heavy_hitters,
+        "t,element,f_hat,exact_f,in_exact_hh",
+        _heavy_hitter_rows,
+        lambda a: a.p,
+    ),
+    "low-freq": Streaming(
+        "counts of elements at each frequency 1..k",
+        (("--k", dict(type=int, required=True)), _EPSILON, _eta(0.25), _XI, _T, _N, _COPIES),
+        _build_low_freq,
+        "t,j,s_hat_j,exact_j",
+        _low_freq_rows,
+    ),
+    "moment": Streaming(
+        "lp frequency moment estimation",
+        (
+            ("--p", dict(type=float, required=True)),
+            _EPSILON, _eta(0.25), _XI, _T, _N, _COPIES, _TAU,
+            ("--beta-c", dict(type=int, default=3, metavar="BETA_C",
+                              dest="beta_grid_exponent")),
+        ),
+        _build_moment,
+        "t,F_hat_p,exact_F_p,rel_error",
+        _rel_error_row,
+        lambda a: a.p,
+    ),
+    "sliding": Streaming(
+        "sliding-window statistics via smooth histogram",
+        (
+            ("--stat", dict(choices=["sum", "distinct", "f2", "moment"], required=True)),
+            ("--W", dict(type=int, required=True)),
+            _EPSILON, _eta(0.1), _XI, _T, _N,
+            ("--p", dict(type=float, default=2.0)),
+            _TAU,
+        ),
+        _build_sliding,
+        "t,window_estimate,exact_window_value",
+        _window_row,
+        lambda a: STREAMING[a.stat].p(a),
+    ),
+}
+
+
+def command_params(name: str, **values) -> argparse.Namespace:
+    """Parameters of a streaming subcommand: each flag's entry in ``values``,
+    else its default; keys that are no flag of it are ignored."""
+    params = {}
+    for flag, kw in STREAMING[name].params:
+        dest = kw.get("dest", flag.lstrip("-").replace("-", "_"))
+        if dest not in values and kw.get("required"):
+            raise ValueError(f"{name} needs a value for {dest}")
+        params[dest] = values.get(dest, kw.get("default"))
+    return argparse.Namespace(**params)
+
+
+def drive(name: str, params, events, ctx: NoiseContext):
+    """The continual-release loop: feed each event, read the release, and
+    record the subcommand's rows against the incremental exact oracle.
+    Returns the estimator and the rows."""
+    cmd = STREAMING[name]
+    est = cmd.build(params, ctx)
+    exact = IncrementalOracle(cmd.p(params), getattr(params, "W", None))
+    rows = []
     for t, e in enumerate(events, start=1):
-        x = _event_count(e)
-        if args.mechanism == "group" and x < 0:
-            raise ConfigError("grouping mechanism requires a non-negative stream")
-        exact += x
-        mech.feed(x)
-        est = mech.current()
-        rows.append(f"{t},{_fmt(est)},{_fmt(exact)},{_fmt(abs(est - exact))}")
-    _write_csv(args.output, "t,estimate,exact,abs_error", rows)
+        exact.add(e)
+        rows.extend(cmd.rows(t, est.feed(e), exact, params))
+    return est, rows
+
+
+def _cmd_stream(args) -> int:
+    events = _load_events(args)
+    ctx = NoiseContext(args.seed, noise_off=(args.noise == "off"))
+    est, rows = drive(args.command, args, events, ctx)
+    _write_csv(args.output, STREAMING[args.command].header, [_csv_line(r) for r in rows])
+    if getattr(args, "snapshot_out", None):
+        _snapshot_save(args.snapshot_out, est.est)
     return 0
 
 
-def _cmd_distinct(args) -> int:
-    events = _load_events(args)
-    ctx = _ctx(args)
-    if args.universe == "small":
-        inner = make_summing_backend(
-            args.variant, args.T, args.epsilon / 5, args.eta, args.xi, ctx
-        )
-        est = SmallUniverseDistinct(args.n, inner)
-    else:
-        cfg = DistinctConfig(
-            epsilon=args.epsilon,
-            eta=args.eta,
-            xi=args.xi,
-            n=args.n,
-            T=args.T,
-            variant=args.variant,
-            copies=args.copies,
-        )
-        est = distinct_estimator(cfg, ctx)
-    rows = []
-    seen: set[int] = set()
-    for t, e in enumerate(events, start=1):
-        if e.is_element():
-            seen.add(e.value)
-        value = est.feed(e)
-        exact = float(len(seen))
-        rows.append(f"{t},{_fmt(value)},{_fmt(exact)},{_fmt(abs(value - exact))}")
-    _write_csv(args.output, "t,estimate,exact,abs_error", rows)
-    return 0
+# ---------------------------------------------------------------------------
+# snapshot, sensitivity and experiment subcommands
+# ---------------------------------------------------------------------------
 
 
 def _snapshot_save(path: str, est: L2Estimator) -> None:
@@ -190,234 +393,11 @@ def _snapshot_load(path: str) -> list[CountSketchState]:
     return sketches
 
 
-def _cmd_f2(args) -> int:
-    events = _load_events(args)
-    ctx = _ctx(args)
-    cfg = L2Config(
-        epsilon=args.epsilon,
-        eta=args.eta,
-        xi=args.xi,
-        n=args.n,
-        T=args.T,
-        copies=args.copies,
-        buckets=args.buckets,
-    )
-    est = L2Estimator(cfg, ctx)
-    table = FrequencyTable()
-    exact_f2 = 0.0
-    rows = []
-    for t, e in enumerate(events, start=1):
-        if e.is_element():
-            c = table[e.value]
-            exact_f2 += 2 * c + 1
-            table.add(e.value)
-        est.feed(e)
-        value = est.f2()
-        rows.append(f"{t},{_fmt(value)},{_fmt(exact_f2)},{_fmt(abs(value - exact_f2))}")
-    _write_csv(args.output, "t,estimate,exact,abs_error", rows)
-    if args.snapshot_out:
-        _snapshot_save(args.snapshot_out, est)
-    return 0
-
-
 def _cmd_point_query(args) -> int:
-    from .randomness import median_boost
-
     sketches = _snapshot_load(args.snapshot)
     estimate = median_boost([s.point_query(args.element) for s in sketches])
     _write_csv(args.output, "element,f_hat", [f"{args.element},{_fmt(estimate)}"])
     return 0
-
-
-def _cmd_heavy_hitters(args) -> int:
-    events = _load_events(args)
-    ctx = _ctx(args)
-    cfg = HHConfig(
-        p=args.p,
-        k=args.k,
-        eta=args.eta,
-        epsilon=args.epsilon,
-        xi=args.xi,
-        T=args.T,
-        n=args.n,
-        copies=args.copies,
-    )
-    est = HHEstimator(cfg, ctx)
-    table = FrequencyTable()
-    moment = 0.0
-    rows = []
-    for t, e in enumerate(events, start=1):
-        if e.is_element():
-            c = table[e.value]
-            moment += (c + 1) ** args.p - c**args.p
-            table.add(e.value)
-        report = est.feed(e)
-        for ident in sorted(report):
-            f_exact = table[ident]
-            in_exact = f_exact**args.p >= moment / args.k if moment > 0 else False
-            rows.append(
-                f"{t},{ident},{_fmt(report[ident])},{_fmt(f_exact)},{int(in_exact)}"
-            )
-    _write_csv(args.output, "t,element,f_hat,exact_f,in_exact_hh", rows)
-    return 0
-
-
-def _cmd_low_freq(args) -> int:
-    events = _load_events(args)
-    ctx = _ctx(args)
-    cfg = LowFreqConfig(
-        epsilon=args.epsilon,
-        eta=args.eta,
-        xi=args.xi,
-        k=args.k,
-        n=args.n,
-        T=args.T,
-        copies=args.copies,
-    )
-    est = lowfreq_estimator(cfg, ctx)
-    freq: dict[int, int] = {}
-    exact = [0] * (args.k + 2)
-    rows = []
-    for t, e in enumerate(events, start=1):
-        if e.is_element():
-            j = freq.get(e.value, 0) + 1
-            freq[e.value] = j
-            if j <= args.k + 1:
-                exact[j] += 1
-            if 2 <= j <= args.k + 1:
-                exact[j - 1] -= 1
-        values = est.feed(e)
-        for j in range(1, args.k + 1):
-            rows.append(f"{t},{j},{_fmt(values[j - 1])},{exact[j]}")
-    _write_csv(args.output, "t,j,s_hat_j,exact_j", rows)
-    return 0
-
-
-def _cmd_moment(args) -> int:
-    events = _load_events(args)
-    ctx = _ctx(args)
-    cfg = MomentConfig(
-        p=args.p,
-        epsilon=args.epsilon,
-        eta=args.eta,
-        xi=args.xi,
-        T=args.T,
-        n=args.n,
-        copies=args.copies,
-        tau=args.tau,
-        beta_grid_exponent=args.beta_c,
-    )
-    est = moment_estimator(cfg, ctx)
-    table = FrequencyTable()
-    exact = 0.0
-    rows = []
-    for t, e in enumerate(events, start=1):
-        if e.is_element():
-            c = table[e.value]
-            exact += (c + 1) ** args.p - c**args.p
-            table.add(e.value)
-        value = est.feed(e)
-        rel = abs(value - exact) / exact if exact > 0 else 0.0
-        rows.append(f"{t},{_fmt(value)},{_fmt(exact)},{_fmt(rel)}")
-    _write_csv(args.output, "t,F_hat_p,exact_F_p,rel_error", rows)
-    return 0
-
-
-def _cmd_sliding(args) -> int:
-    events = _load_events(args)
-    ctx = _ctx(args)
-    params = SmoothnessParams.for_moment(
-        {"sum": 1.0, "distinct": 0.0, "f2": 2.0, "moment": args.p}[args.stat], args.eta
-    )
-
-    def inner_factory(start_t: int, eps_instance: float):
-        child = ctx.child("sliding", start_t)
-        horizon = args.T - start_t + 1
-        if args.stat == "sum":
-            return _SumAdapter(
-                GroupingMechanism(horizon, eps_instance, args.eta, args.xi, child)
-            )
-        if args.stat == "distinct":
-            inner = GroupingMechanism(
-                horizon, eps_instance / 5, args.eta, args.xi, child
-            )
-            return SmallUniverseDistinct(args.n, inner)
-        if args.stat == "f2":
-            cfg = L2Config(
-                epsilon=eps_instance,
-                eta=args.eta,
-                xi=args.xi,
-                n=args.n,
-                T=horizon,
-                copies=1,
-            )
-            return _F2Adapter(L2Estimator(cfg, child))
-        cfg = MomentConfig(
-            p=args.p,
-            epsilon=eps_instance,
-            eta=args.eta,
-            xi=args.xi,
-            T=horizon,
-            n=args.n,
-            copies=1,
-            tau=args.tau,
-        )
-        return MomentState(cfg, child, eps_instance / 4)
-
-    probe = GroupingMechanism(args.T, 1.0, args.eta, args.xi, ctx.child("probe"))
-    gamma = 0.0 if args.noise == "off" else probe.error_bound()
-    hist, budget = window_estimator(
-        inner_factory,
-        params,
-        args.W,
-        args.T,
-        args.epsilon,
-        inner_alpha=1.0 + args.eta,
-        inner_gamma=gamma,
-    )
-    rows = []
-    exact_fn = _exact_window_fn(args.stat, args.p)
-    for t, e in enumerate(events, start=1):
-        value = hist.feed(e)
-        exact = exact_fn(events, t, args.W)
-        rows.append(f"{t},{_fmt(value)},{_fmt(exact)}")
-    _write_csv(args.output, "t,window_estimate,exact_window_value", rows)
-    return 0
-
-
-class _SumAdapter:
-    def __init__(self, mech) -> None:
-        self.mech = mech
-
-    def feed(self, e: StreamEvent) -> float:
-        self.mech.feed(_event_count(e))
-        return self.mech.current()
-
-
-class _F2Adapter:
-    def __init__(self, est: L2Estimator) -> None:
-        self.est = est
-
-    def feed(self, e: StreamEvent) -> float:
-        self.est.feed(e)
-        return self.est.f2()
-
-
-def _exact_window_fn(stat: str, p: float):
-    from .streams import exact_frequencies, exact_lp_moment
-
-    def fn(events, t, W):
-        view = window_view(events, t, WindowSpec(W))
-        table = exact_frequencies(view)
-        if stat == "sum":
-            return float(table.total_nonempty)
-        if stat == "distinct":
-            return float(len(table))
-        if stat == "f2":
-            return exact_lp_moment(table, 2.0)
-        return exact_lp_moment(table, p)
-
-    return fn
 
 
 def _cmd_sensitivity_check(args) -> int:
@@ -453,13 +433,38 @@ def _cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, needs_input: bool = True) -> None:
-    p.add_argument("--seed", type=int, default=int(os.environ.get("DPSKETCH_SEED", "0")))
-    p.add_argument("--noise", choices=["on", "off"], default="on")
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p.add_argument("--format", choices=["csv"], default="csv")
-    if needs_input:
-        p.add_argument("--input", required=True, help="stream file")
+# non-streaming subcommands: help, flags, handler
+_TOOLS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Callable]] = {
+    "point-query": (
+        "query a serialized sketch snapshot",
+        (
+            ("--element", dict(type=int, required=True)),
+            ("--snapshot", dict(required=True)),
+        ),
+        _cmd_point_query,
+    ),
+    "sensitivity-check": (
+        "brute-force sensitivity vs claims",
+        (
+            ("--mapping", dict(choices=sensitivity_mappings(), required=True)),
+            ("--n", dict(type=int, default=2)),
+            ("--T", dict(type=int, default=4)),
+            ("--k", dict(type=int, default=2)),
+            ("--m", dict(type=int, default=2)),
+            ("--L", dict(type=int, default=2)),
+            ("--budget", dict(type=int, default=10_000_000)),
+        ),
+        _cmd_sensitivity_check,
+    ),
+    "experiment": (
+        "run an experiment spec",
+        (
+            ("--spec", dict(required=True, help="JSON ExperimentSpec")),
+            ("--jobs", dict(type=int, default=1)),
+        ),
+        _cmd_experiment,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,113 +473,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differentially private continual-release streaming estimators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sum", help="continual-release summing")
-    _add_common(p)
-    p.add_argument("--mechanism", choices=["tree", "group"], default="group")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--mode", choices=["elements", "integers"], default=None)
-    p.set_defaults(func=_cmd_sum)
-
-    p = sub.add_parser("distinct", help="continual-release distinct elements")
-    _add_common(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", choices=[TREE, GROUP], default=GROUP)
-    p.add_argument("--universe", choices=["small", "general"], default="small")
-    p.add_argument("--copies", type=int, default=None)
-    p.set_defaults(func=_cmd_distinct)
-
-    p = sub.add_parser("f2", help="continual-release l2 frequency moment")
-    _add_common(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=0.2)
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--copies", type=int, default=None)
-    p.add_argument("--buckets", type=int, default=None)
-    p.add_argument("--snapshot-out", default=None)
-    p.set_defaults(func=_cmd_f2)
-
-    p = sub.add_parser("point-query", help="query a serialized sketch snapshot")
-    _add_common(p, needs_input=False)
-    p.add_argument("--element", type=int, required=True)
-    p.add_argument("--snapshot", required=True)
-    p.set_defaults(func=_cmd_point_query)
-
-    p = sub.add_parser("heavy-hitters", help="continual-release lp heavy hitters")
-    _add_common(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=0.2)
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--copies", type=int, default=None)
-    p.set_defaults(func=_cmd_heavy_hitters)
-
-    p = sub.add_parser("low-freq", help="counts of elements at each frequency 1..k")
-    _add_common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=0.25)
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--copies", type=int, default=None)
-    p.set_defaults(func=_cmd_low_freq)
-
-    p = sub.add_parser("moment", help="lp frequency moment estimation")
-    _add_common(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=0.25)
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--copies", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--beta-c", type=int, default=3, dest="beta_c")
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("sliding", help="sliding-window statistics via smooth histogram")
-    _add_common(p)
-    p.add_argument("--stat", choices=["sum", "distinct", "f2", "moment"], required=True)
-    p.add_argument("--W", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--tau", type=float, default=None)
-    p.set_defaults(func=_cmd_sliding)
-
-    p = sub.add_parser("sensitivity-check", help="brute-force sensitivity vs claims")
-    _add_common(p, needs_input=False)
-    p.add_argument("--mapping", choices=sensitivity_mappings(), required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--T", type=int, default=4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.set_defaults(func=_cmd_sensitivity_check)
-
-    p = sub.add_parser("experiment", help="run an experiment spec")
-    _add_common(p, needs_input=False)
-    p.add_argument("--spec", required=True, help="JSON ExperimentSpec")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_experiment)
-
+    commands = [(name, c.help, c.params, _cmd_stream) for name, c in STREAMING.items()]
+    commands += [(name, *tool) for name, tool in _TOOLS.items()]
+    for name, help_text, params, func in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--seed", type=int, default=int(os.environ.get("DPSKETCH_SEED", "0")))
+        p.add_argument("--noise", choices=["on", "off"], default="on")
+        p.add_argument("--output", default=None, help="CSV path (default stdout)")
+        if name in STREAMING:
+            p.add_argument("--input", required=True, help="stream file")
+        for flag, kw in params:
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -148,7 +148,8 @@ class SubsampledDistinct:
             self._route_cache[ident] = hit
         return hit
 
-    def feed(self, e: StreamEvent) -> float:
+    def ingest(self, e: StreamEvent) -> None:
+        """Advance one timestamp without computing the estimate."""
         level, hashed = (None, 0)
         if e.is_element():
             level, hashed = self._route(e.value)
@@ -157,6 +158,9 @@ class SubsampledDistinct:
             counter.feed(ev)
             if self.derived is not None:
                 self.derived[i - 1].append(ev)
+
+    def feed(self, e: StreamEvent) -> float:
+        self.ingest(e)
         return self.current()
 
     def current(self) -> float:
@@ -192,10 +196,7 @@ class BoostedEstimator:
 
     def ingest(self, e: StreamEvent) -> None:
         for c in self.copies:
-            if hasattr(c, "ingest"):
-                c.ingest(e)
-            else:
-                c.feed(e)
+            c.ingest(e)
 
     def current(self) -> float:
         return self.combiner([c.current() for c in self.copies])

@@ -1,5 +1,8 @@
 """Experiment runner and the sensitivity-check driver.
 
+The runner replays generated streams through the CLI's streaming
+subcommands (their builders and continual-release loop) and keeps the rows.
+
 The sensitivity checks run each mechanism's real derived-stream recording
 (``record_derived``) through the brute-force oracle over every neighboring
 pair and a fixed set of hash seeds, and compare the worst total distance with
@@ -29,7 +32,7 @@ from .streams import (
     generate_stream,
     mapping_sensitivity,
 )
-from .summing import BinaryTreeMechanism, GroupingMechanism
+from .summing import BinaryTreeMechanism
 
 DEFAULT_SENSITIVITY_SEEDS = tuple(range(101, 109))
 
@@ -213,11 +216,31 @@ def sensitivity_check(
 # ---------------------------------------------------------------------------
 
 
+# spec mechanism -> (streaming CLI subcommand, parameters the name fixes)
+EXPERIMENT_MECHANISMS: dict[str, tuple[str, dict]] = {
+    "sum": ("sum", {}),
+    "distinct": ("distinct", {}),
+    "f2": ("f2", {}),
+    "moment": ("moment", {}),
+    "sum-tree": ("sum", {"mechanism": "tree"}),
+    "sum-group": ("sum", {"mechanism": "group"}),
+    "distinct-small": ("distinct", {"universe": "small", "variant": "group"}),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One mechanism swept over a parameter grid and repeated trials."""
+    """One mechanism swept over a parameter grid and repeated trials.
 
-    mechanism: str  # sum-tree | sum-group | distinct-small
+    ``mechanism`` is a streaming CLI subcommand whose rows are (t, estimate,
+    exact, error): ``sum``, ``distinct``, ``f2`` or ``moment`` (its error is
+    relative), or ``sum-tree``, ``sum-group``, ``distinct-small``, which fix
+    ``--mechanism`` or ``--universe small --variant group``.  Grid keys are
+    that subcommand's flag names (``epsilon`` defaults to 1); ``T`` and ``n``
+    also shape the generated stream.
+    """
+
+    mechanism: str
     grid: dict[str, list]
     generator: dict
     trials: int = 1
@@ -226,6 +249,11 @@ class ExperimentSpec:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if self.mechanism not in EXPERIMENT_MECHANISMS:
+            raise ValueError(
+                f"unknown experiment mechanism {self.mechanism!r}; "
+                f"known: {sorted(EXPERIMENT_MECHANISMS)}"
+            )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.grid:
@@ -257,62 +285,24 @@ class RunRecord:
         }
 
 
-def _event_count(e: StreamEvent) -> int:
-    if e.is_integer():
-        return e.value
-    return 1 if e.is_element() else 0
-
-
 def _run_one(spec: ExperimentSpec, grid_point: dict, trial: int) -> RunRecord:
-    params = dict(grid_point)
+    from .cli import command_params, drive  # cli imports this module
+
     gen = dict(spec.generator)
     kind = gen.pop("kind")
     cfg = StreamConfig(
-        T=int(params.get("T", gen.pop("T", 1024))),
-        n=int(params.get("n", gen.pop("n", 64))),
+        T=int(grid_point.get("T", gen.pop("T", 1024))),
+        n=int(grid_point.get("n", gen.pop("n", 64))),
     )
     seed = NoiseContext(spec.seed_base).child_seed("trial", trial)
     stream = generate_stream(kind, cfg, seed, **gen)
-    ctx = NoiseContext(seed, noise_off=spec.noise_off)
+    name, fixed = EXPERIMENT_MECHANISMS[spec.mechanism]
+    params = command_params(
+        name, **{"epsilon": 1.0, **grid_point, **fixed, "T": cfg.T, "n": cfg.n}
+    )
 
-    rows: list[tuple[int, float, float, float]] = []
     start = time.perf_counter()
-    if spec.mechanism in ("sum-tree", "sum-group"):
-        if spec.mechanism == "sum-tree":
-            mech = BinaryTreeMechanism(cfg.T, params.get("epsilon", 1.0), ctx)
-        else:
-            mech = GroupingMechanism(
-                cfg.T,
-                params.get("epsilon", 1.0),
-                params.get("eta", 0.1),
-                params.get("xi", 0.1),
-                ctx,
-            )
-        exact = 0
-        for t, e in enumerate(stream, start=1):
-            x = _event_count(e)
-            exact += x
-            mech.feed(x)
-            est = mech.current()
-            rows.append((t, est, float(exact), abs(est - exact)))
-    elif spec.mechanism == "distinct-small":
-        inner = GroupingMechanism(
-            cfg.T,
-            params.get("epsilon", 1.0),
-            params.get("eta", 0.1),
-            params.get("xi", 0.1),
-            ctx,
-        )
-        d = SmallUniverseDistinct(cfg.n, inner)
-        seen: set[int] = set()
-        for t, e in enumerate(stream, start=1):
-            if e.is_element():
-                seen.add(e.value)
-            est = d.feed(e)
-            exact = float(len(seen))
-            rows.append((t, est, exact, abs(est - exact)))
-    else:
-        raise ValueError(f"unknown experiment mechanism {spec.mechanism!r}")
+    _, rows = drive(name, params, stream, NoiseContext(seed, noise_off=spec.noise_off))
     record = RunRecord(spec.mechanism, grid_point, trial, rows)
     record.summarize(time.perf_counter() - start)
     return record
@@ -345,6 +335,9 @@ def _point_slug(grid_point: dict) -> str:
 
 
 def _write_records(spec: ExperimentSpec, records: list[RunRecord]) -> None:
+    from .cli import STREAMING
+
+    header = "trial," + STREAMING[EXPERIMENT_MECHANISMS[spec.mechanism][0]].header
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     by_point: dict[str, list[RunRecord]] = {}
@@ -352,7 +345,7 @@ def _write_records(spec: ExperimentSpec, records: list[RunRecord]) -> None:
         by_point.setdefault(_point_slug(rec.grid_point), []).append(rec)
     for slug, recs in by_point.items():
         path = out / f"{spec.mechanism}__{slug}.csv"
-        lines = ["trial,t,estimate,exact,abs_error"]
+        lines = [header]
         for rec in sorted(recs, key=lambda r: r.trial):
             for t, est, exact, err in rec.rows:
                 lines.append(f"{rec.trial},{t},{est:.10g},{exact:.10g},{err:.10g}")

@@ -15,13 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .budget import MechanismBudget
-from .distinct import (
-    GROUP,
-    BoostedEstimator,
-    DistinctConfig,
-    distinct_estimator,
-    make_summing_backend,
-)
+from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
 from .randomness import (
     GeometricLevelHash,
     NoiseContext,
@@ -245,9 +239,7 @@ def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator
                 LowFreqSmall(cfg.n, cfg.k, cfg.T, eps_copy / (8 * cfg.k), copy_ctx)
             )
         else:
-            probe = BinaryTreeMechanism(cfg.T, eps_counter, copy_ctx.child("probe"))
             xi_inner = cfg.xi / (3 * copies)
-            gamma2 = probe.error_bound(xi_inner)
             d_cfg = DistinctConfig(
                 epsilon=eps_block,
                 eta=0.1,
@@ -258,7 +250,8 @@ def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator
                 copies=cfg.distinct_copies,
             )
             d_hat = distinct_estimator(d_cfg, copy_ctx.child("dhat"))
-            gamma1 = _distinct_gamma(d_cfg, copy_ctx)
+            # the distinct backend's additive bound enters the level selection
+            gamma1 = d_hat.copies[0].params.gamma
             params = subsample_lowfreq_params(
                 cfg.n, cfg.T, cfg.k, cfg.eta, gamma1, lam=cfg.lam
             )
@@ -274,17 +267,3 @@ def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator
         budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
     return BoostedEstimator(instances, _median_vectors, budget)
 
-
-def _distinct_gamma(d_cfg: DistinctConfig, ctx: NoiseContext) -> float:
-    """Additive bound of the distinct backend used in the level-selection rule."""
-    from .distinct import backend_guarantee, default_distinct_copies
-
-    copies = d_cfg.copies or default_distinct_copies(d_cfg.T, d_cfg.xi)
-    eps_sum = d_cfg.epsilon / copies / 5
-    L = max(1, math.ceil(math.log2(min(d_cfg.n, d_cfg.T))))
-    xi_inner = (d_cfg.xi / 2) / (L * copies)
-    probe = make_summing_backend(
-        d_cfg.variant, d_cfg.T, eps_sum, d_cfg.eta, xi_inner, ctx.child("gamma-probe")
-    )
-    _, gamma = backend_guarantee(probe, xi_inner)
-    return gamma

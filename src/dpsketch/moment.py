@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .budget import MechanismBudget
 from .heavy_hitters import REEVAL_SUBSTREAM, HHConfig, HHSketch
-from .low_freq import LowFreqSmall, subsample_lowfreq_params
+from .low_freq import _HASH_RANGE_CAP, LowFreqSmall, subsample_lowfreq_params
 from .randomness import (
     GeometricLevelHash,
     NoiseContext,
@@ -28,8 +28,6 @@ from .distinct import BoostedEstimator
 
 BELOW = "below"
 ABOVE = "above"
-
-_HASH_RANGE_CAP = 1 << 60
 
 
 def beta_sample(ctx: NoiseContext, eta: float, T: int, C: int = 3) -> float:

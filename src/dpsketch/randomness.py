@@ -116,10 +116,6 @@ class NoiseContext:
         """Independent sub-context; copies built from distinct keys share nothing."""
         return NoiseContext(self.child_seed(*key), self.noise_off)
 
-    def numpy_rng(self) -> np.random.Generator:
-        """The underlying generator, for bulk non-privacy randomness in tests."""
-        return self._rng
-
 
 def laplace_sample(ctx: NoiseContext, scale: float) -> float:
     """One Laplace draw with density exp(-|x|/b)/(2b); 0 under noise-off."""
@@ -156,17 +152,6 @@ class PolyHashFamily:
 
     def __call__(self, x: int) -> int:
         return self.value(x) % self.m
-
-    def hash_many(self, xs: Sequence[int]) -> list[int]:
-        p, m = self.prime, self.m
-        coeffs = tuple(reversed(self.coefficients))
-        out = []
-        for x in xs:
-            acc = 0
-            for c in coeffs:
-                acc = (acc * x + c) % p
-            out.append(acc % m)
-        return out
 
 
 class SignHash:

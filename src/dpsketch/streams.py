@@ -2,12 +2,14 @@
 
 Everything here is non-private and deterministic: these are the ground-truth
 functions the private mechanisms are tested against.  All types are immutable
-after construction except :class:`FrequencyTable`, which is built
-incrementally; the oracles are pure functions and safe to call concurrently.
+after construction except :class:`FrequencyTable` and
+:class:`IncrementalOracle`, which are built incrementally; the oracle
+functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -42,6 +44,13 @@ class StreamEvent(NamedTuple):
 
 
 EMPTY_EVENT = StreamEvent(EMPTY, 0)
+
+
+def event_count(e: StreamEvent) -> int:
+    """What one event adds to a running sum: its value, 1 per element, 0 for Empty."""
+    if e.kind == INTEGER:
+        return e.value
+    return 1 if e.kind == ELEMENT else 0
 
 
 def element(ident: int) -> StreamEvent:
@@ -104,6 +113,14 @@ class FrequencyTable:
         self.counts[ident] = self.counts.get(ident, 0) + 1
         self.total_nonempty += 1
 
+    def remove(self, ident: int) -> None:
+        c = self.counts[ident] - 1
+        if c:
+            self.counts[ident] = c
+        else:
+            del self.counts[ident]
+        self.total_nonempty -= 1
+
     def __getitem__(self, ident: int) -> int:
         return self.counts.get(ident, 0)
 
@@ -117,6 +134,55 @@ class FrequencyTable:
 
     def __repr__(self) -> str:
         return f"FrequencyTable({self.counts!r}, total={self.total_nonempty})"
+
+
+class IncrementalOracle:
+    """Exact running statistics of a stream, updated in O(1) per event.
+
+    Keeps the frequency table, how many elements have each exact frequency,
+    the total of the event counts, and the moment sum of f^p accumulated as
+    (f+1)^p - f^p per arrival.  With a window ``W`` an event leaves all of
+    them again once W later events have arrived.
+    """
+
+    def __init__(self, p: float = 2.0, W: int | None = None) -> None:
+        self.p = p
+        self.W = W
+        self.table = FrequencyTable()
+        self.at_frequency: dict[int, int] = {}
+        self.total = 0
+        self.moment = 0.0
+        self._window: deque[StreamEvent] = deque()
+
+    def add(self, e: StreamEvent) -> None:
+        self._step(e, 1)
+        if self.W is not None:
+            self._window.append(e)
+            if len(self._window) > self.W:
+                self._step(self._window.popleft(), -1)
+
+    def _step(self, e: StreamEvent, d: int) -> None:
+        """Count ``e`` in (d=1) or out (d=-1)."""
+        if e.kind == ELEMENT:
+            c = self.table[e.value]
+            self.moment += (c + d) ** self.p - c**self.p
+            if d > 0:
+                self.table.add(e.value)
+            else:
+                self.table.remove(e.value)
+            if c:
+                self.at_frequency[c] -= 1
+            if c + d:
+                self.at_frequency[c + d] = self.at_frequency.get(c + d, 0) + 1
+        self.total += d * event_count(e)
+
+    def lp(self) -> float:
+        """The lp moment at ``p``; p=0 counts distinct keys, p=1 the total."""
+        if self.p == 0:
+            return float(len(self.table))
+        if self.p == 1:
+            return float(self.total)
+        return self.moment
 
 
 def exact_frequencies(prefix: Sequence[StreamEvent]) -> FrequencyTable:

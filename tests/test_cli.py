@@ -3,8 +3,38 @@ import json
 import pytest
 
 from dpsketch.cli import main
-from dpsketch.streamio import write_stream_file
-from dpsketch.streams import StreamConfig, generate_stream
+from dpsketch.streamio import parse_stream_file, write_stream_file
+from dpsketch.streams import (
+    StreamConfig,
+    WindowSpec,
+    exact_frequencies,
+    exact_lp_moment,
+    generate_stream,
+    window_view,
+)
+
+# every streaming subcommand, with arguments small enough for a 64-event stream
+STREAMING_ARGS = {
+    "sum-tree": ["sum", "--mechanism", "tree", "--epsilon", "1", "--T", "64"],
+    "sum-group": ["sum", "--epsilon", "64", "--T", "64"],
+    "distinct": ["distinct", "--epsilon", "1", "--T", "64", "--n", "16",
+                 "--variant", "tree"],
+    "distinct-general": ["distinct", "--epsilon", "1", "--T", "64", "--n", "16",
+                         "--universe", "general", "--copies", "2"],
+    "f2": ["f2", "--epsilon", "1", "--T", "64", "--n", "16", "--copies", "2",
+           "--buckets", "16"],
+    "heavy-hitters": ["heavy-hitters", "--p", "2", "--k", "2", "--epsilon", "64",
+                      "--T", "64", "--n", "16", "--copies", "2"],
+    "low-freq": ["low-freq", "--k", "2", "--epsilon", "1", "--T", "64", "--n", "16",
+                 "--copies", "2"],
+    "moment": ["moment", "--p", "2", "--epsilon", "1", "--T", "64", "--n", "16",
+               "--copies", "1"],
+}
+for _stat in ("sum", "distinct", "f2", "moment"):
+    STREAMING_ARGS[f"sliding-{_stat}"] = [
+        "sliding", "--stat", _stat, "--W", "8", "--epsilon", "8", "--eta", "0.4",
+        "--T", "64", "--n", "16", "--p", "2", "--tau", "4",
+    ]
 
 GOLDEN_HEADERS = {
     "sum": "t,estimate,exact,abs_error",
@@ -177,6 +207,47 @@ class TestDeterminism:
         run(["sum", "--mechanism", "group", "--epsilon", "1", "--T", "64",
              "--seed", "77", "--input", stream_file, "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    @pytest.mark.parametrize("name", sorted(STREAMING_ARGS))
+    def test_noise_on_repeated_runs_identical(self, name, stream_file, tmp_path):
+        outs = []
+        for out in (tmp_path / "a.csv", tmp_path / "b.csv"):
+            code = run(
+                STREAMING_ARGS[name]
+                + ["--seed", "42", "--input", stream_file, "--output", str(out)]
+            )
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].decode().splitlines()) > 1
+
+
+class TestSlidingExactColumn:
+    @pytest.mark.parametrize(
+        "stat,p", [("sum", 1.0), ("distinct", 0.0), ("f2", 2.0), ("moment", 3.0)]
+    )
+    def test_matches_window_oracle(self, stat, p, tmp_path):
+        cfg = StreamConfig(T=96, n=12)
+        path = tmp_path / "bursty.txt"
+        write_stream_file(path, generate_stream("bursty", cfg, seed=11), cfg)
+        events, _ = parse_stream_file(path)
+        out = tmp_path / "w.csv"
+        W = 10
+        code = run(
+            ["sliding", "--stat", stat, "--W", str(W), "--epsilon", "8",
+             "--eta", "0.4", "--T", "96", "--n", "12", "--p", "3", "--tau", "4",
+             "--input", str(path), "--output", str(out), "--noise", "off"]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == len(events)
+        for t, line in enumerate(lines, start=1):
+            table = exact_frequencies(window_view(events, t, WindowSpec(W)))
+            expected = float(len(table)) if p == 0 else exact_lp_moment(table, p)
+            col_t, _, exact = line.split(",")
+            assert int(col_t) == t
+            assert float(exact) == expected
 
 
 class TestExitCodes:

@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from dpsketch.cli import main
 from dpsketch.experiment import (
     ExperimentSpec,
     run_experiment,
     sensitivity_check,
     sensitivity_mappings,
 )
+from dpsketch.randomness import NoiseContext
+from dpsketch.streamio import write_stream_file
+from dpsketch.streams import StreamConfig, generate_stream
 
 
 class TestSensitivityChecks:
@@ -109,6 +113,55 @@ class TestRunExperiment:
         serial = run_experiment(spec, jobs=1)
         parallel = run_experiment(spec, jobs=2)
         assert [r.rows for r in serial] == [r.rows for r in parallel]
+
+    @pytest.mark.parametrize(
+        "mechanism,grid,cli_args",
+        [
+            # the indicator stream runs at epsilon/5, as in the CLI
+            ("distinct-small", {"epsilon": [400.0], "eta": [0.4], "xi": [0.4]},
+             ["distinct", "--universe", "small", "--variant", "group",
+              "--epsilon", "400", "--eta", "0.4", "--xi", "0.4"]),
+            ("sum-tree", {"epsilon": [1.0]},
+             ["sum", "--mechanism", "tree", "--epsilon", "1"]),
+            ("f2", {"epsilon": [1.0], "copies": [2], "buckets": [16]},
+             ["f2", "--epsilon", "1", "--copies", "2", "--buckets", "16"]),
+            ("moment", {"p": [2.0], "copies": [1]},
+             ["moment", "--p", "2", "--epsilon", "1", "--copies", "1"]),
+        ],
+    )
+    def test_noise_on_rows_match_cli(self, mechanism, grid, cli_args, tmp_path):
+        T, n, trial = 96, 24, 1
+        spec = ExperimentSpec(
+            mechanism=mechanism,
+            grid={**grid, "T": [T], "n": [n]},
+            generator={"kind": "uniform"},
+            trials=2,
+            seed_base=5,
+        )
+        record = run_experiment(spec)[trial]
+        seed = NoiseContext(spec.seed_base).child_seed("trial", trial)
+        cfg = StreamConfig(T=T, n=n)
+        stream_path = tmp_path / "stream.txt"
+        write_stream_file(stream_path, generate_stream("uniform", cfg, seed), cfg)
+        out = tmp_path / "cli.csv"
+        shape = ["--T", str(T)] + (["--n", str(n)] if cli_args[0] != "sum" else [])
+        code = main(
+            cli_args
+            + shape
+            + ["--seed", str(seed), "--input", str(stream_path), "--output", str(out)]
+        )
+        assert code == 0
+        rows = [
+            f"{t},{est:.10g},{exact:.10g},{err:.10g}" for t, est, exact, err in record.rows
+        ]
+        assert rows == out.read_text().splitlines()[1:]
+        assert any(est != 0 for _, est, _, _ in record.rows)
+
+    def test_unknown_mechanism_and_missing_flag(self):
+        with pytest.raises(ValueError, match="unknown experiment mechanism"):
+            self.spec(mechanism="heavy-hitters")
+        with pytest.raises(ValueError, match="p"):
+            run_experiment(self.spec(mechanism="moment"))
 
     def test_spec_from_json(self, tmp_path):
         path = tmp_path / "spec.json"

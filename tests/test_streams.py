@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from dpsketch.streams import (
     EMPTY_EVENT,
     FrequencyTable,
+    IncrementalOracle,
     ResourceBudgetError,
     StreamConfig,
     WindowSpec,
@@ -125,6 +126,36 @@ class TestWindowView:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             window_view(ev(0), 2, WindowSpec(1))
+
+
+class TestIncrementalOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=1, max_size=40),
+        W=st.one_of(st.none(), st.integers(1, 8)),
+        p=st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]),
+    )
+    def test_matches_recomputed_oracles(self, ids, W, p):
+        events = ev(*ids)
+        oracle = IncrementalOracle(p, W)
+        for t in range(1, len(events) + 1):
+            oracle.add(events[t - 1])
+            view = window_view(events, t, WindowSpec(W)) if W else events[:t]
+            table = exact_frequencies(view)
+            assert oracle.table == table
+            assert oracle.total == table.total_nonempty
+            assert oracle.lp() == pytest.approx(exact_lp_moment(table, p), rel=1e-12)
+            for j in range(1, 9):
+                with_j = sum(1 for c in table.counts.values() if c == j)
+                assert oracle.at_frequency.get(j, 0) == with_j
+
+    def test_integer_events_sum_values(self):
+        oracle = IncrementalOracle(1.0, W=2)
+        for x in (3, -1, 5):
+            oracle.add(integer(x))
+        assert oracle.total == 4
+        assert oracle.lp() == 4.0
+        assert len(oracle.table) == 0
 
 
 class TestStreamDistance:
