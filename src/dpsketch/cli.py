@@ -27,6 +27,7 @@ from .distinct import (
     TREE,
     DistinctConfig,
     SmallUniverseDistinct,
+    backend_guarantee,
     distinct_estimator,
     make_summing_backend,
 )
@@ -35,7 +36,7 @@ from .heavy_hitters import HHConfig, HHEstimator
 from .low_freq import LowFreqConfig, lowfreq_estimator
 from .moment import MomentConfig, moment_estimator
 from .randomness import NoiseContext, median_boost
-from .sliding import SmoothnessParams, window_estimator
+from .sliding import SlidingBudget, SmoothnessParams, default_max_live, window_estimator
 from .streamio import StreamParseError, parse_stream_file
 from .streams import IncrementalOracle, ResourceBudgetError, StreamEvent, event_count
 from .summing import GroupingMechanism
@@ -136,25 +137,42 @@ def _build_moment(a, ctx):
 
 def _build_sliding(a, ctx):
     """Smooth histogram over single-copy instances of the --stat subcommand,
-    each built at its per-instance epsilon over the remaining horizon."""
+    each built at its per-instance epsilon over the remaining horizon.
+
+    The shift's additive error gamma is the one of the summing backend an
+    instance runs (sum, and distinct over a small universe at epsilon/5),
+    taken at the per-instance epsilon over the full horizon.  The other stats
+    take gamma from a unit-epsilon grouping probe."""
     inner = STREAMING[a.stat]
     shared = dict(eta=a.eta, xi=a.xi, n=a.n, p=a.p, tau=a.tau, copies=1)
+    smoothness = SmoothnessParams.for_moment(inner.p(a), a.eta)
 
-    def inner_factory(start_t: int, eps_instance: float):
+    def build(start_t: int, eps_instance: float, child: NoiseContext):
         params = command_params(
             a.stat, **shared, T=a.T - start_t + 1, epsilon=eps_instance
         )
-        return inner.build(params, ctx.child("sliding", start_t))
+        return inner.build(params, child)
 
-    probe = GroupingMechanism(a.T, 1.0, a.eta, a.xi, ctx.child("probe"))
+    def inner_factory(start_t: int, eps_instance: float):
+        return build(start_t, eps_instance, ctx.child("sliding", start_t))
+
+    eps_instance = SlidingBudget(
+        a.epsilon, default_max_live(a.T, smoothness.beta)
+    ).per_instance_epsilon
+    if a.stat == "sum":
+        backend = build(1, eps_instance, ctx.child("probe")).est
+    elif a.stat == "distinct":  # small universe: sliding has no --universe flag
+        backend = build(1, eps_instance, ctx.child("probe")).inner
+    else:
+        backend = GroupingMechanism(a.T, 1.0, a.eta, a.xi, ctx.child("probe"))
     hist, _ = window_estimator(
         inner_factory,
-        SmoothnessParams.for_moment(inner.p(a), a.eta),
+        smoothness,
         a.W,
         a.T,
         a.epsilon,
         inner_alpha=1.0 + a.eta,
-        inner_gamma=probe.error_bound(),
+        inner_gamma=backend_guarantee(backend, a.xi)[1],
     )
     return hist
 
@@ -363,7 +381,7 @@ def _snapshot_save(path: str, est: L2Estimator) -> None:
             len(key_json),
         )
         blob += key_json
-        blob += struct.pack(f"<{sketch.k}d", *sketch._running.tolist())
+        blob += struct.pack(f"<{sketch.k}d", *sketch.running.tolist())
     Path(path).write_bytes(bytes(blob))
 
 
@@ -386,9 +404,7 @@ def _snapshot_load(path: str) -> list[CountSketchState]:
         off += struct.calcsize(f"<{k}d")
         ctx = NoiseContext(seed, noise_off=bool(noise_off))
         sketch = CountSketchState(k, T, eps, ctx, key=key[1:])
-        sketch._clock.t = t
-        for i, v in enumerate(running):
-            sketch._running[i] = v
+        sketch.restore(t, running)
         sketches.append(sketch)
     return sketches
 

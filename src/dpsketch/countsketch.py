@@ -1,10 +1,10 @@
 """Continual-release CountSketch with DP point queries and F2 estimation.
 
-Buckets are dyadic-tree noisy counters sharing one clock, stored as a flat
-running-sum array with per-node keyed noise, which is observationally
-identical to one tree mechanism per bucket but cheap to construct for large
-bucket counts.  Buckets take signed contributions, so the tree mechanism (not
-the grouping one) backs them.
+Buckets are the lanes of one tree-counter bank (see
+:class:`~dpsketch.summing.BinaryTreeMechanism`), which is observationally
+identical to one tree mechanism per bucket but keeps O(k log T) noise and
+draws a level for all buckets at once.  Buckets take signed contributions, so
+the tree mechanism (not the grouping one) backs them.
 """
 
 from __future__ import annotations
@@ -16,16 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import MechanismBudget
-from .randomness import (
-    NoiseContext,
-    PolyHashFamily,
-    SignHash,
-    fold_key,
-    median_boost,
-    node_laplace,
-)
+from .randomness import NoiseContext, PolyHashFamily, SignHash, median_boost
+from .randomness import node_laplace  # noqa: F401  (traced by perfbench/run.py)
 from .streams import StreamEvent, integer
-from .summing import Clock, _dyadic_nodes
+from .summing import BinaryTreeMechanism, Clock
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,8 @@ class CountSketchState:
     Each non-empty event adds its sign to exactly one bucket; every bucket's
     output is its running sum plus the noise of the dyadic nodes tiling
     [1, t], each node carrying an independent Laplace draw of scale
-    (ceil(log2 T)+1)/epsilon_bucket.
+    (ceil(log2 T)+1)/epsilon_bucket.  The buckets are the lanes of one tree
+    counter bank, bucket i keyed ``("cs",) + key + ("bucket", i)``.
     """
 
     def __init__(
@@ -63,17 +58,21 @@ class CountSketchState:
         self.k = int(k)
         self.T = int(T)
         self.epsilon_bucket = float(epsilon_bucket)
-        self.levels = math.ceil(math.log2(self.T)) + 1 if self.T > 1 else 1
-        self.noise_scale = self.levels / self.epsilon_bucket
         self._ctx = ctx
         self._key = ("cs",) + tuple(key)
-        self._clock = clock if clock is not None else Clock(self.T)
-        self._owns_clock = clock is None
+        self._bank = BinaryTreeMechanism(
+            self.T,
+            self.epsilon_bucket,
+            ctx,
+            key=tuple(key) + ("bucket",),
+            clock=clock,
+            lanes=range(self.k),
+            namespace="cs",
+        )
+        self.levels = self._bank.levels
+        self.noise_scale = self._bank.noise_scale
         self.h = PolyHashFamily(4, self.k, ctx.child_seed(*self._key, "h"))
         self.g = SignHash(ctx.child_seed(*self._key, "g"))
-        self._running = np.zeros(self.k)
-        self._noise: dict[int, float] = {}
-        self._bucket_bases: dict[int, int] = {}
         self._route_cache: dict[int, tuple[int, int]] = {}
         self.derived: list[list[StreamEvent]] | None = None
         if record_derived:
@@ -81,7 +80,12 @@ class CountSketchState:
 
     @property
     def t(self) -> int:
-        return self._clock.t
+        return self._bank.t
+
+    @property
+    def running(self) -> np.ndarray:
+        """Exact bucket counts (private state, not a release)."""
+        return self._bank.running
 
     def _route(self, ident: int) -> tuple[int, int]:
         hit = self._route_cache.get(ident)
@@ -95,7 +99,7 @@ class CountSketchState:
         bucket, sign = None, 0
         if e.is_element():
             bucket, sign = self._route(e.value)
-            self._running[bucket] += sign
+            self._bank.add(sign, bucket)
         elif e.is_integer():
             raise ValueError("CountSketch requires an elements-mode stream")
         if self.derived is not None:
@@ -103,37 +107,20 @@ class CountSketchState:
                 self.derived[i].append(integer(sign if i == bucket else 0))
 
     def feed(self, e: StreamEvent) -> None:
-        if not self._owns_clock:
-            raise RuntimeError("shared-clock sketch is advanced by its owner")
-        self._clock.tick()
+        self._bank.tick()
         self.observe(e)
 
-    def _bucket_noise(self, i: int) -> float:
-        base = self._bucket_bases.get(i)
-        if base is None:
-            base = fold_key(self._ctx.master_seed, self._key + ("bucket", i))
-            self._bucket_bases[i] = base
-        total = 0.0
-        cache = self._noise
-        scale = self.noise_scale
-        for level, index in _dyadic_nodes(self._clock.t):
-            node = (i << 54) | (level << 48) | index
-            noise = cache.get(node)
-            if noise is None:
-                noise = node_laplace(base, level, index, scale)
-                cache[node] = noise
-            total += noise
-        return total
+    def restore(self, t: int, running) -> None:
+        """Set the clock and the exact bucket counts, as read from a snapshot.
+        Noise is keyed by node, so the restored outputs equal the saved ones."""
+        self._bank._clock.t = int(t)
+        self._bank.running[:] = running
 
     def bucket_output(self, i: int) -> float:
-        if self._ctx.noise_off:
-            return float(self._running[i])
-        return float(self._running[i]) + self._bucket_noise(i)
+        return self._bank.lane_current(i)
 
     def outputs(self) -> np.ndarray:
-        if self._ctx.noise_off:
-            return self._running.copy()
-        return np.array([self.bucket_output(i) for i in range(self.k)])
+        return self._bank.current()
 
     def point_query(self, ident: int) -> float:
         """Frequency estimate g(a) * z_{h(a)} for one element."""
@@ -142,11 +129,8 @@ class CountSketchState:
 
     def f2(self, eta: float = 0.0, additive: float = 0.0) -> F2Estimate:
         """Sum of squared bucket outputs."""
-        if self._ctx.noise_off:
-            value = float(self._running @ self._running)
-        else:
-            value = float(sum(self.bucket_output(i) ** 2 for i in range(self.k)))
-        return F2Estimate(value=value, eta=eta, additive=additive)
+        out = self._bank.current()
+        return F2Estimate(value=float(out @ out), eta=eta, additive=additive)
 
     def error_bound(self, xi: float) -> float:
         """Per-bucket additive noise bound, all t and buckets jointly w.p. 1-xi."""

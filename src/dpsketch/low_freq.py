@@ -24,7 +24,7 @@ from .randomness import (
     median_boost,
 )
 from .streams import EMPTY_EVENT, StreamEvent, element, integer
-from .summing import BinaryTreeMechanism, Clock
+from .summing import BinaryTreeMechanism
 
 # one universe change perturbs each counter stream in at most 8 unit steps
 COUNTER_SENSITIVITY_PER_K = 8
@@ -36,7 +36,8 @@ class LowFreqSmall:
     """Exact-frequency counts over a small universe via k signed counters.
 
     With noise off, counter i's total equals |{a : f_a = i}| at every
-    timestamp.  Counters hold +-1 inputs, so they are tree-backed.
+    timestamp.  Counters hold +-1 inputs, so they are tree-backed: one bank
+    of k lanes, counter i keyed ``("lfs",) + key + (i,)``.
     """
 
     def __init__(
@@ -53,14 +54,9 @@ class LowFreqSmall:
             raise ValueError(f"k must be >= 1, got {k}")
         self.m = int(m)
         self.k = int(k)
-        self._clock = Clock(T)
-        self._key = ("lfs",) + tuple(key)
-        self.counters = [
-            BinaryTreeMechanism(
-                T, epsilon_counter, ctx, key=self._key + (i,), clock=self._clock
-            )
-            for i in range(1, k + 1)
-        ]
+        self.counters = BinaryTreeMechanism(
+            T, epsilon_counter, ctx, key=("lfs",) + tuple(key), lanes=range(1, k + 1)
+        )
         self.freq: dict[int, int] = {}
         self.derived: list[list[StreamEvent]] | None = None
         if record_derived:
@@ -68,11 +64,11 @@ class LowFreqSmall:
 
     @property
     def t(self) -> int:
-        return self._clock.t
+        return self.counters.t
 
     def ingest(self, e: StreamEvent) -> None:
         """Advance one timestamp without computing the counter outputs."""
-        self._clock.tick()
+        self.counters.tick()
         plus = minus = None
         if e.is_element():
             if e.value >= self.m:
@@ -81,10 +77,10 @@ class LowFreqSmall:
             self.freq[e.value] = j
             if j <= self.k:
                 plus = j
-                self.counters[j - 1].add(1)
+                self.counters.add(1, j - 1)
             if 2 <= j <= self.k + 1:
                 minus = j - 1
-                self.counters[j - 2].add(-1)
+                self.counters.add(-1, j - 2)
         elif e.is_integer():
             raise ValueError("low-frequency counting requires an elements-mode stream")
         if self.derived is not None:
@@ -97,7 +93,7 @@ class LowFreqSmall:
         return self.current()
 
     def current(self) -> list[float]:
-        return [c.current() for c in self.counters]
+        return self.counters.current().tolist()
 
 
 @dataclass(frozen=True)

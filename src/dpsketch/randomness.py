@@ -45,14 +45,33 @@ def fold_key(seed: int, key: tuple) -> int:
     return _fold_key(seed, key)
 
 
-def node_laplace(base: int, a: int, b: int, scale: float) -> float:
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    # _mix64 over uint64 lanes; numpy uint64 arithmetic wraps modulo 2^64
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
+    """fold_key(seed, key + (lane,)) for each uint64 lane id, given
+    base = fold_key(seed, key)."""
+    return _mix64_array(np.uint64(base) ^ (lanes * np.uint64(_GOLDEN)))
+
+
+def node_laplace(base, a: int, b: int, scale: float):
     """Laplace draw keyed by (a, b) under a pre-folded base; one mix round.
 
     The linear combination is injective over the node-index ranges in use and
     the final mix provides the avalanche, so draws for distinct nodes are
-    effectively independent uniforms.
+    effectively independent uniforms.  ``base`` may be a uint64 array of
+    bases: one draw per entry comes back, each bit-identical to the scalar
+    draw under that base.
     """
-    z = _mix64(base ^ ((a * _NODE_A + b * _NODE_B) & _MASK64))
+    offset = (a * _NODE_A + b * _NODE_B) & _MASK64
+    if isinstance(base, np.ndarray):
+        z = _mix64_array(base ^ np.uint64(offset))
+        return _laplace_from_uniforms((z >> np.uint64(11)).astype(np.float64) * 2.0**-53, scale)
+    z = _mix64(base ^ offset)
     return _laplace_from_uniform((z >> 11) * 2.0**-53, scale)
 
 
@@ -61,6 +80,14 @@ def _laplace_from_uniform(u: float, scale: float) -> float:
     u = min(max(u, 1e-300), 1.0 - 1e-16)
     q = u - 0.5
     return -scale * math.copysign(1.0, q) * math.log1p(-2.0 * abs(q))
+
+
+def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
+    # _laplace_from_uniform elementwise, in the same operation order; the log
+    # stays math.log1p because np.log1p may differ from it in the last bit
+    q = np.minimum(np.maximum(u, 1e-300), 1.0 - 1e-16) - 0.5
+    logs = np.fromiter(map(math.log1p, (-2.0 * np.abs(q)).tolist()), np.float64, q.size)
+    return -scale * np.copysign(1.0, q) * logs
 
 
 class NoiseContext:

@@ -2,8 +2,9 @@
 mechanism (better additive error for non-negative streams).
 
 Both follow the uniform contract "feed one value, read one running estimate".
-Tree counters may share a clock so that a sketch of many buckets advances time
-once per event; feeding zeros to untouched buckets is then pure bookkeeping.
+A tree mechanism may be a bank of counters on one clock (CountSketch buckets,
+low-frequency counters), and banks may share a clock, so that a sketch of
+many buckets advances time once per event.
 Instances are single-owner mutable and independent across threads.
 """
 
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .randomness import NoiseContext, fold_key, node_laplace
+import numpy as np
+
+from .randomness import NoiseContext, fold_key, fold_lanes, node_laplace
 
 
 class StateError(RuntimeError):
@@ -36,23 +39,6 @@ class Clock:
         return self.t
 
 
-def _dyadic_nodes(t: int) -> list[tuple[int, int]]:
-    """Dyadic intervals tiling [1, t], as (level, index) pairs.
-
-    Level j covers blocks of length 2^j; the decomposition follows the set
-    bits of t from the highest down.
-    """
-    nodes = []
-    pos = 0
-    bit = t.bit_length() - 1
-    while bit >= 0:
-        if t & (1 << bit):
-            nodes.append((bit, pos >> bit))
-            pos += 1 << bit
-        bit -= 1
-    return nodes
-
-
 class BinaryTreeMechanism:
     """Dyadic-tree noisy prefix sums; handles signed inputs.
 
@@ -60,6 +46,19 @@ class BinaryTreeMechanism:
     draw of scale (ceil(log2 T)+1)/epsilon, drawn lazily and keyed by the node
     so replay is order-independent.  The running exact sum plus the noise of
     the nodes tiling [1, t] equals the classic per-node construction.
+
+    With ``lanes`` the mechanism is a bank of ``len(lanes)`` counters on one
+    clock, counter j keyed ``key + (lanes[j],)``: ``current()`` reads every
+    lane as an array and ``lane_current(j)`` reads one.  The intervals tiling
+    [1, t] hold at most one node per level (level l: index (t >> l) - 1, when
+    bit l of t is set), and a node never returns once t has moved past it, so
+    each level keeps one noise slot per lane and memory is O(lanes * log T).
+    A full read that finds a level stale refills its row for all lanes with
+    one array draw.  A lane read uses the row when it is current, else the
+    lane's own slot, refilled by one scalar draw; those slots are Python
+    lists because per-element numpy indexing slowed point-query-heavy
+    workloads by about 5%.  Both reads add a lane's noise to its running sum
+    from the highest level down, so they agree bit for bit.
     """
 
     def __init__(
@@ -69,6 +68,8 @@ class BinaryTreeMechanism:
         ctx: NoiseContext,
         key: tuple = (),
         clock: Clock | None = None,
+        lanes=None,
+        namespace: str = "tree",
     ) -> None:
         if epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -77,44 +78,102 @@ class BinaryTreeMechanism:
         self.levels = math.ceil(math.log2(self.T)) + 1 if self.T > 1 else 1
         self.noise_scale = self.levels / self.epsilon
         self._ctx = ctx
-        self._key = ("tree",) + tuple(key)
-        self._noise_base = fold_key(ctx.master_seed, self._key)
+        self._key = (namespace,) + tuple(key)
         self._clock = clock if clock is not None else Clock(self.T)
         self._owns_clock = clock is None
-        self._running = 0.0
-        self._node_noise: dict[int, float] = {}
+        self._lanes = lanes
+        self.k = 1 if lanes is None else len(lanes)
+        self._running = np.zeros(self.k)
+        # full reads: one row of draws per level and the node it holds; the
+        # rows and lane bases are built at the first noisy full read
+        self._row_node = [-1] * self.levels
+        self._rows: np.ndarray | None = None
+        self._row_bases: np.ndarray | None = None
+        # lane reads: one draw per (level, lane) slot and the node it holds,
+        # built at the first noisy lane read
+        self._slot_node: list[int] = []
+        self._slot: list[float] = []
+        self._lane_bases: list[int | None] = []
 
     @property
     def t(self) -> int:
         return self._clock.t
 
-    def add(self, x: float) -> None:
-        """Credit x to the current timestamp without advancing the clock."""
-        self._running += x
+    @property
+    def running(self) -> np.ndarray:
+        """Exact running sum of each lane (private state, not a release)."""
+        return self._running
 
-    def feed(self, x: float) -> float:
-        """Advance one timestamp, ingest x, return the noisy prefix sum."""
+    def tick(self) -> None:
+        """Advance the mechanism's own clock one timestamp."""
         if not self._owns_clock:
             raise StateError("shared-clock counter is advanced by its owner")
         self._clock.tick()
-        self._running += x
+
+    def add(self, x: float, lane: int = 0) -> None:
+        """Credit x to a lane at the current timestamp without advancing the clock."""
+        self._running[lane] += x
+
+    def feed(self, x: float) -> float:
+        """Advance one timestamp, ingest x, return the noisy prefix sum."""
+        self.tick()
+        self._running[0] += x
         return self.current()
 
-    def current(self) -> float:
-        """Noisy prefix sum at the clock's current timestamp."""
+    def current(self):
+        """Noisy prefix sum at the clock's current timestamp: a float for a
+        single counter, an array with one entry per lane for a bank."""
+        if self._lanes is None:
+            return self.lane_current(0)
+        out = self._running.copy()
         if self._ctx.noise_off:
-            return self._running
-        total = self._running
-        cache = self._node_noise
-        base = self._noise_base
-        scale = self.noise_scale
-        for level, index in _dyadic_nodes(self._clock.t):
-            node = (level << 48) | index
-            noise = cache.get(node)
-            if noise is None:
-                noise = node_laplace(base, level, index, scale)
-                cache[node] = noise
-            total += noise
+            return out
+        if self._rows is None:
+            self._rows = np.zeros((self.levels, self.k))
+            self._row_bases = fold_lanes(
+                fold_key(self._ctx.master_seed, self._key),
+                np.asarray(self._lanes, dtype=np.uint64),
+            )
+        t = self._clock.t
+        rest = t
+        while rest:
+            level = rest.bit_length() - 1
+            rest ^= 1 << level
+            node = (t >> level) - 1
+            if self._row_node[level] != node:
+                self._rows[level] = node_laplace(self._row_bases, level, node, self.noise_scale)
+                self._row_node[level] = node
+            out += self._rows[level]
+        return out
+
+    def lane_current(self, j: int) -> float:
+        """Noisy prefix sum of lane j alone; equals ``current()[j]``."""
+        total = float(self._running[j])
+        if self._ctx.noise_off:
+            return total
+        if not self._slot:
+            self._slot_node = [-1] * (self.levels * self.k)
+            self._slot = [0.0] * (self.levels * self.k)
+            self._lane_bases = [None] * self.k
+        t = self._clock.t
+        row_node, slot_node, slot = self._row_node, self._slot_node, self._slot
+        rest = t
+        while rest:
+            level = rest.bit_length() - 1
+            rest ^= 1 << level
+            node = (t >> level) - 1
+            if row_node[level] == node:
+                total += float(self._rows[level, j])
+                continue
+            s = level * self.k + j
+            if slot_node[s] != node:
+                base = self._lane_bases[j]
+                if base is None:
+                    key = self._key if self._lanes is None else self._key + (self._lanes[j],)
+                    base = self._lane_bases[j] = fold_key(self._ctx.master_seed, key)
+                slot[s] = node_laplace(base, level, node, self.noise_scale)
+                slot_node[s] = node
+            total += slot[s]
         return total
 
     def error_bound(self, xi: float) -> float:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from dpsketch.cli import main
+from dpsketch.cli import STREAMING, command_params, drive, main
+from dpsketch.randomness import NoiseContext
+from dpsketch.sliding import SmoothnessParams, default_max_live, relative_shift
 from dpsketch.streamio import parse_stream_file, write_stream_file
 from dpsketch.streams import (
     StreamConfig,
@@ -12,6 +14,7 @@ from dpsketch.streams import (
     generate_stream,
     window_view,
 )
+from dpsketch.summing import GroupingMechanism
 
 # every streaming subcommand, with arguments small enough for a 64-event stream
 STREAMING_ARGS = {
@@ -248,6 +251,55 @@ class TestSlidingExactColumn:
             col_t, _, exact = line.split(",")
             assert int(col_t) == t
             assert float(exact) == expected
+
+
+class TestSnapshotRoundTrip:
+    def test_point_query_from_noisy_snapshot_equals_live_sketch(self, stream_file, tmp_path):
+        # the restored sketch starts a fresh noise bank at t = T; keyed node
+        # noise makes its point query equal the live sketch's final one
+        args = ["f2", "--epsilon", "1", "--T", "64", "--n", "16", "--copies", "3",
+                "--buckets", "32", "--seed", "5"]
+        snap = tmp_path / "sketch.dpcs"
+        code = run(args + ["--input", stream_file, "--output", str(tmp_path / "f2.csv"),
+                           "--snapshot-out", str(snap)])
+        assert code == 0
+        params = command_params(
+            "f2", epsilon=1.0, T=64, n=16, copies=3, buckets=32
+        )
+        events, _ = parse_stream_file(stream_file)
+        live, _ = drive("f2", params, events, NoiseContext(5))
+        for element_id in (0, 3, 15):
+            pq = tmp_path / f"pq{element_id}.csv"
+            code = run(["point-query", "--element", str(element_id), "--snapshot",
+                        str(snap), "--output", str(pq)])
+            assert code == 0
+            want = f"{element_id},{live.est.point_query(element_id):.10g}"
+            assert pq.read_text().splitlines()[1] == want
+
+
+class TestSlidingShift:
+    @pytest.mark.parametrize("stat,p,sensitivity", [("sum", 1.0, 1), ("distinct", 0.0, 5)])
+    def test_shift_comes_from_the_inner_backend(self, stat, p, sensitivity):
+        # the inner grouping mechanism runs at epsilon/max_live (then /5 for
+        # distinct's indicator stream), so its additive error sizes the shift
+        T, eps, eta, xi = 512, 8.0, 0.4, 0.1
+        params = command_params(
+            "sliding", stat=stat, W=32, epsilon=eps, eta=eta, xi=xi, T=T, n=64,
+            p=2.0, tau=4.0,
+        )
+        hist = STREAMING["sliding"].build(params, NoiseContext(1))
+        eps_instance = eps / default_max_live(T, SmoothnessParams.for_moment(p, eta).beta)
+        inner = GroupingMechanism(T, eps_instance / sensitivity, eta, xi, NoiseContext(1))
+        assert hist.shift == pytest.approx(
+            relative_shift(1 + eta, inner.error_bound()), rel=1e-12
+        )
+
+    def test_noise_off_shift_is_zero(self):
+        params = command_params(
+            "sliding", stat="sum", W=8, epsilon=8.0, T=64, n=16, p=2.0, tau=4.0
+        )
+        hist = STREAMING["sliding"].build(params, NoiseContext(1, noise_off=True))
+        assert hist.shift == 0.0
 
 
 class TestExitCodes:

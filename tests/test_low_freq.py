@@ -9,6 +9,7 @@ from dpsketch.low_freq import (
     lowfreq_estimator,
     subsample_lowfreq_params,
 )
+from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.randomness import NoiseContext
 from dpsketch.streams import (
     EMPTY_EVENT,
@@ -72,7 +73,7 @@ class TestLowFreqSmall:
         for seed in range(trials):
             stream = generate_stream("uniform", StreamConfig(T=T, n=n), seed=seed)
             d = LowFreqSmall(n, k, T, eps / (8 * k), NoiseContext(3000 + seed))
-            bound = d.counters[0].error_bound(0.1 / k)
+            bound = d.counters.error_bound(0.1 / k)
             good = True
             for t, e in enumerate(stream, start=1):
                 values = d.feed(e)
@@ -200,3 +201,34 @@ class TestLowFreqEstimator:
         a = lowfreq_estimator(cfg, NoiseContext(21))
         b = lowfreq_estimator(cfg, NoiseContext(21))
         assert [a.feed(e) for e in stream] == [b.feed(e) for e in stream]
+
+
+def _general_block(factory, n, k, T, ctx):
+    """The LowFreqGeneral block built by the low-frequency or moment factory."""
+    if factory == "lowfreq":
+        cfg = LowFreqConfig(epsilon=1.0, eta=0.25, xi=0.1, k=k, n=n, T=T, copies=1)
+        return lowfreq_estimator(cfg, ctx).copies[0]
+    cfg = MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=T, n=n, copies=1, tau=k)
+    return moment_estimator(cfg, ctx).copies[0].low_freq
+
+
+class TestGeneralUniverseLevels:
+    @pytest.mark.parametrize("factory", ["lowfreq", "moment"])
+    def test_level_blocks_count_the_ids_routed_to_them(self, factory):
+        # noise off, n = 2^15 > the small-universe limit: every level's counter
+        # block holds the exact by-frequency counts of the ids hashed to it
+        n, k, T = 1 << 15, 3, 400
+        gen = _general_block(factory, n, k, T, NoiseContext(17, noise_off=True))
+        assert isinstance(gen, LowFreqGeneral)
+        stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=17, s=1.05)
+        freq = {}
+        for t, e in enumerate(stream, start=1):
+            gen.ingest(e)
+            if e.is_element():
+                freq[e.value] = freq.get(e.value, 0) + 1
+            if t % 50:
+                continue
+            for i, block in enumerate(gen.levels, start=1):
+                routed = [f for ident, f in freq.items() if gen._route(ident)[0] == i]
+                assert block.current() == [routed.count(j) for j in range(1, block.k + 1)]
+        assert sum(block.current()[0] > 0 for block in gen.levels) >= 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpsketch.low_freq import LowFreqGeneral
 from dpsketch.moment import (
     ABOVE,
     BELOW,
@@ -249,3 +250,17 @@ class TestMomentEstimator:
         est = moment_estimator(moment_cfg(copies=4), NoiseContext(6))
         betas = {copy.shape.beta for copy in est.copies}
         assert len(betas) > 1
+
+
+class TestGeneralUniverse:
+    def test_noise_on_run_above_the_small_universe_limit(self):
+        # n = 2^15 takes the subsampled low-frequency block
+        T, n = 256, 1 << 15
+        stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=4, s=1.1)
+        runs = []
+        for _ in range(2):
+            est = moment_estimator(moment_cfg(T=T, n=n, tau=4), NoiseContext(31))
+            assert isinstance(est.copies[0].low_freq, LowFreqGeneral)
+            runs.append([est.feed(e) for e in stream])
+        assert runs[0] == runs[1]
+        assert all(math.isfinite(v) and v >= 0 for v in runs[0])

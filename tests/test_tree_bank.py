@@ -1,0 +1,212 @@
+"""The tree-counter bank against the per-node construction it replaced.
+
+The reference below is the earlier per-node loop: one keyed Laplace draw per
+dyadic node, cached in a dict by node.  The bank must give the same noise:
+bit for bit for tree mechanisms and low-frequency counters (which add node
+noise to the running sum highest level first, as the reference did), and to
+the last bits for CountSketch buckets (whose reference summed the node noise
+before adding the running count).
+"""
+
+import gc
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dpsketch.countsketch import CountSketchState
+from dpsketch.low_freq import LowFreqSmall
+from dpsketch.randomness import NoiseContext, fold_key, fold_lanes, node_laplace
+from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
+from dpsketch.summing import BinaryTreeMechanism, Clock
+
+
+def _dyadic_nodes(t):
+    nodes = []
+    pos = 0
+    for bit in range(t.bit_length() - 1, -1, -1):
+        if t & (1 << bit):
+            nodes.append((bit, pos >> bit))
+            pos += 1 << bit
+    return nodes
+
+
+class ReferenceNoise:
+    """Per-node Laplace noise of one counter, cached by node as before."""
+
+    def __init__(self, seed, key, T, epsilon):
+        levels = math.ceil(math.log2(T)) + 1 if T > 1 else 1
+        self.scale = levels / epsilon
+        self.base = fold_key(seed, key)
+        self.cache = {}
+
+    def nodes(self, t):
+        out = []
+        for level, index in _dyadic_nodes(t):
+            node = (level, index)
+            if node not in self.cache:
+                self.cache[node] = node_laplace(self.base, level, index, self.scale)
+            out.append(self.cache[node])
+        return out
+
+    def tree_output(self, running, t):
+        total = running
+        for noise in self.nodes(t):
+            total += noise
+        return total
+
+    def bucket_output(self, running, t):
+        total = 0.0
+        for noise in self.nodes(t):
+            total += noise
+        return running + total
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestArrayDraw:
+    def test_array_draw_equals_scalar_draw_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        bases = rng.integers(0, 2**64, size=120_000, dtype=np.uint64, endpoint=False)
+        for level, index, scale in [(0, 0, 1.0), (5, 31, 7.25), (12, 4094, 0.013)]:
+            got = node_laplace(bases, level, index, scale)
+            want = [node_laplace(b, level, index, scale) for b in bases.tolist()]
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_lane_fold_equals_key_fold(self):
+        base = fold_key(99, ("cs", 3, "bucket"))
+        lanes = np.arange(2000, dtype=np.uint64)
+        want = [fold_key(99, ("cs", 3, "bucket", i)) for i in range(2000)]
+        assert fold_lanes(base, lanes).tolist() == want
+
+
+class TestTreeMechanism:
+    @pytest.mark.parametrize("T,seed", [(1, 0), (7, 1), (64, 2), (1000, 3)])
+    def test_equals_reference_at_every_t(self, T, seed):
+        ref = ReferenceNoise(seed, ("tree", "k", 5), T, 0.5)
+        m = BinaryTreeMechanism(T, 0.5, NoiseContext(seed), key=("k", 5))
+        rng = np.random.default_rng(seed)
+        running = 0.0
+        for t in range(1, T + 1):
+            x = int(rng.integers(-3, 4))
+            running += x
+            got = m.feed(x)
+            assert type(got) is float
+            assert _bits(got) == _bits(ref.tree_output(running, t))
+
+    def test_bank_lanes_equal_single_counters(self):
+        T, lanes = 100, [3, 9, 27]
+        bank = BinaryTreeMechanism(T, 1.0, NoiseContext(8), key=("b",), lanes=lanes)
+        singles = [
+            BinaryTreeMechanism(T, 1.0, NoiseContext(8), key=("b", lane)) for lane in lanes
+        ]
+        for t in range(1, T + 1):
+            bank.tick()
+            for j, single in enumerate(singles):
+                bank.add(j - 1, j)
+                single.feed(j - 1)
+            if t % 3:
+                assert bank.current().tolist() == [s.current() for s in singles]
+            else:
+                # lane reads alone, so full reads meet slots filled lane by lane
+                assert [bank.lane_current(j) for j in range(3)] == [
+                    s.current() for s in singles
+                ]
+
+
+class TestLowFreqSmall:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equals_reference_at_every_t(self, seed):
+        n, k, T, eps = 16, 5, 300, 0.25
+        stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.1)
+        d = LowFreqSmall(n, k, T, eps, NoiseContext(seed), key=(4,))
+        refs = [ReferenceNoise(seed, ("tree", "lfs", 4, i), T, eps) for i in range(1, k + 1)]
+        freq = {}
+        counts = [0.0] * k
+        for t, e in enumerate(stream, start=1):
+            if e.is_element():
+                j = freq.get(e.value, 0) + 1
+                freq[e.value] = j
+                if j <= k:
+                    counts[j - 1] += 1
+                if 2 <= j <= k + 1:
+                    counts[j - 2] -= 1
+            got = d.feed(e)
+            assert isinstance(got, list)
+            want = [ref.tree_output(counts[i], t) for i, ref in enumerate(refs)]
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestCountSketch:
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_outputs_match_reference_and_point_reads(self, seed):
+        k, T, eps = 24, 200, 0.3
+        stream = generate_stream("zipf", StreamConfig(T=T, n=64), seed=seed, s=1.2)
+        s = CountSketchState(k, T, eps, NoiseContext(seed), key=(2,))
+        refs = [ReferenceNoise(seed, ("cs", 2, "bucket", i), T, eps) for i in range(k)]
+        counts = [0] * k
+        for t, e in enumerate(stream, start=1):
+            if e.is_element():
+                b, g = s._route(e.value)
+                counts[b] += g
+            s.feed(e)
+            # point reads first on odd ticks, full reads first on even ones
+            if t % 2:
+                points = [s.bucket_output(i) for i in range(k)]
+                outs = s.outputs()
+            else:
+                outs = s.outputs()
+                points = [s.bucket_output(i) for i in range(k)]
+            assert outs.tolist() == points
+            want = np.array([ref.bucket_output(counts[i], t) for i, ref in enumerate(refs)])
+            np.testing.assert_allclose(outs, want, rtol=1e-12, atol=0)
+            f2 = s.f2().value
+            assert f2 == pytest.approx(float(np.sum(want**2)), rel=1e-12, abs=0)
+
+    def test_shared_clock_sketches_read_their_own_lanes(self):
+        # heavy-hitter substreams: several sketches advanced by one clock,
+        # read only by point queries between full reads
+        T, k = 128, 8
+        clock = Clock(T)
+        ctx = NoiseContext(21)
+        sketches = [
+            CountSketchState(k, T, 1.0, ctx, key=("sub", i), clock=clock) for i in range(3)
+        ]
+        refs = [
+            [ReferenceNoise(21, ("cs", "sub", i, "bucket", b), T, 1.0) for b in range(k)]
+            for i in range(3)
+        ]
+        for t in range(1, T + 1):
+            clock.tick()
+            i = t % 3
+            sketches[i].observe(element(t))
+            counts = sketches[i].running
+            for b in (t % k, (3 * t) % k):
+                got = sketches[i].bucket_output(b)
+                want = refs[i][b].bucket_output(float(counts[b]), t)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            if t % 16 == 0:
+                outs = sketches[i].outputs()
+                assert outs.tolist() == [sketches[i].bucket_output(b) for b in range(k)]
+
+    def test_noise_memory_stays_bounded_in_t(self):
+        # the earlier per-node cache grew by about k entries per tick
+        k, T = 2000, 512
+        s = CountSketchState(k, T, 1.0, NoiseContext(4))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for t in range(1, T + 1):
+                s.feed(element(t % 97) if t % 2 else EMPTY_EVENT)
+                s.f2()
+                if t == 256:
+                    gc.collect()
+                    mid, _ = tracemalloc.get_traced_memory()
+            gc.collect()
+            end, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert end - mid < 1 << 20
