@@ -42,6 +42,10 @@ from .streams import IncrementalOracle, ResourceBudgetError, StreamEvent, event_
 from .summing import GroupingMechanism
 
 SNAPSHOT_MAGIC = b"DPCS1"
+# a snapshot keeps the master seed and rebuilds h and g from it; version 1
+# predates the splitmix64 hash coefficients, so its sketches would route
+# elements to other buckets than the ones its counts were taken in
+SNAPSHOT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -367,7 +371,7 @@ def _cmd_stream(args) -> int:
 def _snapshot_save(path: str, est: L2Estimator) -> None:
     blob = bytearray()
     blob += SNAPSHOT_MAGIC
-    blob += struct.pack("<HI", 1, len(est.copies))
+    blob += struct.pack("<HI", SNAPSHOT_VERSION, len(est.copies))
     for sketch in est.copies:
         key_json = json.dumps(list(sketch._key)).encode()
         blob += struct.pack(
@@ -392,8 +396,11 @@ def _snapshot_load(path: str) -> list[CountSketchState]:
     off = 5
     version, count = struct.unpack_from("<HI", blob, off)
     off += struct.calcsize("<HI")
-    if version != 1:
-        raise ConfigError(f"unsupported snapshot version {version}")
+    if version != SNAPSHOT_VERSION:
+        raise ConfigError(
+            f"{path} is snapshot version {version}; this build reads version "
+            f"{SNAPSHOT_VERSION} only (re-run f2 --snapshot-out to rewrite it)"
+        )
     sketches = []
     for _ in range(count):
         k, T, t, noise_off, eps, seed, key_len = struct.unpack_from("<IQQBdQI", blob, off)

@@ -108,6 +108,7 @@ class HHSketch:
         self.noise_scale = levels / self.epsilon_tree
         self.gamma2 = 0.0 if ctx.noise_off else cfg.gamma2_factor * self.noise_scale
         self.gamma1 = 4 * cfg.inner_buckets * self.gamma2**2 / cfg.eta_f2
+        self.report_cap = cfg.report_cap
         self._h = PolyHashFamily(2, cfg.m, ctx.child_seed(*self._key, "route"))
         self._clock = Clock(cfg.T)
         self._sketches: dict[int, CountSketchState] = {}
@@ -198,8 +199,10 @@ class HHSketch:
 
     def report(self) -> dict[int, float]:
         """Top candidates by estimate, ties favouring the smaller element id."""
+        if not self.candidates:
+            return {}
         ranked = sorted(self.candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-        return dict(ranked[: self.cfg.report_cap])
+        return dict(ranked[: self.report_cap])
 
 
 class HHEstimator:

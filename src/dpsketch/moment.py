@@ -234,6 +234,13 @@ class MomentState:
         ]
         self._g = GeometricLevelHash(shape.L, shape.lam, ctx.child_seed("moment-g"))
         self.low_freq = _make_low_freq_block(cfg, shape, epsilon_unit, ctx)
+        # the weights current() applies every tick: boundary^p per interval
+        # and l^p per low frequency
+        self._interval_weights = {
+            q: _geometric_boundary(shape.beta, cfg.eta, q) ** cfg.p
+            for q in range(shape.q1, shape.q2 + 1)
+        }
+        self._low_freq_weights = [l**cfg.p for l in range(1, shape.k + 1)]
         self._level_cache: dict[int, int | None] = {}
         if self.derived is not None:
             self.derived = [[] for _ in range(shape.L + 1)]
@@ -278,13 +285,15 @@ class MomentState:
                 if i == 0 or cnt >= shape.qualify_floor:
                     z_hat[q] = max(z_hat[q], cnt * 2.0**i)
         total = 0.0
+        weights = self._interval_weights
         for q, z in z_hat.items():
             if z:
-                total += z * _geometric_boundary(shape.beta, eta, q) ** cfg.p
-        for l, s_hat in enumerate(self.low_freq.current(), start=1):
-            if cfg.clamp_low_freq:
-                s_hat = max(0.0, s_hat)
-            total += s_hat * l**cfg.p
+                total += z * weights[q]
+        clamp = cfg.clamp_low_freq
+        for s_hat, w in zip(self.low_freq.current(), self._low_freq_weights):
+            # the clamp max(0, s) * w would add exactly 0.0 where s > 0 fails
+            if s_hat > 0 or not clamp:
+                total += s_hat * w
         return total
 
 

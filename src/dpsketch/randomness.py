@@ -5,11 +5,18 @@ Every stochastic primitive the mechanisms share flows through a
 (used for per-node noise in tree counters), and derived seeds for hash
 families and boosted copies.  A context is single-owner mutable (the draw
 counter advances); hash families are immutable and freely shareable.
+
+All of it is one keyed splitmix64 family (Steele, Lea, Flood, "Fast
+Splittable Pseudorandom Number Generators", OOPSLA'14), used as a
+counter-based generator: a draw is the mix of a key and a counter, so a
+context or a hash family costs a few integer mixes to build and holds no
+generator state beyond its counter.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -27,17 +34,25 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+@lru_cache(maxsize=1024)
+def _word(part: str) -> int:
+    # the first 8 bytes of a string key part, as one little-endian word
+    return int.from_bytes(part.encode()[:8].ljust(8, b"\0"), "little")
+
+
 def _fold_key(seed: int, key: tuple) -> int:
     h = _mix64(seed ^ _GOLDEN)
     for part in key:
         if isinstance(part, str):
-            part = int.from_bytes(part.encode()[:8].ljust(8, b"\0"), "little")
+            part = _word(part)
         h = _mix64(h ^ ((int(part) * _GOLDEN) & _MASK64))
     return h
 
 
 _NODE_A = 0xD2B74407B1CE6E93
 _NODE_B = 0xCA5A826395121157
+# separates a context's sequential stream from its keyed draws
+_STREAM = 0x3C6EF372FE94F82B
 
 
 def fold_key(seed: int, key: tuple) -> int:
@@ -58,6 +73,15 @@ def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
     return _mix64_array(np.uint64(base) ^ (lanes * np.uint64(_GOLDEN)))
 
 
+# A 64-bit word z becomes the uniform ((z >> 11) or 1) / 2^53: its top 53 bits
+# on the grid {1, ..., 2^53 - 1} / 2^53, with 0 taken as 1 so the inverse CDF
+# never meets u = 0, where log1p(-1) has no value.
+
+
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z >> np.uint64(11), np.uint64(1)).astype(np.float64) * 2.0**-53
+
+
 def node_laplace(base, a: int, b: int, scale: float):
     """Laplace draw keyed by (a, b) under a pre-folded base; one mix round.
 
@@ -69,15 +93,13 @@ def node_laplace(base, a: int, b: int, scale: float):
     """
     offset = (a * _NODE_A + b * _NODE_B) & _MASK64
     if isinstance(base, np.ndarray):
-        z = _mix64_array(base ^ np.uint64(offset))
-        return _laplace_from_uniforms((z >> np.uint64(11)).astype(np.float64) * 2.0**-53, scale)
+        return _laplace_from_uniforms(_uniforms(_mix64_array(base ^ np.uint64(offset))), scale)
     z = _mix64(base ^ offset)
-    return _laplace_from_uniform((z >> 11) * 2.0**-53, scale)
+    return _laplace_from_uniform(((z >> 11) or 1) * 2.0**-53, scale)
 
 
 def _laplace_from_uniform(u: float, scale: float) -> float:
-    # inverse CDF on u in [0,1); clamp away from the endpoints so log stays finite
-    u = min(max(u, 1e-300), 1.0 - 1e-16)
+    # inverse CDF on u in (0, 1)
     q = u - 0.5
     return -scale * math.copysign(1.0, q) * math.log1p(-2.0 * abs(q))
 
@@ -85,7 +107,7 @@ def _laplace_from_uniform(u: float, scale: float) -> float:
 def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
     # _laplace_from_uniform elementwise, in the same operation order; the log
     # stays math.log1p because np.log1p may differ from it in the last bit
-    q = np.minimum(np.maximum(u, 1e-300), 1.0 - 1e-16) - 0.5
+    q = u - 0.5
     logs = np.fromiter(map(math.log1p, (-2.0 * np.abs(q)).tolist()), np.float64, q.size)
     return -scale * np.copysign(1.0, q) * logs
 
@@ -104,27 +126,40 @@ class NoiseContext:
         self.master_seed = int(master_seed) & _MASK64
         self.noise_off = bool(noise_off)
         self.draw_counter = 0
-        self._rng = np.random.Generator(np.random.PCG64(self.master_seed))
+        # draw i (1-based) is the mix of _stream + i * golden: splitmix64's
+        # own output sequence, started from a keyed state
+        self._stream = _mix64(self.master_seed ^ _STREAM)
 
     def laplace(self, scale: float, size: int | None = None):
-        """Sequential Laplace draw(s) of the given scale; 0 when noise is off."""
+        """Sequential Laplace draw(s) of the given scale; 0 when noise is off.
+
+        ``size=n`` reads the next n draws of the stream, the values of n
+        scalar calls up to the last bit of the log.
+        """
         if not (scale > 0 and math.isfinite(scale)):
             raise ValueError(f"scale must be positive and finite, got {scale}")
         if size is None:
-            self.draw_counter += 1
+            i = self.draw_counter = self.draw_counter + 1
             if self.noise_off:
                 return 0.0
-            return _laplace_from_uniform(self._rng.random(), scale)
+            # _mix64 and _laplace_from_uniform, inlined: this is a hot path
+            z = (self._stream + i * _GOLDEN) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            q = (((z ^ (z >> 31)) >> 11) or 1) * 2.0**-53 - 0.5
+            return -scale * math.copysign(1.0, q) * math.log1p(-2.0 * abs(q))
+        first = self.draw_counter + 1
         self.draw_counter += size
         if self.noise_off:
             return np.zeros(size)
-        u = self._rng.random(size)
-        q = u - 0.5
-        return -scale * np.sign(q) * np.log1p(-2.0 * np.abs(q))
+        counters = np.arange(first, first + size, dtype=np.uint64)
+        q = _uniforms(_mix64_array(np.uint64(self._stream) + counters * np.uint64(_GOLDEN))) - 0.5
+        return -scale * np.copysign(1.0, q) * np.log1p(-2.0 * np.abs(q))
 
     def uniform(self) -> float:
+        """Next draw of the sequential stream as a uniform on [0, 1)."""
         self.draw_counter += 1
-        return float(self._rng.random())
+        return (_mix64(self._stream + self.draw_counter * _GOLDEN) >> 11) * 2.0**-53
 
     def keyed_laplace(self, key: tuple, scale: float) -> float:
         """Order-independent Laplace draw keyed by an integer/string tuple."""
@@ -133,8 +168,7 @@ class NoiseContext:
         if self.noise_off:
             return 0.0
         h = _fold_key(self.master_seed, key)
-        u = (h >> 11) * 2.0**-53
-        return _laplace_from_uniform(u, scale)
+        return _laplace_from_uniform(((h >> 11) or 1) * 2.0**-53, scale)
 
     def child_seed(self, *key) -> int:
         return _fold_key(self.master_seed, ("child",) + key)
@@ -164,11 +198,17 @@ class PolyHashFamily:
         self.k = k
         self.m = m
         self.prime = MERSENNE_PRIME
-        rng = np.random.Generator(np.random.PCG64(seed))
-        # all k coefficients uniform over the field: exactly k-wise independent
-        self.coefficients = tuple(
-            int(c) for c in rng.integers(0, self.prime, size=k, dtype=np.int64)
-        )
+        # all k coefficients uniform over the field, so the family is exactly
+        # k-wise independent: the top 61 bits of successive splitmix64
+        # outputs of the seed, rejecting the one value 2^61 - 1 outside it
+        coefficients = []
+        state = int(seed) & _MASK64
+        while len(coefficients) < k:
+            state = (state + _GOLDEN) & _MASK64
+            c = _mix64(state) >> 3
+            if c < MERSENNE_PRIME:
+                coefficients.append(c)
+        self.coefficients = tuple(coefficients)
 
     def value(self, x: int) -> int:
         """Polynomial value in the field, before range reduction."""

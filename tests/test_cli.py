@@ -1,8 +1,9 @@
 import json
+import struct
 
 import pytest
 
-from dpsketch.cli import STREAMING, command_params, drive, main
+from dpsketch.cli import SNAPSHOT_MAGIC, STREAMING, command_params, drive, main
 from dpsketch.randomness import NoiseContext
 from dpsketch.sliding import SmoothnessParams, default_max_live, relative_shift
 from dpsketch.streamio import parse_stream_file, write_stream_file
@@ -275,6 +276,20 @@ class TestSnapshotRoundTrip:
             assert code == 0
             want = f"{element_id},{live.est.point_query(element_id):.10g}"
             assert pq.read_text().splitlines()[1] == want
+
+    def test_version_1_snapshot_is_refused(self, tmp_path, capsys):
+        # a version-1 snapshot rebuilds h and g from an earlier derivation;
+        # reading it would answer from the wrong buckets, so it is refused
+        k, key_json = 4, json.dumps(["cs", 0]).encode()
+        blob = SNAPSHOT_MAGIC + struct.pack("<HI", 1, 1)
+        blob += struct.pack("<IQQBdQI", k, 64, 64, 0, 0.5, 5, len(key_json)) + key_json
+        blob += struct.pack(f"<{k}d", 3.0, -1.0, 0.0, 2.0)
+        snap = tmp_path / "v1.dpcs"
+        snap.write_bytes(blob)
+        code = run(["point-query", "--element", "0", "--snapshot", str(snap),
+                    "--output", str(tmp_path / "pq.csv")])
+        assert code == 2
+        assert "snapshot version 1" in capsys.readouterr().err
 
 
 class TestSlidingShift:

@@ -200,6 +200,52 @@ class TestMomentState:
             assert out >= 0.0
 
 
+def _reference_current(state):
+    """MomentState.current() as the loop computed it before the weights were
+    precomputed, from the state's public parts: its heavy-hitter candidates
+    (ranked and capped as report() ranked them), shape and low-frequency
+    block."""
+    cfg, shape = state.cfg, state.shape
+    eta = cfg.eta
+    z_hat = {q: 0.0 for q in range(shape.q1, shape.q2 + 1)}
+    for i, sketch in enumerate(state.hh):
+        ranked = sorted(sketch.candidates.items(), key=lambda kv: (-kv[1], kv[0]))
+        counts = {}
+        for f_hat in dict(ranked[: sketch.cfg.report_cap]).values():
+            q = interval_index(shape, eta, max(0.0, f_hat))
+            if isinstance(q, int):
+                counts[q] = counts.get(q, 0) + 1
+        for q, cnt in counts.items():
+            if i == 0 or cnt >= shape.qualify_floor:
+                z_hat[q] = max(z_hat[q], cnt * 2.0**i)
+    total = 0.0
+    for q, z in z_hat.items():
+        if z:
+            total += z * _geometric_boundary(shape.beta, eta, q) ** cfg.p
+    for l, s_hat in enumerate(state.low_freq.current(), start=1):
+        if cfg.clamp_low_freq:
+            s_hat = max(0.0, s_hat)
+        total += s_hat * l**cfg.p
+    return total
+
+
+class TestCurrentMatchesReferenceLoop:
+    @pytest.mark.parametrize("p,clamp", [(2.0, True), (1.5, True), (2.0, False)])
+    def test_bit_identical_at_every_tick(self, p, clamp):
+        # at epsilon 64 the top levels hold candidates for most ticks and
+        # some low-frequency counters are negative, so every branch runs
+        cfg = MomentConfig(p=p, epsilon=64.0, eta=0.25, xi=0.1, T=512, n=16,
+                           copies=1, tau=4.0, clamp_low_freq=clamp)
+        state = MomentState(cfg, NoiseContext(3), 16.0)
+        reported = negative = 0
+        for e in generate_stream("zipf", StreamConfig(T=512, n=16), seed=4, s=1.2):
+            state.ingest(e)
+            assert state.current() == _reference_current(state)
+            reported += bool(state.hh[0].candidates)
+            negative += min(state.low_freq.current()) < 0
+        assert reported > 100 and negative > 100
+
+
 class TestLevelTupleSensitivity:
     def test_joint_distance_and_touched_streams(self):
         # one substitution perturbs the (S0, S1..SL) tuple at one timestamp

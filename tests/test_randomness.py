@@ -3,16 +3,39 @@ import math
 import numpy as np
 import pytest
 
+from dpsketch import randomness
+from dpsketch.countsketch import CountSketchState
 from dpsketch.randomness import (
+    MERSENNE_PRIME,
     GeometricLevelHash,
     NoiseContext,
     PolyHashFamily,
     SignHash,
     boost_count,
     even_independence,
+    fold_key,
+    fold_lanes,
     laplace_sample,
     median_boost,
+    node_laplace,
 )
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _ks_laplace(draws, scale):
+    """Kolmogorov-Smirnov distance of the draws from Laplace(0, scale)."""
+    x = np.sort(np.asarray(draws, dtype=np.float64))
+    n = x.size
+    cdf = np.where(x < 0, 0.5 * np.exp(x / scale), 1.0 - 0.5 * np.exp(-x / scale))
+    ranks = np.arange(1, n + 1) / n
+    return max(float(np.max(ranks - cdf)), float(np.max(cdf - (ranks - 1 / n))))
+
+
+def _ks_bound(n):
+    # the 1% critical value of the one-sample KS statistic
+    return 1.63 / math.sqrt(n)
 
 
 class TestLaplace:
@@ -182,3 +205,119 @@ class TestNoiseContextChildren:
     def test_noise_off_propagates(self):
         ctx = NoiseContext(77, noise_off=True)
         assert ctx.child("x").laplace(1.0) == 0.0
+
+
+class TestLaplaceDistribution:
+    def test_scalar_draws_ks(self):
+        ctx = NoiseContext(2024)
+        draws = [ctx.laplace(1.5) for _ in range(20_000)]
+        assert _ks_laplace(draws, 1.5) <= _ks_bound(len(draws))
+
+    def test_array_draws_ks(self):
+        draws = NoiseContext(2025).laplace(0.7, size=200_000)
+        assert _ks_laplace(draws, 0.7) <= _ks_bound(draws.size)
+
+    def test_node_draws_ks(self):
+        # one node under many lane bases, as a tree-counter bank draws a level
+        bases = fold_lanes(fold_key(11, ("tree", "ks")), np.arange(100_000, dtype=np.uint64))
+        draws = node_laplace(bases, 3, 5, 2.5)
+        assert _ks_laplace(draws, 2.5) <= _ks_bound(draws.size)
+
+    def test_size_n_reads_the_scalar_stream(self):
+        a, b = NoiseContext(31), NoiseContext(31)
+        scalar = [a.laplace(3.0) for _ in range(3)]
+        bulk = b.laplace(3.0, size=3)
+        assert a.draw_counter == b.draw_counter == 3
+        scalar += [a.laplace(3.0) for _ in range(5_000)]
+        bulk = np.concatenate([bulk, b.laplace(3.0, size=4_999), [b.laplace(3.0)]])
+        assert a.draw_counter == b.draw_counter == 5_003
+        np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=0)
+
+    def test_noise_off_still_advances_the_counter(self):
+        ctx = NoiseContext(4, noise_off=True)
+        assert ctx.laplace(1.0) == 0.0
+        assert not np.any(ctx.laplace(1.0, size=7))
+        assert ctx.draw_counter == 8
+
+    def test_uniform_shares_the_stream(self):
+        a, b = NoiseContext(12), NoiseContext(12)
+        a.laplace(1.0)
+        b.uniform()
+        assert a.uniform() == b.uniform() != a.uniform()
+        assert a.draw_counter == b.draw_counter + 1 == 3
+
+    def test_zero_word_gives_a_finite_draw(self):
+        # a mixed word of 0 would put the inverse CDF at u = 0; the splitmix64
+        # finalizer maps 0 to 0, so base == offset reaches it
+        for a, b in ((0, 0), (3, 5)):
+            offset = (a * randomness._NODE_A + b * randomness._NODE_B) & _MASK64
+            value = node_laplace(offset, a, b, 1.0)
+            assert math.isfinite(value)
+            assert node_laplace(np.array([offset], dtype=np.uint64), a, b, 1.0)[0] == value
+        ctx = NoiseContext(1)
+        ctx._stream = -_GOLDEN & _MASK64  # the first draw's word is 0
+        assert math.isfinite(ctx.laplace(1.0))
+
+    def test_children_of_consecutive_keys_are_uncorrelated(self):
+        ctx = NoiseContext(9)
+        n = 4_000
+        first = np.array([ctx.child("sliding", t).laplace(1.0) for t in range(1, n + 1)])
+        r = np.corrcoef(first[:-1], first[1:])[0, 1]
+        assert abs(r) < 4 / math.sqrt(n)
+        assert _ks_laplace(first, 1.0) <= _ks_bound(n)
+
+
+class TestKeyedDerivation:
+    def test_hash_coefficients_are_splitmix64_outputs(self):
+        # the first five outputs of splitmix64 seeded with 1234567, as the
+        # reference implementation prints them; coefficients keep the top 61 bits
+        outputs = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                   4593380528125082431, 16408922859458223821]
+        h = PolyHashFamily(5, 97, seed=1234567)
+        assert h.coefficients == tuple(v >> 3 for v in outputs)
+        assert all(0 <= c < MERSENNE_PRIME for c in h.coefficients)
+
+    def test_out_of_field_value_is_rejected(self, monkeypatch):
+        # top 61 bits all ones is 2^61 - 1, outside GF(2^61 - 1): skipped
+        mix = randomness._mix64
+        calls = []
+
+        def first_all_ones(z):
+            calls.append(z)
+            return _MASK64 if len(calls) == 1 else mix(z)
+
+        monkeypatch.setattr(randomness, "_mix64", first_all_ones)
+        h = PolyHashFamily(2, 97, seed=5)
+        assert len(calls) == 3
+        assert h.coefficients == (mix(calls[1]) >> 3, mix(calls[2]) >> 3)
+
+    def test_fold_key_encodes_strings_as_before(self):
+        def reference(seed, key):
+            h = randomness._mix64(seed ^ _GOLDEN)
+            for part in key:
+                if isinstance(part, str):
+                    part = int.from_bytes(part.encode()[:8].ljust(8, b"\0"), "little")
+                h = randomness._mix64(h ^ ((int(part) * _GOLDEN) & _MASK64))
+            return h
+
+        for key in (("child", "sliding", 17), ("cs", 0, "bucket"), ("moment-copy", 2),
+                    ("", "é", "lfs", 1 << 40)):
+            for _ in range(2):  # the second pass reads the memoised words
+                assert fold_key(77, key) == reference(77, key)
+
+    def test_no_numpy_generator_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy generator built")
+
+        for name in ("PCG64", "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, refuse)
+        ctx = NoiseContext(5)
+        child = ctx.child("sliding", 3)
+        draws = [child.laplace(1.0), child.uniform(), *child.laplace(1.0, size=4)]
+        assert all(math.isfinite(x) for x in draws)
+        assert ctx.keyed_laplace(("x", 1), 1.0) != 0.0
+        assert 0 <= PolyHashFamily(4, 10, 3)(12345) < 10
+        assert SignHash(8)(1) in (-1, 1)
+        GeometricLevelHash(8, 6, 9).level(4)
+        sketch = CountSketchState(8, 64, 1.0, ctx, key=("hh", 0, "sub", 5))
+        sketch.point_query(3)
