@@ -90,7 +90,11 @@ class HHConfig:
 
 
 class HHSketch:
-    """One copy of the substream heavy-hitter sketch."""
+    """One copy of the substream heavy-hitter sketch.
+
+    Like a tree counter, it ticks its own clock on each ``ingest`` unless it
+    is given a ``clock``, which its owner then advances once per event.
+    """
 
     def __init__(
         self,
@@ -99,6 +103,7 @@ class HHSketch:
         epsilon_tree: float,
         key: tuple = (),
         record_derived: bool = False,
+        clock: Clock | None = None,
     ) -> None:
         self.cfg = cfg
         self._ctx = ctx
@@ -109,8 +114,12 @@ class HHSketch:
         self.gamma2 = 0.0 if ctx.noise_off else cfg.gamma2_factor * self.noise_scale
         self.gamma1 = 4 * cfg.inner_buckets * self.gamma2**2 / cfg.eta_f2
         self.report_cap = cfg.report_cap
+        # the candidacy floor and the divisor of the F2 bar
+        self._floor = 512 * self.gamma2**2 / cfg.eta**2
+        self._bar_divisor = 25 * cfg.phi * cfg.k
         self._h = PolyHashFamily(2, cfg.m, ctx.child_seed(*self._key, "route"))
-        self._clock = Clock(cfg.T)
+        self._clock = clock if clock is not None else Clock(cfg.T)
+        self._owns_clock = clock is None
         self._sketches: dict[int, CountSketchState] = {}
         self._route_cache: dict[int, int] = {}
         self._f2_cache: dict[int, tuple[int, float]] = {}
@@ -155,19 +164,20 @@ class HHSketch:
     def _passes(self, ident: int) -> float | None:
         idx = self._route(ident)
         f_hat = self._substream(idx).point_query(ident)
-        floor = 512 * self.gamma2**2 / self.cfg.eta**2
+        floor = self._floor
         if f_hat * f_hat < floor:
             return None  # the F2 term can only raise the bar
-        bar = (self._substream_f2(idx) + self.gamma1) / (
-            25 * self.cfg.phi * self.cfg.k
-        ) + floor
+        bar = (self._substream_f2(idx) + self.gamma1) / self._bar_divisor + floor
         if f_hat * f_hat >= bar:
             return f_hat
         return None
 
     def ingest(self, e: StreamEvent) -> None:
-        """Advance one timestamp and refresh candidacy, skipping the report."""
-        self._clock.tick()
+        """Take the current timestamp's event and refresh candidacy, skipping
+        the report.  Advances the clock first when the sketch owns it; a
+        shared clock is advanced by its owner."""
+        if self._owns_clock:
+            self._clock.tick()
         arrived = None
         if e.is_element():
             arrived = e.value

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .budget import MechanismBudget
 from .heavy_hitters import REEVAL_SUBSTREAM, HHConfig, HHSketch
 from .low_freq import _HASH_RANGE_CAP, LowFreqSmall, subsample_lowfreq_params
+from .summing import Clock
 from .randomness import (
     GeometricLevelHash,
     NoiseContext,
@@ -228,8 +229,13 @@ class MomentState:
             reeval=REEVAL_SUBSTREAM,
             m_override=min(10 * max(1, math.ceil(shape.B)) ** 2, _HASH_RANGE_CAP),
         )
+        # one clock for every level: an empty event retests no candidate
+        # under REEVAL_SUBSTREAM, so a level only sees its own arrivals
+        self._clock = Clock(cfg.T)
         self.hh = [
-            HHSketch(hh_cfg, ctx.child("moment-hh", i), epsilon_unit / 4, key=(i,))
+            HHSketch(
+                hh_cfg, ctx.child("moment-hh", i), epsilon_unit / 4, key=(i,), clock=self._clock
+            )
             for i in range(shape.L + 1)
         ]
         self._g = GeometricLevelHash(shape.L, shape.lam, ctx.child_seed("moment-g"))
@@ -254,10 +260,13 @@ class MomentState:
 
     def ingest(self, e: StreamEvent) -> None:
         """Advance one timestamp without computing the estimate."""
-        level = self._level(e.value) if e.is_element() else None
+        self._clock.tick()
         self.hh[0].ingest(e)
-        for i in range(1, self.shape.L + 1):
-            self.hh[i].ingest(e if level == i else EMPTY_EVENT)
+        level = None
+        if e.is_element():
+            level = self._level(e.value)
+            if level is not None:
+                self.hh[level].ingest(e)
         self.low_freq.ingest(e)
         if self.derived is not None:
             self.derived[0].append(e)

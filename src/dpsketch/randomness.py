@@ -60,11 +60,15 @@ def fold_key(seed: int, key: tuple) -> int:
     return _fold_key(seed, key)
 
 
+_U11, _U27, _U30, _U31 = (np.uint64(n) for n in (11, 27, 30, 31))
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     # _mix64 over uint64 lanes; numpy uint64 arithmetic wraps modulo 2^64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _M1
+    z = (z ^ (z >> _U27)) * _M2
+    return z ^ (z >> _U31)
 
 
 def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
@@ -79,7 +83,7 @@ def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z >> np.uint64(11), np.uint64(1)).astype(np.float64) * 2.0**-53
+    return np.maximum(z >> _U11, np.uint64(1)).astype(np.float64) * 2.0**-53
 
 
 def node_laplace(base, a: int, b: int, scale: float):
@@ -93,23 +97,29 @@ def node_laplace(base, a: int, b: int, scale: float):
     """
     offset = (a * _NODE_A + b * _NODE_B) & _MASK64
     if isinstance(base, np.ndarray):
-        return _laplace_from_uniforms(_uniforms(_mix64_array(base ^ np.uint64(offset))), scale)
-    z = _mix64(base ^ offset)
-    return _laplace_from_uniform(((z >> 11) or 1) * 2.0**-53, scale)
+        # the scalar draw below, one numpy pass per step.  With m the top 53
+        # bits (0 taken as 1), d = m - 2^52 is 2^53 q and -|d| 2^-52 is
+        # exactly -2|q|, so the log is the scalar's.  The scalar multiplies
+        # it by -scale * sign(q); rounding to nearest is symmetric, so
+        # -scale * log given the sign of d is the same float.
+        m = np.maximum(_mix64_array(base ^ np.uint64(offset)) >> _U11, np.uint64(1))
+        d = m.view(np.int64) - (1 << 52)
+        return np.copysign(np.log1p(np.abs(d) * -(2.0**-52)) * -scale, d)
+    # _mix64 and the inverse CDF, inlined: lane reads draw here once per
+    # stale node.  The log comes from np.log1p, as in the array form, which
+    # runs one kernel for 0-d and 1-d input, so the two agree bit for bit;
+    # math.log1p may differ from it in the last bit.
+    z = base ^ offset
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    q = (((z ^ (z >> 31)) >> 11) or 1) * 2.0**-53 - 0.5
+    return -scale * math.copysign(1.0, q) * float(np.log1p(-2.0 * abs(q)))
 
 
 def _laplace_from_uniform(u: float, scale: float) -> float:
     # inverse CDF on u in (0, 1)
     q = u - 0.5
     return -scale * math.copysign(1.0, q) * math.log1p(-2.0 * abs(q))
-
-
-def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
-    # _laplace_from_uniform elementwise, in the same operation order; the log
-    # stays math.log1p because np.log1p may differ from it in the last bit
-    q = u - 0.5
-    logs = np.fromiter(map(math.log1p, (-2.0 * np.abs(q)).tolist()), np.float64, q.size)
-    return -scale * np.copysign(1.0, q) * logs
 
 
 class NoiseContext:

@@ -87,13 +87,13 @@ class SlidingBudget:
     target_epsilon: float
     max_live: int
     per_instance_fraction: Fraction = field(init=False)
+    # converted once: the window factory reads it for every new instance
+    per_instance_epsilon: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_instance_fraction", Fraction(1, self.max_live))
-
-    @property
-    def per_instance_epsilon(self) -> float:
-        return self.target_epsilon * float(self.per_instance_fraction)
+        fraction = Fraction(1, self.max_live)
+        object.__setattr__(self, "per_instance_fraction", fraction)
+        object.__setattr__(self, "per_instance_epsilon", self.target_epsilon * float(fraction))
 
     @property
     def composed_epsilon(self) -> float:

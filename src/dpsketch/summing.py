@@ -22,21 +22,43 @@ class StateError(RuntimeError):
 
 
 class Clock:
-    """Shared 1-based timestamp for a family of tree counters."""
+    """Shared 1-based timestamp for a family of tree counters.
 
-    __slots__ = ("t", "T")
+    ``nodes()`` is the dyadic decomposition of [1, t] that every counter on
+    the clock reads, computed once per timestamp.
+    """
+
+    __slots__ = ("t", "T", "_nodes_t", "_nodes")
 
     def __init__(self, T: int) -> None:
         if T < 1:
             raise ValueError(f"T must be >= 1, got {T}")
         self.T = T
         self.t = 0
+        self._nodes_t = 0
+        self._nodes: list[tuple[int, int]] = []
 
     def tick(self) -> int:
         if self.t >= self.T:
             raise StateError(f"stream horizon T={self.T} exhausted")
         self.t += 1
         return self.t
+
+    def nodes(self) -> list[tuple[int, int]]:
+        """The (level, node) pairs tiling [1, t], highest level first: level l
+        holds node (t >> l) - 1 when bit l of t is set.  Cached by t, so a
+        clock whose t is set directly (a restored snapshot) stays correct."""
+        t = self.t
+        if self._nodes_t != t:
+            nodes = []
+            rest = t
+            while rest:
+                level = rest.bit_length() - 1
+                rest ^= 1 << level
+                nodes.append((level, (t >> level) - 1))
+            self._nodes = nodes
+            self._nodes_t = t
+        return self._nodes
 
 
 class BinaryTreeMechanism:
@@ -49,16 +71,18 @@ class BinaryTreeMechanism:
 
     With ``lanes`` the mechanism is a bank of ``len(lanes)`` counters on one
     clock, counter j keyed ``key + (lanes[j],)``: ``current()`` reads every
-    lane as an array and ``lane_current(j)`` reads one.  The intervals tiling
-    [1, t] hold at most one node per level (level l: index (t >> l) - 1, when
-    bit l of t is set), and a node never returns once t has moved past it, so
-    each level keeps one noise slot per lane and memory is O(lanes * log T).
-    A full read that finds a level stale refills its row for all lanes with
-    one array draw.  A lane read uses the row when it is current, else the
+    lane as an array and ``lane_current(j)`` reads one.  Both walk the
+    clock's ``nodes()``, the decomposition of [1, t] computed once per
+    timestamp for every counter on the clock.  It holds at most one node per
+    level, and a node never returns once t has moved past it, so each level
+    keeps one noise slot per lane and memory is O(lanes * log T).  A full
+    read that finds a level stale refills its row for all lanes with one
+    array draw.  A lane read uses the row when it is current, else the
     lane's own slot, refilled by one scalar draw; those slots are Python
     lists because per-element numpy indexing slowed point-query-heavy
-    workloads by about 5%.  Both reads add a lane's noise to its running sum
-    from the highest level down, so they agree bit for bit.
+    workloads by about 5%.  Array and scalar draws are bit for bit equal,
+    and both reads add a lane's noise to its running sum from the highest
+    level down, so they agree bit for bit.
     """
 
     def __init__(
@@ -134,12 +158,7 @@ class BinaryTreeMechanism:
                 fold_key(self._ctx.master_seed, self._key),
                 np.asarray(self._lanes, dtype=np.uint64),
             )
-        t = self._clock.t
-        rest = t
-        while rest:
-            level = rest.bit_length() - 1
-            rest ^= 1 << level
-            node = (t >> level) - 1
+        for level, node in self._clock.nodes():
             if self._row_node[level] != node:
                 self._rows[level] = node_laplace(self._row_bases, level, node, self.noise_scale)
                 self._row_node[level] = node
@@ -155,13 +174,8 @@ class BinaryTreeMechanism:
             self._slot_node = [-1] * (self.levels * self.k)
             self._slot = [0.0] * (self.levels * self.k)
             self._lane_bases = [None] * self.k
-        t = self._clock.t
         row_node, slot_node, slot = self._row_node, self._slot_node, self._slot
-        rest = t
-        while rest:
-            level = rest.bit_length() - 1
-            rest ^= 1 << level
-            node = (t >> level) - 1
+        for level, node in self._clock.nodes():
             if row_node[level] == node:
                 total += float(self._rows[level, j])
                 continue

@@ -310,3 +310,34 @@ class TestGeneralUniverse:
             runs.append([est.feed(e) for e in stream])
         assert runs[0] == runs[1]
         assert all(math.isfinite(v) and v >= 0 for v in runs[0])
+
+
+class TestSharedClock:
+    def test_levels_equal_sketches_on_their_own_clocks(self):
+        # each level used to tick its own clock and take EMPTY_EVENT for
+        # arrivals routed elsewhere; on one clock it sees its arrivals only
+        from dpsketch.heavy_hitters import HHSketch
+        from dpsketch.summing import StateError
+
+        cfg = MomentConfig(p=2.0, epsilon=64.0, eta=0.25, xi=0.1, T=512, n=16,
+                           copies=1, tau=4.0)
+        state = MomentState(cfg, NoiseContext(3), 16.0)
+        twin = MomentState(cfg, NoiseContext(3), 16.0)
+        twin.hh = [
+            HHSketch(sketch.cfg, NoiseContext(3).child("moment-hh", i), 4.0, key=(i,))
+            for i, sketch in enumerate(state.hh)
+        ]
+        deep = 0
+        for e in generate_stream("zipf", StreamConfig(T=512, n=16), seed=4, s=1.2):
+            state.ingest(e)
+            level = state._level(e.value) if e.is_element() else None
+            for i, sketch in enumerate(twin.hh):
+                sketch.ingest(e if i == 0 or i == level else EMPTY_EVENT)
+            twin.low_freq.ingest(e)
+            assert [s.report() for s in state.hh] == [s.report() for s in twin.hh]
+            assert state.current() == twin.current()
+            deep += any(s.candidates for s in state.hh[1:])
+        assert deep > 100
+        assert [s.t for s in state.hh] == [512] * len(state.hh)
+        with pytest.raises(StateError):
+            state.ingest(EMPTY_EVENT)

@@ -18,6 +18,7 @@ import pytest
 from dpsketch.countsketch import CountSketchState
 from dpsketch.low_freq import LowFreqSmall
 from dpsketch.randomness import NoiseContext, fold_key, fold_lanes, node_laplace
+from dpsketch.randomness import _NODE_A, _NODE_B
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
 from dpsketch.summing import BinaryTreeMechanism, Clock
 
@@ -63,6 +64,19 @@ class ReferenceNoise:
         return running + total
 
 
+def _unmix64(z):
+    # inverse of the splitmix64 finalizer
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(0x94D049BB133111EB, -1, 2**64)) % 2**64, 27)
+    return unshift((z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) % 2**64, 30)
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
@@ -76,11 +90,48 @@ class TestArrayDraw:
             want = [node_laplace(b, level, index, scale) for b in bases.tolist()]
             assert np.array_equal(_bits(got), _bits(want))
 
+    def test_edge_words_equal_scalar_draw(self):
+        # bases whose mixed word gives u = 2^-53 (words 0 and 2^11),
+        # u = 1 - 2^-53 and q = 0
+        level, index, scale = 3, 5, 2.5
+        offset = (_NODE_A * level + _NODE_B * index) % 2**64
+        words = [0, 1 << 11, ((1 << 53) - 1) << 11, 1 << 63]
+        bases = np.array([_unmix64(w) ^ offset for w in words], dtype=np.uint64)
+        got = node_laplace(bases, level, index, scale)
+        want = [node_laplace(b, level, index, scale) for b in bases.tolist()]
+        assert np.array_equal(_bits(got), _bits(want))
+        tail = -52 * math.log(2) * scale  # the log at 1 - 2 |q| = 2^-52
+        assert want == pytest.approx([tail, tail, -tail, 0.0], rel=1e-15, abs=0)
+
     def test_lane_fold_equals_key_fold(self):
         base = fold_key(99, ("cs", 3, "bucket"))
         lanes = np.arange(2000, dtype=np.uint64)
         want = [fold_key(99, ("cs", 3, "bucket", i)) for i in range(2000)]
         assert fold_lanes(base, lanes).tolist() == want
+
+
+class TestClock:
+    def test_nodes_equal_reference_decomposition(self):
+        clock = Clock(4096)
+        assert clock.nodes() == []
+        for t in range(1, 4097):
+            clock.tick()
+            assert clock.nodes() == _dyadic_nodes(t)
+
+    def test_nodes_follow_a_restored_timestamp(self):
+        T, k, eps = 512, 16, 0.5
+        stream = generate_stream("zipf", StreamConfig(T=T, n=64), seed=6, s=1.2)
+        live = CountSketchState(k, T, eps, NoiseContext(6), key=(1,))
+        restored = CountSketchState(k, T, eps, NoiseContext(6), key=(1,))
+        for t, e in enumerate(stream, start=1):
+            live.feed(e)
+            if t <= 5:
+                restored.feed(e)
+                restored.outputs()  # the clock's cache now holds t = 5
+        restored.restore(live.t, live.running)
+        assert restored._bank._clock.nodes() == _dyadic_nodes(T)
+        assert restored.outputs().tolist() == live.outputs().tolist()
+        assert [restored.bucket_output(i) for i in range(k)] == live.outputs().tolist()
 
 
 class TestTreeMechanism:
