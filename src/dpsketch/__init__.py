@@ -30,8 +30,6 @@ from .randomness import (
     NoiseContext,
     PolyHashFamily,
     SignHash,
-    boost_count,
-    laplace_sample,
     median_boost,
 )
 from .sliding import (

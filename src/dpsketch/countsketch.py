@@ -18,7 +18,7 @@ import numpy as np
 from .budget import MechanismBudget
 from .randomness import NoiseContext, PolyHashFamily, SignHash, median_boost
 from .randomness import node_laplace  # noqa: F401  (traced by perfbench/run.py)
-from .streams import StreamEvent, integer
+from .streams import StreamEvent
 from .summing import BinaryTreeMechanism, Clock
 
 
@@ -49,7 +49,6 @@ class CountSketchState:
         ctx: NoiseContext,
         key: tuple = (),
         clock: Clock | None = None,
-        record_derived: bool = False,
     ) -> None:
         if k < 1:
             raise ValueError(f"bucket count must be >= 1, got {k}")
@@ -74,9 +73,6 @@ class CountSketchState:
         self.h = PolyHashFamily(4, self.k, ctx.child_seed(*self._key, "h"))
         self.g = SignHash(ctx.child_seed(*self._key, "g"))
         self._route_cache: dict[int, tuple[int, int]] = {}
-        self.derived: list[list[StreamEvent]] | None = None
-        if record_derived:
-            self.derived = [[] for _ in range(self.k)]
 
     @property
     def t(self) -> int:
@@ -96,15 +92,11 @@ class CountSketchState:
 
     def observe(self, e: StreamEvent) -> None:
         """Ingest the current timestamp's event without advancing the clock."""
-        bucket, sign = None, 0
         if e.is_element():
             bucket, sign = self._route(e.value)
             self._bank.add(sign, bucket)
         elif e.is_integer():
             raise ValueError("CountSketch requires an elements-mode stream")
-        if self.derived is not None:
-            for i in range(self.k):
-                self.derived[i].append(integer(sign if i == bucket else 0))
 
     def feed(self, e: StreamEvent) -> None:
         self._bank.tick()

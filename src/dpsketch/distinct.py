@@ -22,7 +22,7 @@ from .randomness import (
     even_independence,
     median_boost,
 )
-from .streams import EMPTY_EVENT, StreamEvent, integer
+from .streams import EMPTY_EVENT, StreamEvent, element
 from .summing import BinaryTreeMechanism, GroupingMechanism
 
 TREE = "tree"
@@ -65,11 +65,10 @@ class SmallUniverseDistinct:
     distinct count at every timestamp.
     """
 
-    def __init__(self, m: int, inner, record_derived: bool = False) -> None:
+    def __init__(self, m: int, inner) -> None:
         self.m = int(m)
         self.inner = inner
         self.seen: set[int] = set()
-        self.derived: list[StreamEvent] | None = [] if record_derived else None
 
     def feed(self, e: StreamEvent) -> float:
         x = 0
@@ -81,8 +80,6 @@ class SmallUniverseDistinct:
                 x = 1
         elif e.is_integer():
             raise ValueError("distinct counting requires an elements-mode stream")
-        if self.derived is not None:
-            self.derived.append(integer(x))
         self.inner.feed(x)
         return self.inner.current()
 
@@ -104,11 +101,10 @@ class SubsampleParams:
 
 
 def subsample_params(
-    n: int, T: int, eta: float, alpha: float, gamma: float, lam: int | None = None
+    n: int, T: int, eta: float, alpha: float, gamma: float
 ) -> SubsampleParams:
     L = max(1, math.ceil(math.log2(min(n, T))))
-    if lam is None:
-        lam = even_independence(2 * math.log2(1000 * L))
+    lam = even_independence(2 * math.log2(1000 * L))
     threshold = max(gamma / eta, 32 * alpha * lam / eta**2)
     m = math.ceil(100 * L * (16 * alpha * threshold) ** 2)
     return SubsampleParams(L=L, lam=lam, m=m, alpha=alpha, gamma=gamma, threshold=threshold)
@@ -127,7 +123,6 @@ class SubsampledDistinct:
         params: SubsampleParams,
         ctx: NoiseContext,
         summing_factory: Callable[[tuple], object],
-        record_derived: bool = False,
     ) -> None:
         self.params = params
         self._h = PolyHashFamily(2, params.m, ctx.child_seed("subsample-h"))
@@ -137,9 +132,6 @@ class SubsampledDistinct:
             for i in range(1, params.L + 1)
         ]
         self._route_cache: dict[int, tuple[int | None, int]] = {}
-        self.derived: list[list[StreamEvent]] | None = None
-        if record_derived:
-            self.derived = [[] for _ in range(params.L)]
 
     def _route(self, ident: int) -> tuple[int | None, int]:
         hit = self._route_cache.get(ident)
@@ -154,10 +146,7 @@ class SubsampledDistinct:
         if e.is_element():
             level, hashed = self._route(e.value)
         for i, counter in enumerate(self.levels, start=1):
-            ev = StreamEvent("element", hashed) if level == i else EMPTY_EVENT
-            counter.feed(ev)
-            if self.derived is not None:
-                self.derived[i - 1].append(ev)
+            counter.feed(element(hashed) if level == i else EMPTY_EVENT)
 
     def feed(self, e: StreamEvent) -> float:
         self.ingest(e)
@@ -211,7 +200,6 @@ class DistinctConfig:
     T: int
     variant: str = GROUP
     copies: int | None = None  # None: ceil(50 ln(2T/xi)) per the boosting recipe
-    lam: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.eta < 0.5:
@@ -248,7 +236,7 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
         cfg.variant, cfg.T, eps_sum, cfg.eta, xi_inner, probe_ctx
     )
     alpha, gamma = backend_guarantee(probe, xi_inner)
-    params = subsample_params(cfg.n, cfg.T, cfg.eta, alpha, gamma, lam=cfg.lam)
+    params = subsample_params(cfg.n, cfg.T, cfg.eta, alpha, gamma)
 
     budget = MechanismBudget(cfg.epsilon, cfg.xi)
     instances = []

@@ -3,10 +3,18 @@
 The runner replays generated streams through the CLI's streaming
 subcommands (their builders and continual-release loop) and keeps the rows.
 
-The sensitivity checks run each mechanism's real derived-stream recording
-(``record_derived``) through the brute-force oracle over every neighboring
-pair and a fixed set of hash seeds, and compare the worst total distance with
-the claimed bound.
+A sensitivity check maps a stream to the derived streams a mechanism's
+counters or sub-estimators receive, runs that mapping through the brute-force
+oracle over every neighboring pair and a fixed set of hash seeds, and compares
+the worst total distance with the claimed bound.  The derived streams come
+from the mechanism's own code, not from a copy kept for the check:
+
+- counter streams (``distinct-indicator``, ``lowfreq-counters``,
+  ``countsketch-buckets``) run the real mechanism with noise off, where every
+  counter output is its exact running sum, and take each tick's first
+  difference;
+- routed element streams (``hh-substreams``, ``subsample-levels``) send each
+  element to the stream the estimator's own ``_route`` picks.
 """
 
 from __future__ import annotations
@@ -27,9 +35,12 @@ from .heavy_hitters import HHConfig, HHSketch
 from .low_freq import LowFreqSmall
 from .randomness import NoiseContext
 from .streams import (
+    EMPTY_EVENT,
     StreamConfig,
     StreamEvent,
+    element,
     generate_stream,
+    integer,
     mapping_sensitivity,
 )
 from .summing import BinaryTreeMechanism
@@ -59,38 +70,54 @@ class SensitivityReport:
         )
 
 
+def _counter_streams(feed, read, events: Sequence[StreamEvent]) -> tuple:
+    """The integer streams a bank of counters sums, one per counter.
+
+    With noise off every counter output is its exact running sum, so the
+    stream at each tick is the first difference of ``read()`` after
+    ``feed(e)``.
+    """
+    rows, prev = [], 0.0
+    for e in events:
+        feed(e)
+        out = np.atleast_1d(read())
+        rows.append(out - prev)
+        prev = out
+    return tuple([integer(int(x)) for x in col] for col in zip(*rows))
+
+
+def _routed_streams(route, targets, events: Sequence[StreamEvent]) -> tuple:
+    """One element stream per target: ``route(id)`` names the target and the
+    event it receives; every other target receives the empty symbol."""
+    streams = {i: [] for i in targets}
+    for e in events:
+        target, sent = route(e.value) if e.is_element() else (None, None)
+        for i, stream in streams.items():
+            stream.append(sent if i == target else EMPTY_EVENT)
+    return tuple(streams.values())
+
+
 def _indicator_mapping(n: int, T: int, seed: int):
     def mapping(events: Sequence[StreamEvent]):
         ctx = NoiseContext(seed, noise_off=True)
-        d = SmallUniverseDistinct(
-            n, BinaryTreeMechanism(T, 1.0, ctx), record_derived=True
-        )
-        for e in events:
-            d.feed(e)
-        return (d.derived,)
+        d = SmallUniverseDistinct(n, BinaryTreeMechanism(T, 1.0, ctx))
+        return _counter_streams(d.feed, d.current, events)
 
     return mapping
 
 
 def _counter_mapping(n: int, T: int, k: int, seed: int):
     def mapping(events: Sequence[StreamEvent]):
-        lfs = LowFreqSmall(n, k, T, 1.0, NoiseContext(seed, noise_off=True),
-                           record_derived=True)
-        for e in events:
-            lfs.feed(e)
-        return tuple(lfs.derived)
+        lfs = LowFreqSmall(n, k, T, 1.0, NoiseContext(seed, noise_off=True))
+        return _counter_streams(lfs.ingest, lfs.current, events)
 
     return mapping
 
 
 def _bucket_mapping(n: int, T: int, k: int, seed: int):
     def mapping(events: Sequence[StreamEvent]):
-        cs = CountSketchState(
-            k, T, 1.0, NoiseContext(seed, noise_off=True), record_derived=True
-        )
-        for e in events:
-            cs.feed(e)
-        return tuple(cs.derived)
+        cs = CountSketchState(k, T, 1.0, NoiseContext(seed, noise_off=True))
+        return _counter_streams(cs.feed, cs.outputs, events)
 
     return mapping
 
@@ -101,12 +128,8 @@ def _substream_mapping(n: int, T: int, k: int, m: int, seed: int):
             p=2.0, k=k, eta=0.2, epsilon=1.0, xi=0.1, T=T, n=n, copies=1,
             inner_buckets=2, m_override=m,
         )
-        sketch = HHSketch(
-            cfg, NoiseContext(seed, noise_off=True), 1.0, record_derived=True
-        )
-        for e in events:
-            sketch.ingest(e)
-        return tuple(sketch.derived)
+        sketch = HHSketch(cfg, NoiseContext(seed, noise_off=True), 1.0)
+        return _routed_streams(lambda a: (sketch._route(a), element(a)), range(m), events)
 
     return mapping
 
@@ -117,14 +140,14 @@ def _level_mapping(n: int, T: int, L: int, seed: int):
     def mapping(events: Sequence[StreamEvent]):
         ctx = NoiseContext(seed, noise_off=True)
         sub = SubsampledDistinct(
-            params,
-            ctx,
-            lambda key: BinaryTreeMechanism(T, 1.0, ctx.child(*key)),
-            record_derived=True,
+            params, ctx, lambda key: BinaryTreeMechanism(T, 1.0, ctx.child(*key))
         )
-        for e in events:
-            sub.feed(e)
-        return tuple(sub.derived)
+
+        def route(ident: int):
+            level, hashed = sub._route(ident)
+            return level, element(hashed)
+
+        return _routed_streams(route, range(1, L + 1), events)
 
     return mapping
 

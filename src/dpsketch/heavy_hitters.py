@@ -21,12 +21,16 @@ from fractions import Fraction
 
 from .budget import MechanismBudget
 from .randomness import NoiseContext, PolyHashFamily
-from .streams import EMPTY_EVENT, StreamEvent
+from .streams import StreamEvent
 from .summing import Clock
 from .countsketch import CountSketchState
 
 REEVAL_ALL = "all"
 REEVAL_SUBSTREAM = "substream"
+
+# accuracy parameter of a substream's F2 estimate, whose additive error is
+# gamma1 = 4 * buckets * gamma2^2 / ETA_F2
+ETA_F2 = 0.1
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class HHConfig:
     copies: int | None = None  # None: ceil(50 (ln(2T/xi) + ln n))
     inner_buckets: int = 8
     gamma2_factor: float = 0.1
-    eta_f2: float = 0.1
     C: int = 3
     reeval: str = REEVAL_ALL
     m_override: int | None = None
@@ -102,7 +105,6 @@ class HHSketch:
         ctx: NoiseContext,
         epsilon_tree: float,
         key: tuple = (),
-        record_derived: bool = False,
         clock: Clock | None = None,
     ) -> None:
         self.cfg = cfg
@@ -112,7 +114,7 @@ class HHSketch:
         levels = math.ceil(math.log2(cfg.T)) + 1 if cfg.T > 1 else 1
         self.noise_scale = levels / self.epsilon_tree
         self.gamma2 = 0.0 if ctx.noise_off else cfg.gamma2_factor * self.noise_scale
-        self.gamma1 = 4 * cfg.inner_buckets * self.gamma2**2 / cfg.eta_f2
+        self.gamma1 = 4 * cfg.inner_buckets * self.gamma2**2 / ETA_F2
         self.report_cap = cfg.report_cap
         # the candidacy floor and the divisor of the F2 bar
         self._floor = 512 * self.gamma2**2 / cfg.eta**2
@@ -124,9 +126,6 @@ class HHSketch:
         self._route_cache: dict[int, int] = {}
         self._f2_cache: dict[int, tuple[int, float]] = {}
         self.candidates: dict[int, float] = {}
-        self.derived: list[list[StreamEvent]] | None = None
-        if record_derived:
-            self.derived = [[] for _ in range(cfg.m)]
 
     @property
     def t(self) -> int:
@@ -182,10 +181,6 @@ class HHSketch:
         if e.is_element():
             arrived = e.value
             self._substream(self._route(arrived)).observe(e)
-        if self.derived is not None:
-            for i in range(self.cfg.m):
-                ev = e if arrived is not None and self._route(arrived) == i else EMPTY_EVENT
-                self.derived[i].append(ev)
         if self.cfg.reeval == REEVAL_ALL:
             retest = set(self.candidates)
         else:
@@ -271,22 +266,3 @@ class HHEstimator:
         )
         return max(theory, floor)
 
-
-def exact_substream_values(sketch: HHSketch, frequencies: dict[int, int]) -> dict[int, float]:
-    """Oracle: noiseless CountSketch value g(a)*z_{h(a)} for each element.
-
-    Used by tests to separate DP noise from hash-collision error.
-    """
-    totals: dict[tuple[int, int], float] = {}
-    for ident, freq in frequencies.items():
-        idx = sketch._route(ident)
-        inner = sketch._substream(idx)
-        bucket, sign = inner._route(ident)
-        totals[(idx, bucket)] = totals.get((idx, bucket), 0.0) + sign * freq
-    values = {}
-    for ident in frequencies:
-        idx = sketch._route(ident)
-        inner = sketch._substream(idx)
-        bucket, sign = inner._route(ident)
-        values[ident] = sign * totals[(idx, bucket)]
-    return values

@@ -23,11 +23,14 @@ from .randomness import (
     even_independence,
     median_boost,
 )
-from .streams import EMPTY_EVENT, StreamEvent, element, integer
+from .streams import EMPTY_EVENT, StreamEvent, element
 from .summing import BinaryTreeMechanism
 
 # one universe change perturbs each counter stream in at most 8 unit steps
 COUNTER_SENSITIVITY_PER_K = 8
+
+# universes up to this size are counted directly, without subsampling
+SMALL_UNIVERSE_LIMIT = 1 << 14
 
 _HASH_RANGE_CAP = 1 << 60
 
@@ -48,7 +51,6 @@ class LowFreqSmall:
         epsilon_counter: float,
         ctx: NoiseContext,
         key: tuple = (),
-        record_derived: bool = False,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -58,9 +60,6 @@ class LowFreqSmall:
             T, epsilon_counter, ctx, key=("lfs",) + tuple(key), lanes=range(1, k + 1)
         )
         self.freq: dict[int, int] = {}
-        self.derived: list[list[StreamEvent]] | None = None
-        if record_derived:
-            self.derived = [[] for _ in range(k)]
 
     @property
     def t(self) -> int:
@@ -69,24 +68,17 @@ class LowFreqSmall:
     def ingest(self, e: StreamEvent) -> None:
         """Advance one timestamp without computing the counter outputs."""
         self.counters.tick()
-        plus = minus = None
         if e.is_element():
             if e.value >= self.m:
                 raise ValueError(f"element id {e.value} outside universe [0, {self.m})")
             j = self.freq.get(e.value, 0) + 1
             self.freq[e.value] = j
             if j <= self.k:
-                plus = j
                 self.counters.add(1, j - 1)
             if 2 <= j <= self.k + 1:
-                minus = j - 1
                 self.counters.add(-1, j - 2)
         elif e.is_integer():
             raise ValueError("low-frequency counting requires an elements-mode stream")
-        if self.derived is not None:
-            for i in range(1, self.k + 1):
-                x = 1 if i == plus else (-1 if i == minus else 0)
-                self.derived[i - 1].append(integer(x))
 
     def feed(self, e: StreamEvent) -> list[float]:
         self.ingest(e)
@@ -106,11 +98,10 @@ class SubsampleLowFreqParams:
 
 
 def subsample_lowfreq_params(
-    n: int, T: int, k: int, eta: float, gamma1: float, lam: int | None = None
+    n: int, T: int, k: int, eta: float, gamma1: float
 ) -> SubsampleLowFreqParams:
     L = max(1, math.ceil(math.log2(min(n, T))))
-    if lam is None:
-        lam = even_independence(2 * math.log2(1000 * k))
+    lam = even_independence(2 * math.log2(1000 * k))
     m = min(math.ceil(100 * (25600 * lam / eta**2) ** 2), _HASH_RANGE_CAP)
     return SubsampleLowFreqParams(
         L=L, lam=lam, m=m, gamma1=gamma1, selection_floor=64 * lam / eta**2
@@ -188,9 +179,6 @@ class LowFreqConfig:
     n: int
     T: int
     copies: int | None = None  # None: ceil(50 ln(3T/xi))
-    lam: int | None = None
-    small_universe_limit: int = 1 << 14
-    distinct_copies: int = 3  # sub-budgeted d-hat estimator copies
 
     def __post_init__(self) -> None:
         if not 0 < self.eta < 0.5:
@@ -211,55 +199,44 @@ def _median_vectors(vectors: Sequence[Sequence[float]]) -> list[float]:
     return [median_boost([v[j] for v in vectors]) for j in range(len(vectors[0]))]
 
 
-def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator:
-    """Boosted per-frequency count estimator with budget ledger.
+def low_freq_block(
+    n: int, k: int, T: int, eta: float, epsilon: float, xi: float, ctx: NoiseContext
+) -> LowFreqSmall | LowFreqGeneral:
+    """One epsilon-DP block of per-frequency counters for frequencies 1..k.
 
-    Per copy the budget splits three ways: the level tuple is touched twice
-    per universe change and the distinct estimate once, so each level's
-    counter block and the distinct backend run at eps_copy/3 (counters then
-    divide by the 8k stream sensitivity).
+    A small universe is counted directly.  Otherwise the budget splits three
+    ways: the level tuple is touched twice per universe change and the
+    distinct estimate once, so each level's counter block and the distinct
+    backend run at epsilon/3 (counters then divide by the 8k stream
+    sensitivity).  The backend runs at failure probability ``xi`` and its
+    additive bound enters the level selection.
     """
+    if n <= SMALL_UNIVERSE_LIMIT:
+        return LowFreqSmall(n, k, T, epsilon / (COUNTER_SENSITIVITY_PER_K * k), ctx)
+    eps_block = epsilon / 3
+    d_cfg = DistinctConfig(
+        epsilon=eps_block, eta=0.1, xi=min(0.49, xi), n=n, T=T, variant=GROUP, copies=3
+    )
+    d_hat = distinct_estimator(d_cfg, ctx.child("dhat"))
+    params = subsample_lowfreq_params(n, T, k, eta, d_hat.copies[0].params.gamma)
+    eps_counter = eps_block / (COUNTER_SENSITIVITY_PER_K * k)
+
+    def level_factory(i: int) -> LowFreqSmall:
+        return LowFreqSmall(params.m, k, T, eps_counter, ctx.child("level", i))
+
+    return LowFreqGeneral(params, k, eta, ctx, level_factory, d_hat)
+
+
+def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator:
+    """Boosted per-frequency count estimator with budget ledger: one
+    :func:`low_freq_block` per copy at epsilon/copies."""
     copies = cfg.copies if cfg.copies is not None else default_lowfreq_copies(cfg.T, cfg.xi)
     eps_copy = cfg.epsilon / copies
-    eps_block = eps_copy / 3
-    eps_counter = eps_block / (COUNTER_SENSITIVITY_PER_K * cfg.k)
-
-    small = cfg.n <= cfg.small_universe_limit
+    xi_dhat = cfg.xi / (3 * copies)
     budget = MechanismBudget(cfg.epsilon, cfg.xi)
     instances = []
     for c in range(copies):
         copy_ctx = ctx.child("lowfreq-copy", c)
-        if small:
-            # direct small-universe counting: no subsampling, no d-hat
-            instances.append(
-                LowFreqSmall(cfg.n, cfg.k, cfg.T, eps_copy / (8 * cfg.k), copy_ctx)
-            )
-        else:
-            xi_inner = cfg.xi / (3 * copies)
-            d_cfg = DistinctConfig(
-                epsilon=eps_block,
-                eta=0.1,
-                xi=min(0.49, xi_inner),
-                n=cfg.n,
-                T=cfg.T,
-                variant=GROUP,
-                copies=cfg.distinct_copies,
-            )
-            d_hat = distinct_estimator(d_cfg, copy_ctx.child("dhat"))
-            # the distinct backend's additive bound enters the level selection
-            gamma1 = d_hat.copies[0].params.gamma
-            params = subsample_lowfreq_params(
-                cfg.n, cfg.T, cfg.k, cfg.eta, gamma1, lam=cfg.lam
-            )
-
-            def level_factory(i: int, _ctx=copy_ctx, _params=params) -> LowFreqSmall:
-                return LowFreqSmall(
-                    _params.m, cfg.k, cfg.T, eps_counter, _ctx.child("level", i)
-                )
-
-            instances.append(
-                LowFreqGeneral(params, cfg.k, cfg.eta, copy_ctx, level_factory, d_hat)
-            )
+        instances.append(low_freq_block(cfg.n, cfg.k, cfg.T, cfg.eta, eps_copy, xi_dhat, copy_ctx))
         budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
     return BoostedEstimator(instances, _median_vectors, budget)
-

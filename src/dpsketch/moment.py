@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .budget import MechanismBudget
 from .heavy_hitters import REEVAL_SUBSTREAM, HHConfig, HHSketch
-from .low_freq import _HASH_RANGE_CAP, LowFreqSmall, subsample_lowfreq_params
+from .low_freq import _HASH_RANGE_CAP, low_freq_block
 from .summing import Clock
 from .randomness import (
     GeometricLevelHash,
@@ -24,11 +24,16 @@ from .randomness import (
     even_independence,
     median_boost,
 )
-from .streams import EMPTY_EVENT, FrequencyTable, StreamEvent
+from .streams import FrequencyTable, StreamEvent
 from .distinct import BoostedEstimator
 
 BELOW = "below"
 ABOVE = "above"
+
+# larger noise-floor factor than the standalone heavy hitters: interval
+# populations are count-weighted by boundary^p, so one noise-inflated
+# candidate is far costlier here than a spurious report there
+GAMMA2_FACTOR = 0.2
 
 
 def beta_sample(ctx: NoiseContext, eta: float, T: int, C: int = 3) -> float:
@@ -66,12 +71,6 @@ class MomentConfig:
     tau: float | None = None
     beta_grid_exponent: int = 3
     max_low_freq_k: int = 64
-    inner_buckets: int = 8
-    # larger noise-floor factor than the standalone heavy hitters: interval
-    # populations are count-weighted by boundary^p, so one noise-inflated
-    # candidate is far costlier here than a spurious report there
-    gamma2_factor: float = 0.2
-    small_universe_limit: int = 1 << 14
     clamp_low_freq: bool = True
 
     def __post_init__(self) -> None:
@@ -192,23 +191,14 @@ class MomentState:
     rescaled by 2^i.
     """
 
-    def __init__(
-        self,
-        cfg: MomentConfig,
-        ctx: NoiseContext,
-        epsilon_unit: float,
-        record_derived: bool = False,
-    ) -> None:
+    def __init__(self, cfg: MomentConfig, ctx: NoiseContext, epsilon_unit: float) -> None:
         self.cfg = cfg
         self._ctx = ctx
-        self.derived: list[list[StreamEvent]] | None = None
-        if record_derived:
-            self.derived = []  # filled lazily once L is known
         beta = beta_sample(ctx, cfg.eta, cfg.T, cfg.beta_grid_exponent)
         # heavy-hitter instances: heaviness parameter B, trees at eps_unit/4
         levels = math.ceil(math.log2(cfg.T)) + 1 if cfg.T > 1 else 1
         tree_scale = levels / (epsilon_unit / 4)
-        gamma2 = 0.0 if ctx.noise_off else cfg.gamma2_factor * tree_scale
+        gamma2 = 0.0 if ctx.noise_off else GAMMA2_FACTOR * tree_scale
         if cfg.tau is not None:
             tau = cfg.tau
         else:
@@ -224,8 +214,7 @@ class MomentState:
             T=cfg.T,
             n=cfg.n,
             copies=1,
-            inner_buckets=cfg.inner_buckets,
-            gamma2_factor=cfg.gamma2_factor,
+            gamma2_factor=GAMMA2_FACTOR,
             reeval=REEVAL_SUBSTREAM,
             m_override=min(10 * max(1, math.ceil(shape.B)) ** 2, _HASH_RANGE_CAP),
         )
@@ -239,7 +228,11 @@ class MomentState:
             for i in range(shape.L + 1)
         ]
         self._g = GeometricLevelHash(shape.L, shape.lam, ctx.child_seed("moment-g"))
-        self.low_freq = _make_low_freq_block(cfg, shape, epsilon_unit, ctx)
+        # the head block: one lowfreq_estimator copy at this copy's budget unit
+        self.low_freq = low_freq_block(
+            cfg.n, shape.k, cfg.T, cfg.eta, epsilon_unit,
+            cfg.xi / (3 * cfg.n_copies()), ctx.child("moment-lf"),
+        )
         # the weights current() applies every tick: boundary^p per interval
         # and l^p per low frequency
         self._interval_weights = {
@@ -248,8 +241,6 @@ class MomentState:
         }
         self._low_freq_weights = [l**cfg.p for l in range(1, shape.k + 1)]
         self._level_cache: dict[int, int | None] = {}
-        if self.derived is not None:
-            self.derived = [[] for _ in range(shape.L + 1)]
 
     def _level(self, ident: int) -> int | None:
         hit = self._level_cache.get(ident, -2)
@@ -262,16 +253,11 @@ class MomentState:
         """Advance one timestamp without computing the estimate."""
         self._clock.tick()
         self.hh[0].ingest(e)
-        level = None
         if e.is_element():
             level = self._level(e.value)
             if level is not None:
                 self.hh[level].ingest(e)
         self.low_freq.ingest(e)
-        if self.derived is not None:
-            self.derived[0].append(e)
-            for i in range(1, self.shape.L + 1):
-                self.derived[i].append(e if level == i else EMPTY_EVENT)
 
     def feed(self, e: StreamEvent) -> float:
         self.ingest(e)
@@ -304,42 +290,6 @@ class MomentState:
             if s_hat > 0 or not clamp:
                 total += s_hat * w
         return total
-
-
-def _make_low_freq_block(
-    cfg: MomentConfig, shape: LevelSetShape, epsilon_unit: float, ctx: NoiseContext
-):
-    """Per-frequency counters for the head: direct for small universes,
-    subsampled with a distinct-estimate selector otherwise."""
-    lf_ctx = ctx.child("moment-lf")
-    if cfg.n <= cfg.small_universe_limit:
-        return LowFreqSmall(cfg.n, shape.k, cfg.T, epsilon_unit / (8 * shape.k), lf_ctx)
-    from .distinct import GROUP, DistinctConfig, distinct_estimator
-    from .low_freq import LowFreqGeneral
-
-    eps_block = epsilon_unit / 3
-    d_cfg = DistinctConfig(
-        epsilon=eps_block,
-        eta=0.1,
-        xi=min(0.49, cfg.xi),
-        n=cfg.n,
-        T=cfg.T,
-        variant=GROUP,
-        copies=3,
-    )
-    d_hat = distinct_estimator(d_cfg, lf_ctx.child("dhat"))
-    params = subsample_lowfreq_params(cfg.n, cfg.T, shape.k, cfg.eta, gamma1=0.0)
-
-    def level_factory(i: int) -> LowFreqSmall:
-        return LowFreqSmall(
-            params.m,
-            shape.k,
-            cfg.T,
-            eps_block / (8 * shape.k),
-            lf_ctx.child("level", i),
-        )
-
-    return LowFreqGeneral(params, shape.k, cfg.eta, lf_ctx, level_factory, d_hat)
 
 
 def moment_estimator(cfg: MomentConfig, ctx: NoiseContext) -> BoostedEstimator:

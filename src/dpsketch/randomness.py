@@ -1,9 +1,9 @@
 """Seeded randomness, Laplace sampling, k-wise hashing, and the median booster.
 
 Every stochastic primitive the mechanisms share flows through a
-:class:`NoiseContext`: sequential Laplace draws, order-independent keyed draws
-(used for per-node noise in tree counters), and derived seeds for hash
-families and boosted copies.  A context is single-owner mutable (the draw
+:class:`NoiseContext`: sequential Laplace draws, the master seed under which
+:func:`node_laplace` makes order-independent keyed draws (per-node noise in
+tree counters), and derived seeds for hash families and boosted copies.  A context is single-owner mutable (the draw
 counter advances); hash families are immutable and freely shareable.
 
 All of it is one keyed splitmix64 family (Steele, Lea, Flood, "Fast
@@ -116,20 +116,13 @@ def node_laplace(base, a: int, b: int, scale: float):
     return -scale * math.copysign(1.0, q) * float(np.log1p(-2.0 * abs(q)))
 
 
-def _laplace_from_uniform(u: float, scale: float) -> float:
-    # inverse CDF on u in (0, 1)
-    q = u - 0.5
-    return -scale * math.copysign(1.0, q) * math.log1p(-2.0 * abs(q))
-
-
 class NoiseContext:
     """Seeded randomness plus a noise-off switch.
 
     With ``noise_off`` every Laplace draw is exactly 0, exposing each
     mechanism's deterministic skeleton.  Identical seeds and draw orders give
-    identical sequential draws; keyed draws are order-independent by
-    construction.  Not safe to share across threads; give each parallel trial
-    its own context.
+    identical sequential draws.  Not safe to share across threads; give each
+    parallel trial its own context.
     """
 
     def __init__(self, master_seed: int, noise_off: bool = False) -> None:
@@ -152,7 +145,7 @@ class NoiseContext:
             i = self.draw_counter = self.draw_counter + 1
             if self.noise_off:
                 return 0.0
-            # _mix64 and _laplace_from_uniform, inlined: this is a hot path
+            # _mix64 and the inverse CDF, inlined: this is a hot path
             z = (self._stream + i * _GOLDEN) & _MASK64
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -171,26 +164,12 @@ class NoiseContext:
         self.draw_counter += 1
         return (_mix64(self._stream + self.draw_counter * _GOLDEN) >> 11) * 2.0**-53
 
-    def keyed_laplace(self, key: tuple, scale: float) -> float:
-        """Order-independent Laplace draw keyed by an integer/string tuple."""
-        if not (scale > 0 and math.isfinite(scale)):
-            raise ValueError(f"scale must be positive and finite, got {scale}")
-        if self.noise_off:
-            return 0.0
-        h = _fold_key(self.master_seed, key)
-        return _laplace_from_uniform(((h >> 11) or 1) * 2.0**-53, scale)
-
     def child_seed(self, *key) -> int:
         return _fold_key(self.master_seed, ("child",) + key)
 
     def child(self, *key) -> "NoiseContext":
         """Independent sub-context; copies built from distinct keys share nothing."""
         return NoiseContext(self.child_seed(*key), self.noise_off)
-
-
-def laplace_sample(ctx: NoiseContext, scale: float) -> float:
-    """One Laplace draw with density exp(-|x|/b)/(2b); 0 under noise-off."""
-    return ctx.laplace(scale)
 
 
 class PolyHashFamily:
@@ -274,10 +253,3 @@ def median_boost(values: Sequence[float]) -> float:
         raise ValueError("median of an empty sequence")
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
-
-
-def boost_count(xi: float) -> int:
-    """Number of independent copies, ceil(50 ln(1/xi)), for failure budget xi."""
-    if not 0.0 < xi < 0.5:
-        raise ValueError(f"xi must be in (0, 0.5), got {xi}")
-    return math.ceil(50.0 * math.log(1.0 / xi))

@@ -117,11 +117,10 @@ class SmoothHistogram:
         T: int,
         shift: float = 0.0,
         max_live: int | None = None,
-        max_shift: float | None = None,
     ) -> None:
         if W < 1:
             raise ValueError(f"W must be >= 1, got {W}")
-        cap = max_shift if max_shift is not None else float(T) ** 3
+        cap = float(T) ** 3
         if not 0 <= shift <= cap:
             raise ValueError(f"shift must lie in [0, {cap}], got {shift}")
         self.inner_factory = inner_factory
@@ -187,9 +186,9 @@ class SmoothHistogram:
         return len(self.entries)
 
 
-def default_max_live(T: int, beta: float, constant: float = 4.0) -> int:
-    """Frozen instance-count bound constant * log2(T) / beta."""
-    return max(2, math.ceil(constant * math.log2(max(T, 2)) / beta))
+def default_max_live(T: int, beta: float) -> int:
+    """Frozen instance-count bound 4 * log2(T) / beta."""
+    return max(2, math.ceil(4.0 * math.log2(max(T, 2)) / beta))
 
 
 def window_estimator(
@@ -200,7 +199,6 @@ def window_estimator(
     epsilon: float,
     inner_alpha: float = 1.0,
     inner_gamma: float = 0.0,
-    live_constant: float = 4.0,
 ) -> tuple[SmoothHistogram, SlidingBudget]:
     """Wire a DP sliding estimator: per-instance budget and additive shift.
 
@@ -208,7 +206,7 @@ def window_estimator(
     The shift Z = alpha*gamma/(alpha-1) converts the inner additive error for
     the smoothness comparisons (Z = 0 when gamma = 0).
     """
-    budget = SlidingBudget(epsilon, default_max_live(T, params.beta, live_constant))
+    budget = SlidingBudget(epsilon, default_max_live(T, params.beta))
     shift = 0.0
     if inner_gamma > 0:
         shift = relative_shift(inner_alpha, inner_gamma)

@@ -8,6 +8,7 @@ from dpsketch.countsketch import (
     default_l2_buckets,
     default_l2_copies,
 )
+from dpsketch.experiment import _bucket_mapping
 from dpsketch.randomness import NoiseContext
 from dpsketch.streams import (
     EMPTY_EVENT,
@@ -119,13 +120,13 @@ class TestCountSketchState:
         assert s.f2().value >= 0.0
 
     def test_derived_bucket_streams(self):
-        s = CountSketchState(
-            4, 4, 1.0, NoiseContext(0, noise_off=True), record_derived=True
-        )
-        s.feed(element(2))
-        s.feed(EMPTY_EVENT)
-        b, sign = s._route(2)
-        assert [x.value for x in s.derived[b]] == [sign, 0]
+        # the sensitivity checker's bucket streams: the arrival's sign in its
+        # own bucket, zero everywhere else
+        streams = _bucket_mapping(n=3, T=4, k=4, seed=0)([element(2), EMPTY_EVENT])
+        b, sign = CountSketchState(4, 4, 1.0, NoiseContext(0, noise_off=True))._route(2)
+        assert [[x.value for x in s] for s in streams] == [
+            [sign if i == b else 0, 0] for i in range(4)
+        ]
 
     def test_noise_replay(self):
         outs = []

@@ -15,6 +15,7 @@ from dpsketch.distinct import (
     make_summing_backend,
     subsample_params,
 )
+from dpsketch.experiment import _indicator_mapping, _level_mapping
 from dpsketch.randomness import GeometricLevelHash, NoiseContext, PolyHashFamily
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream, integer
 from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism
@@ -72,11 +73,10 @@ class TestSmallUniverse:
         assert ok >= 0.9 * trials
 
     def test_indicator_stream_recorded(self):
-        ctx = NoiseContext(0, noise_off=True)
-        d = SmallUniverseDistinct(4, BinaryTreeMechanism(4, 1.0, ctx), record_derived=True)
-        for e in [element(1), element(1), EMPTY_EVENT, element(2)]:
-            d.feed(e)
-        assert [x.value for x in d.derived] == [1, 0, 0, 1]
+        # the sensitivity checker's indicator stream: 1 on a fresh element
+        mapping = _indicator_mapping(n=4, T=4, seed=0)
+        (stream,) = mapping([element(1), element(1), EMPTY_EVENT, element(2)])
+        assert [x.value for x in stream] == [1, 0, 0, 1]
 
 
 def forced_level_seed(n_elems, level, L, lam, base_seed=0):
@@ -118,16 +118,16 @@ class TestSubsampled:
         assert out == 6 * 2**2
 
     def test_empty_and_dropped_elements_touch_no_level(self):
-        params = SubsampleParams(L=2, lam=4, m=64, alpha=1.0, gamma=0.0, threshold=1.0)
-        ctx = NoiseContext(1, noise_off=True)
-        sub = SubsampledDistinct(
-            params,
-            ctx,
-            lambda key: BinaryTreeMechanism(8, 1.0, ctx.child(*key)),
-            record_derived=True,
+        # the sensitivity checker's level streams, under the level hash of
+        # the subsampled estimator it builds (L=2, lam=4, seed 1)
+        g = GeometricLevelHash(2, 4, NoiseContext(1).child_seed("subsample-g"))
+        dropped = next(x for x in range(64) if g.level(x) is None)
+        kept = next(x for x in range(64) if g.level(x) is not None)
+        streams = _level_mapping(n=64, T=8, L=2, seed=1)(
+            [EMPTY_EVENT, element(dropped), element(kept)]
         )
-        sub.feed(EMPTY_EVENT)
-        assert all(streams[-1] == EMPTY_EVENT for streams in sub.derived)
+        assert all(s[:2] == [EMPTY_EVENT, EMPTY_EVENT] for s in streams)
+        assert [s[2] != EMPTY_EVENT for s in streams] == [g.level(kept) == i for i in (1, 2)]
 
     def test_determinism(self):
         params = subsample_params(n=1 << 16, T=256, eta=0.2, alpha=1.0, gamma=10.0)

@@ -13,6 +13,7 @@ from dpsketch.experiment import (
 from dpsketch.randomness import NoiseContext
 from dpsketch.streamio import write_stream_file
 from dpsketch.streams import StreamConfig, generate_stream
+from dpsketch.summing import BinaryTreeMechanism
 
 
 class TestSensitivityChecks:
@@ -46,6 +47,18 @@ class TestSensitivityChecks:
         report = sensitivity_check("subsample-levels", n=2, T=4, L=2)
         assert report.passed
         assert report.observed <= 1
+
+    def test_checker_reads_what_the_counters_receive(self, monkeypatch):
+        # a bank that credits every input twice doubles each counter step;
+        # the checker sees it because it reads the counters' own outputs
+        def doubled(self, x, lane=0):
+            self._running[lane] += 2 * x
+
+        monkeypatch.setattr(BinaryTreeMechanism, "add", doubled)
+        lowfreq = sensitivity_check("lowfreq-counters", n=2, T=5, k=2)
+        buckets = sensitivity_check("countsketch-buckets", n=3, T=4, k=2)
+        assert (lowfreq.observed, buckets.observed) == (24, 4)
+        assert not lowfreq.passed and not buckets.passed
 
     def test_unknown_mapping(self):
         with pytest.raises(ValueError):

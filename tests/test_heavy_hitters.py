@@ -7,7 +7,6 @@ from dpsketch.heavy_hitters import (
     HHConfig,
     HHEstimator,
     HHSketch,
-    exact_substream_values,
 )
 from dpsketch.randomness import NoiseContext
 from dpsketch.streams import (
@@ -23,6 +22,26 @@ def hh_config(**over):
     base = dict(p=2.0, k=4, eta=0.2, epsilon=1.0, xi=0.1, T=256, n=1 << 16, copies=1)
     base.update(over)
     return HHConfig(**base)
+
+
+def exact_substream_values(sketch: HHSketch, frequencies: dict[int, int]) -> dict[int, float]:
+    """Oracle: noiseless CountSketch value g(a)*z_{h(a)} for each element.
+
+    It separates DP noise from hash-collision error.
+    """
+    totals: dict[tuple[int, int], float] = {}
+    for ident, freq in frequencies.items():
+        idx = sketch._route(ident)
+        inner = sketch._substream(idx)
+        bucket, sign = inner._route(ident)
+        totals[(idx, bucket)] = totals.get((idx, bucket), 0.0) + sign * freq
+    values = {}
+    for ident in frequencies:
+        idx = sketch._route(ident)
+        inner = sketch._substream(idx)
+        bucket, sign = inner._route(ident)
+        values[ident] = sign * totals[(idx, bucket)]
+    return values
 
 
 class TestConfig:

@@ -9,6 +9,7 @@ from dpsketch.low_freq import (
     lowfreq_estimator,
     subsample_lowfreq_params,
 )
+from dpsketch.experiment import _counter_mapping
 from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.randomness import NoiseContext
 from dpsketch.streams import (
@@ -94,11 +95,11 @@ class TestLowFreqSmall:
         assert saw_negative
 
     def test_derived_streams(self):
-        d = LowFreqSmall(4, 2, 3, 1.0, NoiseContext(0, noise_off=True), record_derived=True)
-        for e in [element(0), element(0), element(0)]:
-            d.feed(e)
-        assert [x.value for x in d.derived[0]] == [1, -1, 0]
-        assert [x.value for x in d.derived[1]] == [0, 1, -1]
+        # the sensitivity checker's counter streams for one element arriving
+        # three times: +1 into its new frequency, -1 out of its old one
+        streams = _counter_mapping(n=4, T=3, k=2, seed=0)([element(0)] * 3)
+        assert [x.value for x in streams[0]] == [1, -1, 0]
+        assert [x.value for x in streams[1]] == [0, 1, -1]
 
 
 class _ExactDistinct:

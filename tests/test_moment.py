@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dpsketch.low_freq import LowFreqGeneral
+from dpsketch.experiment import _routed_streams
+from dpsketch.low_freq import (
+    LowFreqConfig,
+    LowFreqGeneral,
+    low_freq_block,
+    lowfreq_estimator,
+)
 from dpsketch.moment import (
     ABOVE,
     BELOW,
@@ -255,11 +261,13 @@ class TestLevelTupleSensitivity:
         cfg = moment_cfg(T=4, n=2, copies=1)
 
         def mapping(events):
-            state = MomentState(cfg, NoiseContext(5, noise_off=True), 1.0,
-                                record_derived=True)
-            for e in events:
-                state.ingest(e)
-            return tuple(state.derived)
+            # S0 is the stream itself; S1..SL take each element at the level
+            # the copy routes it to
+            state = MomentState(cfg, NoiseContext(5, noise_off=True), 1.0)
+            levels = _routed_streams(
+                lambda a: (state._level(a), element(a)), range(1, state.shape.L + 1), events
+            )
+            return (list(events),) + levels
 
         assert mapping_sensitivity(mapping, n=2, T=4, aggregate="joint") == 1
         # differing derived streams per neighboring pair: S0 and at most one
@@ -310,6 +318,20 @@ class TestGeneralUniverse:
             runs.append([est.feed(e) for e in stream])
         assert runs[0] == runs[1]
         assert all(math.isfinite(v) and v >= 0 for v in runs[0])
+
+    def test_low_freq_block_is_the_low_frequency_estimators(self):
+        # above the small-universe limit the head block takes the distinct
+        # backend's gamma and the copy's xi share, as lowfreq_estimator does
+        cfg = moment_cfg(T=256, n=1 << 15, tau=4)
+        ctx = NoiseContext(31).child("moment-copy", 0)
+        state = MomentState(cfg, ctx, 0.25)
+        k = state.shape.k
+        block = low_freq_block(cfg.n, k, cfg.T, cfg.eta, 0.25, cfg.xi / 3, ctx.child("moment-lf"))
+        lf_cfg = LowFreqConfig(epsilon=0.25, eta=cfg.eta, xi=cfg.xi, k=k, n=cfg.n, T=cfg.T,
+                               copies=1)
+        assert state.low_freq.params == block.params
+        assert block.params == lowfreq_estimator(lf_cfg, NoiseContext(2)).copies[0].params
+        assert block.params.gamma1 > 0
 
 
 class TestSharedClock:

@@ -11,11 +11,9 @@ from dpsketch.randomness import (
     NoiseContext,
     PolyHashFamily,
     SignHash,
-    boost_count,
     even_independence,
     fold_key,
     fold_lanes,
-    laplace_sample,
     median_boost,
     node_laplace,
 )
@@ -41,7 +39,7 @@ def _ks_bound(n):
 class TestLaplace:
     def test_noise_off_is_zero(self):
         ctx = NoiseContext(123, noise_off=True)
-        assert all(laplace_sample(ctx, b) == 0.0 for b in (0.1, 1.0, 50.0))
+        assert all(ctx.laplace(b) == 0.0 for b in (0.1, 1.0, 50.0))
 
     def test_replay_identical(self):
         a = NoiseContext(99)
@@ -65,13 +63,6 @@ class TestLaplace:
             ctx.laplace(0.0)
         with pytest.raises(ValueError):
             ctx.laplace(-1.0)
-
-    def test_keyed_is_order_independent(self):
-        a = NoiseContext(5)
-        first = a.keyed_laplace(("x", 3), 1.0)
-        a.laplace(1.0)
-        a.keyed_laplace(("y", 0), 1.0)
-        assert a.keyed_laplace(("x", 3), 1.0) == first
 
     def test_draw_counter_advances(self):
         ctx = NoiseContext(1)
@@ -171,18 +162,6 @@ class TestMedianBoost:
                 bad += 1
         bound = math.exp(-51 / 48)
         assert bad / trials <= bound
-
-
-class TestBoostCount:
-    def test_reference_values(self):
-        assert boost_count(1 / math.e) == 50
-        assert boost_count(0.05) == 150
-        assert boost_count(0.49) == 36
-
-    def test_range_enforced(self):
-        for xi in (0.0, 0.5, 0.7, -1.0):
-            with pytest.raises(ValueError):
-                boost_count(xi)
 
 
 class TestEvenIndependence:
@@ -315,7 +294,6 @@ class TestKeyedDerivation:
         child = ctx.child("sliding", 3)
         draws = [child.laplace(1.0), child.uniform(), *child.laplace(1.0, size=4)]
         assert all(math.isfinite(x) for x in draws)
-        assert ctx.keyed_laplace(("x", 1), 1.0) != 0.0
         assert 0 <= PolyHashFamily(4, 10, 3)(12345) < 10
         assert SignHash(8)(1) in (-1, 1)
         GeometricLevelHash(8, 6, 9).level(4)
