@@ -63,9 +63,6 @@ class MechanismBudget:
     def epsilon_of(self, name: str) -> float:
         return self.total_epsilon * float(self._entries[name].epsilon_fraction)
 
-    def xi_of(self, name: str) -> float:
-        return self.total_xi * float(self._entries[name].xi_fraction)
-
     @property
     def epsilon_allocated(self) -> float:
         """Exactly total_epsilon when the fractions sum to 1."""

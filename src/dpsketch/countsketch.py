@@ -1,10 +1,10 @@
 """Continual-release CountSketch with DP point queries and F2 estimation.
 
-Buckets are the lanes of one tree-counter bank (see
+Buckets are lanes of a tree-counter bank (see
 :class:`~dpsketch.summing.BinaryTreeMechanism`), which is observationally
 identical to one tree mechanism per bucket but keeps O(k log T) noise and
-draws a level for all buckets at once.  Buckets take signed contributions, so
-the tree mechanism (not the grouping one) backs them.
+draws a level for all buckets of all boosted copies at once.  Buckets take
+signed contributions, so the tree mechanism (not the grouping one) backs them.
 """
 
 from __future__ import annotations
@@ -31,14 +31,20 @@ class F2Estimate:
     additive: float
 
 
+def bucket_lanes(k: int, ctx: NoiseContext, key: tuple = ()) -> tuple:
+    """A sketch's buckets as bank lanes, bucket i keyed ("cs",) + key + ("bucket", i)."""
+    return (ctx.master_seed, ("cs",) + tuple(key) + ("bucket",), range(k))
+
+
 class CountSketchState:
     """One CountSketch: k signed buckets over a shared time axis.
 
     Each non-empty event adds its sign to exactly one bucket; every bucket's
     output is its running sum plus the noise of the dyadic nodes tiling
     [1, t], each node carrying an independent Laplace draw of scale
-    (ceil(log2 T)+1)/epsilon_bucket.  The buckets are the lanes of one tree
-    counter bank, bucket i keyed ``("cs",) + key + ("bucket", i)``.
+    (ceil(log2 T)+1)/epsilon_bucket.  The buckets are lanes of the sketch's
+    own bank or, with ``window=(bank, c)``, lanes [c*k, (c+1)*k) of a bank
+    shared by boosted copies, whose owner ticks it and calls ``observe``.
     """
 
     def __init__(
@@ -49,27 +55,20 @@ class CountSketchState:
         ctx: NoiseContext,
         key: tuple = (),
         clock: Clock | None = None,
+        window: tuple[BinaryTreeMechanism, int] | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"bucket count must be >= 1, got {k}")
-        if epsilon_bucket <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon_bucket}")
         self.k = int(k)
         self.T = int(T)
         self.epsilon_bucket = float(epsilon_bucket)
         self._ctx = ctx
         self._key = ("cs",) + tuple(key)
-        self._bank = BinaryTreeMechanism(
-            self.T,
-            self.epsilon_bucket,
-            ctx,
-            key=tuple(key) + ("bucket",),
-            clock=clock,
-            lanes=range(self.k),
-            namespace="cs",
-        )
-        self.levels = self._bank.levels
-        self.noise_scale = self._bank.noise_scale
+        if window is None:
+            lanes = [bucket_lanes(self.k, ctx, key)]
+            window = (BinaryTreeMechanism(self.T, epsilon_bucket, ctx, clock=clock, lanes=lanes), 0)
+        self._bank, c = window
+        self._lo, self._hi = c * self.k, (c + 1) * self.k
         self.h = PolyHashFamily(4, self.k, ctx.child_seed(*self._key, "h"))
         self.g = SignHash(ctx.child_seed(*self._key, "g"))
         self._route_cache: dict[int, tuple[int, int]] = {}
@@ -81,7 +80,7 @@ class CountSketchState:
     @property
     def running(self) -> np.ndarray:
         """Exact bucket counts (private state, not a release)."""
-        return self._bank.running
+        return self._bank.running[self._lo : self._hi]
 
     def _route(self, ident: int) -> tuple[int, int]:
         hit = self._route_cache.get(ident)
@@ -94,7 +93,7 @@ class CountSketchState:
         """Ingest the current timestamp's event without advancing the clock."""
         if e.is_element():
             bucket, sign = self._route(e.value)
-            self._bank.add(sign, bucket)
+            self._bank.add(sign, self._lo + bucket)
         elif e.is_integer():
             raise ValueError("CountSketch requires an elements-mode stream")
 
@@ -103,16 +102,15 @@ class CountSketchState:
         self.observe(e)
 
     def restore(self, t: int, running) -> None:
-        """Set the clock and the exact bucket counts, as read from a snapshot.
-        Noise is keyed by node, so the restored outputs equal the saved ones."""
-        self._bank._clock.t = int(t)
-        self._bank.running[:] = running
+        """Set the clock and bucket counts of a standalone sketch from a snapshot."""
+        self._bank.restore(t, running)
 
     def bucket_output(self, i: int) -> float:
-        return self._bank.lane_current(i)
+        return self._bank.lane_current(self._lo + i)
 
     def outputs(self) -> np.ndarray:
-        return self._bank.current()
+        """Every bucket's output, read-only."""
+        return self._bank.current()[self._lo : self._hi]
 
     def point_query(self, ident: int) -> float:
         """Frequency estimate g(a) * z_{h(a)} for one element."""
@@ -120,8 +118,8 @@ class CountSketchState:
         return sign * self.bucket_output(bucket)
 
     def f2(self, eta: float = 0.0, additive: float = 0.0) -> F2Estimate:
-        """Sum of squared bucket outputs."""
-        out = self._bank.current()
+        """Sum of squared bucket outputs, from the bank's memoised full read."""
+        out = self._bank.current()[self._lo : self._hi]
         return F2Estimate(value=float(out @ out), eta=eta, additive=additive)
 
     def error_bound(self, xi: float) -> float:
@@ -130,7 +128,7 @@ class CountSketchState:
             raise ValueError(f"xi must be in (0, 1), got {xi}")
         if self._ctx.noise_off:
             return 0.0
-        return self.levels * self.noise_scale * math.log(2 * self.T * self.k / xi)
+        return self._bank.levels * self._bank.noise_scale * math.log(2 * self.T * self.k / xi)
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,10 @@ def default_l2_buckets(eta: float) -> int:
 
 
 class L2Estimator:
-    """Boosted frequency and F2 estimator: per-timestamp medians over copies."""
+    """Boosted frequency and F2 estimator: per-timestamp medians over copies.
+    The copies are windows of one bank on one clock, each keyed as a standalone
+    sketch under ``ctx.child("l2-copy", c)``: a tick draws a stale level once
+    for all copies, and one memoised full read serves every copy's f2."""
 
     def __init__(self, cfg: L2Config, ctx: NoiseContext) -> None:
         self.cfg = cfg
@@ -171,17 +172,21 @@ class L2Estimator:
         k = cfg.buckets if cfg.buckets is not None else default_l2_buckets(cfg.eta)
         # one universe change moves +-1 between two buckets of one copy
         eps_bucket = cfg.epsilon / (2 * copies)
+        contexts = [ctx.child("l2-copy", c) for c in range(copies)]
+        lanes = [bucket_lanes(k, child, (c,)) for c, child in enumerate(contexts)]
+        self._bank = BinaryTreeMechanism(cfg.T, eps_bucket, ctx, lanes=lanes)
         self.copies = [
-            CountSketchState(k, cfg.T, eps_bucket, ctx.child("l2-copy", c), key=(c,))
-            for c in range(copies)
+            CountSketchState(k, cfg.T, eps_bucket, child, key=(c,), window=(self._bank, c))
+            for c, child in enumerate(contexts)
         ]
         self.budget = MechanismBudget(cfg.epsilon, cfg.xi)
         for c in range(copies):
             self.budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
 
     def feed(self, e: StreamEvent) -> None:
+        self._bank.tick()
         for sketch in self.copies:
-            sketch.feed(e)
+            sketch.observe(e)
 
     def point_query(self, ident: int) -> float:
         return median_boost([s.point_query(ident) for s in self.copies])

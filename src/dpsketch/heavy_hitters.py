@@ -124,7 +124,6 @@ class HHSketch:
         self._owns_clock = clock is None
         self._sketches: dict[int, CountSketchState] = {}
         self._route_cache: dict[int, int] = {}
-        self._f2_cache: dict[int, tuple[int, float]] = {}
         self.candidates: dict[int, float] = {}
 
     @property
@@ -152,21 +151,14 @@ class HHSketch:
             self._route_cache[ident] = idx
         return idx
 
-    def _substream_f2(self, idx: int) -> float:
-        cached = self._f2_cache.get(idx)
-        if cached is not None and cached[0] == self._clock.t:
-            return cached[1]
-        value = self._substream(idx).f2().value
-        self._f2_cache[idx] = (self._clock.t, value)
-        return value
-
     def _passes(self, ident: int) -> float | None:
-        idx = self._route(ident)
-        f_hat = self._substream(idx).point_query(ident)
+        sketch = self._substream(self._route(ident))
+        f_hat = sketch.point_query(ident)
         floor = self._floor
         if f_hat * f_hat < floor:
             return None  # the F2 term can only raise the bar
-        bar = (self._substream_f2(idx) + self.gamma1) / self._bar_divisor + floor
+        # the sketch's bank memoises its full read for the timestamp
+        bar = (sketch.f2().value + self.gamma1) / self._bar_divisor + floor
         if f_hat * f_hat >= bar:
             return f_hat
         return None
@@ -211,7 +203,8 @@ class HHSketch:
 
 
 class HHEstimator:
-    """Boosted heavy hitters: union of copy reports, median of their estimates."""
+    """Boosted heavy hitters: union of copy reports, median of their estimates.
+    The copies share one clock, ticked once per event."""
 
     def __init__(self, cfg: HHConfig, ctx: NoiseContext) -> None:
         self.cfg = cfg
@@ -219,17 +212,23 @@ class HHEstimator:
         # 4 = substream routing sensitivity (2) times bucket routing inside
         # the per-substream sketch (2)
         self.epsilon_tree = cfg.epsilon / (4 * copies)
+        self._clock = Clock(cfg.T)
         self.copies = [
-            HHSketch(cfg, ctx.child("hh-copy", c), self.epsilon_tree, key=(c,))
+            HHSketch(cfg, ctx.child("hh-copy", c), self.epsilon_tree, key=(c,), clock=self._clock)
             for c in range(copies)
         ]
         self.budget = MechanismBudget(cfg.epsilon, cfg.xi)
         for c in range(copies):
             self.budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
 
+    def ingest(self, e: StreamEvent) -> None:
+        self._clock.tick()
+        for copy in self.copies:
+            copy.ingest(e)
+
     def feed(self, e: StreamEvent) -> dict[int, float]:
-        reports = [copy.feed(e) for copy in self.copies]
-        return self._combine(reports)
+        self.ingest(e)
+        return self.report()
 
     def _combine(self, reports: list[dict[int, float]]) -> dict[int, float]:
         # interpolated median: the lower-median convention would bias the

@@ -56,14 +56,9 @@ class LowFreqSmall:
             raise ValueError(f"k must be >= 1, got {k}")
         self.m = int(m)
         self.k = int(k)
-        self.counters = BinaryTreeMechanism(
-            T, epsilon_counter, ctx, key=("lfs",) + tuple(key), lanes=range(1, k + 1)
-        )
+        lanes = [(ctx.master_seed, ("tree", "lfs") + tuple(key), range(1, k + 1))]
+        self.counters = BinaryTreeMechanism(T, epsilon_counter, ctx, lanes=lanes)
         self.freq: dict[int, int] = {}
-
-    @property
-    def t(self) -> int:
-        return self.counters.t
 
     def ingest(self, e: StreamEvent) -> None:
         """Advance one timestamp without computing the counter outputs."""

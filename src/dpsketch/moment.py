@@ -193,7 +193,6 @@ class MomentState:
 
     def __init__(self, cfg: MomentConfig, ctx: NoiseContext, epsilon_unit: float) -> None:
         self.cfg = cfg
-        self._ctx = ctx
         beta = beta_sample(ctx, cfg.eta, cfg.T, cfg.beta_grid_exponent)
         # heavy-hitter instances: heaviness parameter B, trees at eps_unit/4
         levels = math.ceil(math.log2(cfg.T)) + 1 if cfg.T > 1 else 1

@@ -69,21 +69,19 @@ class BinaryTreeMechanism:
     so replay is order-independent.  The running exact sum plus the noise of
     the nodes tiling [1, t] equals the classic per-node construction.
 
-    With ``lanes`` the mechanism is a bank of ``len(lanes)`` counters on one
-    clock, counter j keyed ``key + (lanes[j],)``: ``current()`` reads every
-    lane as an array and ``lane_current(j)`` reads one.  Both walk the
-    clock's ``nodes()``, the decomposition of [1, t] computed once per
-    timestamp for every counter on the clock.  It holds at most one node per
-    level, and a node never returns once t has moved past it, so each level
-    keeps one noise slot per lane and memory is O(lanes * log T).  A full
-    read that finds a level stale refills its row for all lanes with one
-    array draw.  A lane read uses the row when it is current, else the
-    lane's own slot, refilled by one scalar draw; those slots are Python
-    lists because per-element numpy indexing slowed point-query-heavy
-    workloads by about 5%.  Array and scalar draws are bit for bit equal,
-    and both reads add a lane's noise to its running sum from the highest
-    level down, so they agree bit for bit.
+    Alone it is one counter keyed ``("tree",) + key``.  A bank takes its
+    lanes as copies ``(seed, key, ids)``: lane c * len(ids) + i is keyed
+    ``key + (ids[i],)`` under copy c's own seed.  A full read refills each
+    stale level for all lanes with one array draw and is memoised, read-only,
+    for its timestamp until an ``add`` or ``restore``.  A lane read uses the
+    memo or a current row, else the lane's own record of base, node and draw
+    per level, built at its first lane read (Python lists: numpy indexing per
+    element slowed point-query-heavy workloads by about 5%).  Array and
+    scalar draws are bit for bit equal, and both reads add noise from the
+    highest level down.
     """
+
+    _NO_ROWS = (-1,) * 64  # the row nodes before the first full read
 
     def __init__(
         self,
@@ -93,7 +91,6 @@ class BinaryTreeMechanism:
         key: tuple = (),
         clock: Clock | None = None,
         lanes=None,
-        namespace: str = "tree",
     ) -> None:
         if epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -102,22 +99,16 @@ class BinaryTreeMechanism:
         self.levels = math.ceil(math.log2(self.T)) + 1 if self.T > 1 else 1
         self.noise_scale = self.levels / self.epsilon
         self._ctx = ctx
-        self._key = (namespace,) + tuple(key)
         self._clock = clock if clock is not None else Clock(self.T)
         self._owns_clock = clock is None
-        self._lanes = lanes
-        self.k = 1 if lanes is None else len(lanes)
+        self._lanes = [(ctx.master_seed, ("tree",) + tuple(key), None)] if lanes is None else lanes
+        ids = self._lanes[0][2]
+        self._width = 1 if ids is None else len(ids)
+        self.k = len(self._lanes) * self._width
         self._running = np.zeros(self.k)
-        # full reads: one row of draws per level and the node it holds; the
-        # rows and lane bases are built at the first noisy full read
-        self._row_node = [-1] * self.levels
-        self._rows: np.ndarray | None = None
-        self._row_bases: np.ndarray | None = None
-        # lane reads: one draw per (level, lane) slot and the node it holds,
-        # built at the first noisy lane read
-        self._slot_node: list[int] = []
-        self._slot: list[float] = []
-        self._lane_bases: list[int | None] = []
+        self._row_node = self._NO_ROWS
+        self._rows = self._row_bases = self._memo = self._lane_records = None
+        self._memo_t = 0
 
     @property
     def t(self) -> int:
@@ -137,6 +128,13 @@ class BinaryTreeMechanism:
     def add(self, x: float, lane: int = 0) -> None:
         """Credit x to a lane at the current timestamp without advancing the clock."""
         self._running[lane] += x
+        self._memo = None
+
+    def restore(self, t: int, running) -> None:
+        """Set the clock and running sums from a snapshot; noise is keyed by node."""
+        self._clock.t = int(t)
+        self._running[:] = running
+        self._memo = None
 
     def feed(self, x: float) -> float:
         """Advance one timestamp, ingest x, return the noisy prefix sum."""
@@ -146,48 +144,55 @@ class BinaryTreeMechanism:
 
     def current(self):
         """Noisy prefix sum at the clock's current timestamp: a float for a
-        single counter, an array with one entry per lane for a bank."""
-        if self._lanes is None:
+        single counter, a read-only array with one entry per lane for a bank."""
+        if self._lanes[0][2] is None:
             return self.lane_current(0)
+        t = self._clock.t
+        if self._memo is not None and self._memo_t == t:
+            return self._memo
         out = self._running.copy()
-        if self._ctx.noise_off:
-            return out
-        if self._rows is None:
-            self._rows = np.zeros((self.levels, self.k))
-            self._row_bases = fold_lanes(
-                fold_key(self._ctx.master_seed, self._key),
-                np.asarray(self._lanes, dtype=np.uint64),
-            )
-        for level, node in self._clock.nodes():
-            if self._row_node[level] != node:
-                self._rows[level] = node_laplace(self._row_bases, level, node, self.noise_scale)
-                self._row_node[level] = node
-            out += self._rows[level]
+        if not self._ctx.noise_off:
+            if self._rows is None:
+                self._rows, self._row_node = np.zeros((self.levels, self.k)), [-1] * self.levels
+                self._row_bases = np.concatenate([
+                    fold_lanes(fold_key(seed, key), np.asarray(ids, dtype=np.uint64))
+                    for seed, key, ids in self._lanes
+                ])
+            for level, node in self._clock.nodes():
+                if self._row_node[level] != node:
+                    self._rows[level] = node_laplace(self._row_bases, level, node, self.noise_scale)
+                    self._row_node[level] = node
+                out += self._rows[level]
+        out.setflags(write=False)
+        self._memo, self._memo_t = out, t
         return out
 
     def lane_current(self, j: int) -> float:
         """Noisy prefix sum of lane j alone; equals ``current()[j]``."""
+        if self._memo is not None and self._memo_t == self._clock.t:
+            return float(self._memo[j])
         total = float(self._running[j])
         if self._ctx.noise_off:
             return total
-        if not self._slot:
-            self._slot_node = [-1] * (self.levels * self.k)
-            self._slot = [0.0] * (self.levels * self.k)
-            self._lane_bases = [None] * self.k
-        row_node, slot_node, slot = self._row_node, self._slot_node, self._slot
+        if self._lane_records is None:
+            self._lane_records = [None] * self.k
+        record = self._lane_records[j]
+        if record is None:
+            seed, key, ids = self._lanes[j // self._width]
+            key = key if ids is None else key + (ids[j % self._width],)
+            record = self._lane_records[j] = (
+                fold_key(seed, key), [-1] * self.levels, [0.0] * self.levels
+            )
+        base, lane_node, draw = record
+        row_node = self._row_node
         for level, node in self._clock.nodes():
             if row_node[level] == node:
                 total += float(self._rows[level, j])
                 continue
-            s = level * self.k + j
-            if slot_node[s] != node:
-                base = self._lane_bases[j]
-                if base is None:
-                    key = self._key if self._lanes is None else self._key + (self._lanes[j],)
-                    base = self._lane_bases[j] = fold_key(self._ctx.master_seed, key)
-                slot[s] = node_laplace(base, level, node, self.noise_scale)
-                slot_node[s] = node
-            total += slot[s]
+            if lane_node[level] != node:
+                draw[level] = node_laplace(base, level, node, self.noise_scale)
+                lane_node[level] = node
+            total += draw[level]
         return total
 
     def error_bound(self, xi: float) -> float:

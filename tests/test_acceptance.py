@@ -288,8 +288,7 @@ def test_criterion_6_heavy_hitters():
             "planted_heavy", StreamConfig(T=T, n=n), seed=seed, frac=0.6
         )
         for e in stream:
-            for copy in est.copies:
-                copy.ingest(e)
+            est.ingest(e)
         rep = est.report()
         table = exact_frequencies(stream)
         planted = table[0]

@@ -1,0 +1,247 @@
+"""Boosted copies as lanes of one bank, the memoised full read, lane-read
+state per read lane, and heavy-hitter copies on one clock.
+
+The references are built the earlier way: one standalone sketch (its own
+bank on its own clock) per L2 copy, and one own-clock ``HHSketch`` per
+heavy-hitter copy.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dpsketch import summing
+from dpsketch.cli import (
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+    _snapshot_load,
+    command_params,
+    drive,
+    main,
+)
+from dpsketch.countsketch import CountSketchState, L2Config, L2Estimator
+from dpsketch.heavy_hitters import HHConfig, HHEstimator, HHSketch
+from dpsketch.randomness import NoiseContext, median_boost
+from dpsketch.streamio import write_stream_file
+from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
+from dpsketch.summing import BinaryTreeMechanism, Clock, StateError
+
+
+def _reference_copies(est, cfg, seed):
+    eps = cfg.epsilon / (2 * len(est.copies))
+    return [
+        CountSketchState(s.k, cfg.T, eps, NoiseContext(seed).child("l2-copy", c), key=(c,))
+        for c, s in enumerate(est.copies)
+    ]
+
+
+class TestFusedL2:
+    @pytest.mark.parametrize(
+        "T,k,copies", [(1024, 512, 3), (100, 16, 5), (257, 8, 1), (1, 8, 3)]
+    )
+    def test_equals_per_copy_banks_bit_for_bit(self, T, k, copies):
+        seed = T + k + copies
+        cfg = L2Config(epsilon=1.0, eta=0.2, xi=0.1, n=64, T=T, copies=copies, buckets=k)
+        est = L2Estimator(cfg, NoiseContext(seed))
+        refs = _reference_copies(est, cfg, seed)
+        assert len({id(s._bank) for s in est.copies}) == 1
+        stream = generate_stream("zipf", StreamConfig(T=T, n=64), seed=seed, s=1.2)
+        for t, e in enumerate(stream, start=1):
+            est.feed(e)
+            for ref in refs:
+                ref.feed(e)
+            lanes = (t % k, (7 * t) % k)
+            ids = (0, t % 64)
+            # three read orders: point reads, lane reads or full reads first
+            order = t % 3
+            if order == 0:
+                points = [est.point_query(a) for a in ids]
+                f2 = est.f2()
+            elif order == 1:
+                lane_reads = [[s.bucket_output(b) for b in lanes] for s in est.copies]
+                f2 = est.f2()
+                points = [est.point_query(a) for a in ids]
+            else:
+                f2 = est.f2()
+                points = [est.point_query(a) for a in ids]
+            if order != 1:
+                lane_reads = [[s.bucket_output(b) for b in lanes] for s in est.copies]
+            assert f2 == median_boost([r.f2().value for r in refs])
+            assert [s.f2().value for s in est.copies] == [r.f2().value for r in refs]
+            assert points == [median_boost([r.point_query(a) for r in refs]) for a in ids]
+            assert lane_reads == [[r.bucket_output(b) for b in lanes] for r in refs]
+            for s, r in zip(est.copies, refs):
+                assert s.outputs().tolist() == r.outputs().tolist()
+                assert s.running.tolist() == r.running.tolist()
+                assert s.t == r.t == t
+
+    def test_one_array_draw_per_tick(self, monkeypatch):
+        # one new dyadic node per tick: the fused bank draws it once for
+        # every copy, where per-copy banks drew it once per copy
+        calls = []
+
+        def counting(base, a, b, scale):
+            calls.append(np.size(base))
+            return node_laplace(base, a, b, scale)
+
+        node_laplace = summing.node_laplace
+        monkeypatch.setattr(summing, "node_laplace", counting)
+        T, k, copies = 64, 32, 3
+        cfg = L2Config(epsilon=1.0, eta=0.2, xi=0.1, n=64, T=T, copies=copies, buckets=k)
+        est = L2Estimator(cfg, NoiseContext(2))
+        for t in range(1, T + 1):
+            est.feed(element(t % 5))
+            est.f2()
+            est.point_query(0)
+        assert calls == [k * copies] * T
+
+
+class TestMemo:
+    def bank(self, clock=None):
+        lanes = [(11, ("tree", "m", 0), range(4)), (12, ("tree", "m", 1), range(4))]
+        return BinaryTreeMechanism(16, 1.0, NoiseContext(3), clock=clock, lanes=lanes)
+
+    def singles(self):
+        return [
+            BinaryTreeMechanism(16, 1.0, NoiseContext(seed), key=("m", c, i))
+            for c, seed in enumerate((11, 12))
+            for i in range(4)
+        ]
+
+    def test_full_read_is_memoised_and_read_only(self):
+        bank = self.bank()
+        bank.tick()
+        bank.add(2.0, 5)
+        first = bank.current()
+        assert bank.current() is first
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert bank.lane_current(5) == first[5]
+
+    def test_add_tick_and_restore_clear_the_memo(self):
+        bank, singles = self.bank(), self.singles()
+
+        def agree():
+            want = [s.current() for s in singles]
+            assert bank.current().tolist() == want
+            assert [bank.lane_current(j) for j in range(8)] == want
+
+        bank.tick()
+        for s in singles:
+            s.tick()
+        agree()
+        bank.add(3.0, 6)  # an add at the memo's timestamp
+        singles[6].add(3.0)
+        agree()
+        bank.tick()  # a tick with no add
+        for s in singles:
+            s.tick()
+        agree()
+        bank.restore(9, np.arange(8.0))  # a restore
+        for j, s in enumerate(singles):
+            s.restore(9, [float(j)])
+        agree()
+        bank.restore(9, np.arange(8.0) * 2)  # a restore to the memo's timestamp
+        for j, s in enumerate(singles):
+            s.restore(9, [2.0 * j])
+        agree()
+
+    def test_shared_clock_tick_clears_the_memo(self):
+        clock = Clock(16)
+        bank = self.bank(clock)
+        clock.tick()
+        bank.add(1.0, 0)
+        at_one = bank.current()
+        clock.tick()
+        assert bank.current() is not at_one
+        assert bank.current().tolist() != at_one.tolist()  # new node noise
+        assert bank.lane_current(0) == bank.current()[0]
+
+    def test_sketch_outputs_follow_observe(self):
+        cfg = L2Config(epsilon=1.0, eta=0.2, xi=0.1, n=64, T=8, copies=2, buckets=4)
+        est = L2Estimator(cfg, NoiseContext(1, noise_off=True))
+        est.feed(element(3))
+        before = est.copies[1].outputs().tolist()
+        est.copies[1].observe(element(3))  # a second credit at the same t
+        after = est.copies[1].outputs().tolist()
+        bucket, sign = est.copies[1]._route(3)
+        assert after[bucket] == before[bucket] + sign
+        assert est.copies[1].f2().value == float(np.dot(after, after))
+
+
+class TestLaneReadMemory:
+    def test_point_query_keeps_state_for_its_lane_only(self):
+        # heavy-hitter substream sketches: k = 8 buckets, T = 8192, many
+        # sketches on one clock, each read by one point query; a bank that
+        # kept per-level state for all its lanes took about 4.3 KB a sketch
+        count, k, T = 2000, 8, 8192
+        clock = Clock(T)
+        for _ in range(T - 1):
+            clock.tick()
+        ctx = NoiseContext(3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sketches = []
+            for i in range(count):
+                sketch = CountSketchState(k, T, 0.5, ctx, key=("sub", i), clock=clock)
+                sketch.observe(element(i))
+                sketch.point_query(i)
+                sketches.append(sketch)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / count < 3500
+
+
+class TestHHSharedClock:
+    def test_reports_equal_per_copy_clocks(self):
+        T, seed = 256, 4
+        cfg = HHConfig(p=2.0, k=2, eta=0.2, epsilon=8.0, xi=0.1, T=T, n=32, copies=3)
+        est = HHEstimator(cfg, NoiseContext(seed))
+        refs = [
+            HHSketch(cfg, NoiseContext(seed).child("hh-copy", c), est.epsilon_tree, key=(c,))
+            for c in range(3)
+        ]
+        stream = generate_stream("zipf", StreamConfig(T=T, n=32), seed=seed, s=1.5)
+        reported = 0
+        for e in stream:
+            got = est.feed(e)
+            want = est._combine([r.feed(e) for r in refs])
+            assert got == want
+            assert est.report() == want
+            reported += len(got)
+        assert reported > 0  # the comparison covers non-empty reports
+        assert [s.t for s in est.copies] == [T] * 3
+        with pytest.raises(StateError):
+            est.feed(EMPTY_EVENT)
+
+
+class TestSnapshot:
+    def test_noisy_snapshot_point_queries_equal_the_live_estimator(self, tmp_path):
+        T, n = 128, 32
+        stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=8, s=1.2)
+        path = tmp_path / "stream.txt"
+        write_stream_file(path, stream, StreamConfig(T=T, n=n))
+        snap = tmp_path / "sketch.dpcs"
+        code = main(
+            ["f2", "--epsilon", "1", "--T", str(T), "--n", str(n), "--copies", "3",
+             "--buckets", "16", "--seed", "8", "--input", str(path),
+             "--output", str(tmp_path / "f2.csv"), "--snapshot-out", str(snap)]
+        )
+        assert code == 0
+        blob = snap.read_bytes()
+        assert blob[:5] == SNAPSHOT_MAGIC and blob[5:7] == SNAPSHOT_VERSION.to_bytes(2, "little")
+        assert SNAPSHOT_VERSION == 2
+        params = command_params("f2", epsilon=1.0, T=T, n=n, copies=3, buckets=16)
+        live, _ = drive("f2", params, stream, NoiseContext(8))
+        loaded = _snapshot_load(str(snap))
+        for live_copy, copy in zip(live.est.copies, loaded):
+            assert copy.outputs().tolist() == live_copy.outputs().tolist()
+        for ident in range(n):
+            got = median_boost([s.point_query(ident) for s in loaded])
+            assert got == live.est.point_query(ident)

@@ -150,7 +150,7 @@ class TestTreeMechanism:
 
     def test_bank_lanes_equal_single_counters(self):
         T, lanes = 100, [3, 9, 27]
-        bank = BinaryTreeMechanism(T, 1.0, NoiseContext(8), key=("b",), lanes=lanes)
+        bank = BinaryTreeMechanism(T, 1.0, NoiseContext(8), lanes=[(8, ("tree", "b"), lanes)])
         singles = [
             BinaryTreeMechanism(T, 1.0, NoiseContext(8), key=("b", lane)) for lane in lanes
         ]
