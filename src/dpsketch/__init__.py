@@ -32,14 +32,7 @@ from .randomness import (
     SignHash,
     median_boost,
 )
-from .sliding import (
-    ShiftedEstimate,
-    SlidingBudget,
-    SmoothHistogram,
-    SmoothnessParams,
-    shift_to_relative,
-    window_estimator,
-)
+from .sliding import SlidingBudget, SmoothHistogram, SmoothnessParams, window_estimator
 from .streams import (
     EMPTY_EVENT,
     FrequencyTable,

@@ -1,12 +1,15 @@
-"""Privacy budget ledger for composed sub-mechanisms.
+"""Privacy budget ledger and the boosting recipe every boosted estimator shares.
 
 Shares are stored as exact fractions of the top-level budget so that the
 recorded total of s sub-mechanisms at eps/s each is exactly eps, with no
-floating-point drift.
+floating-point drift.  A boosted estimator runs independent copies side by
+side and takes a per-timestamp median (the median trick); each copy gets an
+equal share of epsilon and xi, which add up under basic composition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +22,8 @@ class BudgetEntry:
 
 
 class MechanismBudget:
-    """Tracks how a top-level (epsilon, xi) budget splits across sub-mechanisms."""
+    """Tracks how a top-level (epsilon, xi) budget splits across sub-mechanisms.
+    Running totals keep each allocation O(1)."""
 
     def __init__(self, total_epsilon: float, total_xi: float = 0.0) -> None:
         if total_epsilon < 0:
@@ -27,6 +31,8 @@ class MechanismBudget:
         self.total_epsilon = float(total_epsilon)
         self.total_xi = float(total_xi)
         self._entries: dict[str, BudgetEntry] = {}
+        self.epsilon_fraction_allocated = Fraction(0)
+        self.xi_fraction_allocated = Fraction(0)
 
     def allocate(
         self,
@@ -40,25 +46,21 @@ class MechanismBudget:
         xi_frac = Fraction(xi_fraction)
         if eps_frac < 0 or xi_frac < 0:
             raise ValueError("shares must be non-negative")
-        if self.epsilon_fraction_allocated + eps_frac > 1:
+        eps_total = self.epsilon_fraction_allocated + eps_frac
+        xi_total = self.xi_fraction_allocated + xi_frac
+        if eps_total > 1:
             raise ValueError(f"epsilon budget exceeded allocating {name!r}")
-        if self.xi_fraction_allocated + xi_frac > 1:
+        if xi_total > 1:
             raise ValueError(f"xi budget exceeded allocating {name!r}")
         entry = BudgetEntry(name, eps_frac, xi_frac)
         self._entries[name] = entry
+        self.epsilon_fraction_allocated = eps_total
+        self.xi_fraction_allocated = xi_total
         return entry
 
     @property
     def entries(self) -> list[BudgetEntry]:
         return list(self._entries.values())
-
-    @property
-    def epsilon_fraction_allocated(self) -> Fraction:
-        return sum((e.epsilon_fraction for e in self._entries.values()), Fraction(0))
-
-    @property
-    def xi_fraction_allocated(self) -> Fraction:
-        return sum((e.xi_fraction for e in self._entries.values()), Fraction(0))
 
     def epsilon_of(self, name: str) -> float:
         return self.total_epsilon * float(self._entries[name].epsilon_fraction)
@@ -67,3 +69,31 @@ class MechanismBudget:
     def epsilon_allocated(self) -> float:
         """Exactly total_epsilon when the fractions sum to 1."""
         return self.total_epsilon * float(self.epsilon_fraction_allocated)
+
+
+def copy_count(copies: int | None, T: int, xi: float, n: int = 1, c: int = 2) -> int:
+    """``copies``, or by default the median trick's ceil(50 (ln(c T / xi) + ln n)),
+    a union bound over c*T*n events at total failure probability xi."""
+    if copies is not None:
+        return copies
+    return math.ceil(50 * (math.log(c * T / xi) + math.log(n)))
+
+
+def equal_shares(epsilon: float, xi: float, copies: int) -> MechanismBudget:
+    """The ledger of ``copies`` boosted copies: "copy-c" gets 1/copies of both."""
+    budget = MechanismBudget(epsilon, xi)
+    share = Fraction(1, copies)
+    for c in range(copies):
+        budget.allocate(f"copy-{c}", share, share)
+    return budget
+
+
+def check_accuracy(eta: float, epsilon: float, xi: float | None = None) -> None:
+    """The shared config checks: eta in (0, 0.5), xi in (0, 0.5) when given,
+    and epsilon > 0."""
+    if not 0 < eta < 0.5:
+        raise ValueError(f"eta must be in (0, 0.5), got {eta}")
+    if xi is not None and not 0 < xi < 0.5:
+        raise ValueError(f"xi must be in (0, 0.5), got {xi}")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .budget import MechanismBudget
+from .budget import check_accuracy, copy_count, equal_shares
 from .randomness import NoiseContext, PolyHashFamily, SignHash, median_boost
 from .randomness import node_laplace  # noqa: F401  (traced by perfbench/run.py)
 from .streams import StreamEvent
@@ -24,11 +23,9 @@ from .summing import BinaryTreeMechanism, Clock
 
 @dataclass(frozen=True)
 class F2Estimate:
-    """Sum of squared bucket outputs with its target error split."""
+    """Sum of squared bucket outputs."""
 
     value: float
-    eta: float
-    additive: float
 
 
 def bucket_lanes(k: int, ctx: NoiseContext, key: tuple = ()) -> tuple:
@@ -117,10 +114,10 @@ class CountSketchState:
         bucket, sign = self._route(ident)
         return sign * self.bucket_output(bucket)
 
-    def f2(self, eta: float = 0.0, additive: float = 0.0) -> F2Estimate:
+    def f2(self) -> F2Estimate:
         """Sum of squared bucket outputs, from the bank's memoised full read."""
         out = self._bank.current()[self._lo : self._hi]
-        return F2Estimate(value=float(out @ out), eta=eta, additive=additive)
+        return F2Estimate(float(out @ out))
 
     def error_bound(self, xi: float) -> float:
         """Per-bucket additive noise bound, all t and buckets jointly w.p. 1-xi."""
@@ -142,16 +139,7 @@ class L2Config:
     buckets: int | None = None  # None: ceil(400 / eta^2)
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta < 0.5:
-            raise ValueError(f"eta must be in (0, 0.5), got {self.eta}")
-        if not 0 < self.xi < 0.5:
-            raise ValueError(f"xi must be in (0, 0.5), got {self.xi}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-
-
-def default_l2_copies(T: int, xi: float, n: int) -> int:
-    return math.ceil(50 * (math.log(2 * T / xi) + math.log(n)))
+        check_accuracy(self.eta, self.epsilon, self.xi)
 
 
 def default_l2_buckets(eta: float) -> int:
@@ -166,9 +154,7 @@ class L2Estimator:
 
     def __init__(self, cfg: L2Config, ctx: NoiseContext) -> None:
         self.cfg = cfg
-        copies = cfg.copies if cfg.copies is not None else default_l2_copies(
-            cfg.T, cfg.xi, cfg.n
-        )
+        copies = copy_count(cfg.copies, cfg.T, cfg.xi, cfg.n)
         k = cfg.buckets if cfg.buckets is not None else default_l2_buckets(cfg.eta)
         # one universe change moves +-1 between two buckets of one copy
         eps_bucket = cfg.epsilon / (2 * copies)
@@ -179,9 +165,7 @@ class L2Estimator:
             CountSketchState(k, cfg.T, eps_bucket, child, key=(c,), window=(self._bank, c))
             for c, child in enumerate(contexts)
         ]
-        self.budget = MechanismBudget(cfg.epsilon, cfg.xi)
-        for c in range(copies):
-            self.budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
+        self.budget = equal_shares(cfg.epsilon, cfg.xi, copies)
 
     def feed(self, e: StreamEvent) -> None:
         self._bank.tick()

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .budget import MechanismBudget
+from .budget import MechanismBudget, check_accuracy, copy_count, equal_shares
 from .randomness import (
     GeometricLevelHash,
     NoiseContext,
@@ -161,9 +160,6 @@ class SubsampledDistinct:
                 break
         return best
 
-    def level_estimates(self) -> list[float]:
-        return [c.current() for c in self.levels]
-
 
 class BoostedEstimator:
     """Independent copies combined per timestamp (lower median by default)."""
@@ -202,18 +198,9 @@ class DistinctConfig:
     copies: int | None = None  # None: ceil(50 ln(2T/xi)) per the boosting recipe
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta < 0.5:
-            raise ValueError(f"eta must be in (0, 0.5), got {self.eta}")
-        if not 0 < self.xi < 0.5:
-            raise ValueError(f"xi must be in (0, 0.5), got {self.xi}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        check_accuracy(self.eta, self.epsilon, self.xi)
         if self.variant not in (TREE, GROUP):
             raise ValueError(f"variant must be tree or group, got {self.variant!r}")
-
-
-def default_distinct_copies(T: int, xi: float) -> int:
-    return math.ceil(50 * math.log(2 * T / xi))
 
 
 def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimator:
@@ -224,7 +211,7 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
     change flips at most 5 indicator entries.  Parameter evaluation order:
     copies -> xi share -> (alpha, gamma) -> m.
     """
-    copies = cfg.copies if cfg.copies is not None else default_distinct_copies(cfg.T, cfg.xi)
+    copies = copy_count(cfg.copies, cfg.T, cfg.xi)
     eps_copy = cfg.epsilon / copies
     eps_sum = eps_copy / INDICATOR_SENSITIVITY
 
@@ -238,7 +225,6 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
     alpha, gamma = backend_guarantee(probe, xi_inner)
     params = subsample_params(cfg.n, cfg.T, cfg.eta, alpha, gamma)
 
-    budget = MechanismBudget(cfg.epsilon, cfg.xi)
     instances = []
     for c in range(copies):
         copy_ctx = ctx.child("distinct-copy", c)
@@ -249,5 +235,4 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
             )
 
         instances.append(SubsampledDistinct(params, copy_ctx, factory))
-        budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
-    return BoostedEstimator(instances, median_boost, budget)
+    return BoostedEstimator(instances, median_boost, equal_shares(cfg.epsilon, cfg.xi, copies))

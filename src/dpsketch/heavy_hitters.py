@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .budget import MechanismBudget
+from .budget import check_accuracy, copy_count, equal_shares
 from .randomness import NoiseContext, PolyHashFamily
 from .streams import StreamEvent
 from .summing import Clock
@@ -32,6 +31,9 @@ REEVAL_SUBSTREAM = "substream"
 # gamma1 = 4 * buckets * gamma2^2 / ETA_F2
 ETA_F2 = 0.1
 
+# the power C of the log in the recall threshold tau
+TAU_LOG_POWER = 3
+
 
 @dataclass(frozen=True)
 class HHConfig:
@@ -40,8 +42,7 @@ class HHConfig:
     ``gamma2_factor`` scales the bucket noise scale into the additive error
     gamma2 entered in the candidacy threshold; the theory's union-bound value
     drowns every signal at realistic stream lengths, so the factor is a
-    calibration knob (gamma2 is 0 with noise off).  ``C`` only enters the
-    reported recall threshold ``tau``.
+    calibration knob (gamma2 is 0 with noise off).
     """
 
     p: float
@@ -54,7 +55,6 @@ class HHConfig:
     copies: int | None = None  # None: ceil(50 (ln(2T/xi) + ln n))
     inner_buckets: int = 8
     gamma2_factor: float = 0.1
-    C: int = 3
     reeval: str = REEVAL_ALL
     m_override: int | None = None
 
@@ -63,10 +63,7 @@ class HHConfig:
             raise ValueError(f"p must be >= 0, got {self.p}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0 < self.eta < 0.5:
-            raise ValueError(f"eta must be in (0, 0.5), got {self.eta}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        check_accuracy(self.eta, self.epsilon)
         if self.reeval not in (REEVAL_ALL, REEVAL_SUBSTREAM):
             raise ValueError(f"unknown reeval policy {self.reeval!r}")
 
@@ -87,9 +84,7 @@ class HHConfig:
         return math.floor(((1 + self.eta) / (1 - self.eta)) ** self.p * self.k)
 
     def n_copies(self) -> int:
-        if self.copies is not None:
-            return self.copies
-        return math.ceil(50 * (math.log(2 * self.T / self.xi) + math.log(self.n)))
+        return copy_count(self.copies, self.T, self.xi, self.n)
 
 
 class HHSketch:
@@ -217,9 +212,7 @@ class HHEstimator:
             HHSketch(cfg, ctx.child("hh-copy", c), self.epsilon_tree, key=(c,), clock=self._clock)
             for c in range(copies)
         ]
-        self.budget = MechanismBudget(cfg.epsilon, cfg.xi)
-        for c in range(copies):
-            self.budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
+        self.budget = equal_shares(cfg.epsilon, cfg.xi, copies)
 
     def ingest(self, e: StreamEvent) -> None:
         self._clock.tick()
@@ -250,14 +243,15 @@ class HHEstimator:
     def tau(self) -> float:
         """Recall threshold: frequencies above it are reported w.h.p.
 
-        The larger of the theory form (1/(eps*eta)) * ln^C(Tkn/(xi*eta)) and
-        the candidacy floor 4*sqrt(gamma1/(phi k) + 512 gamma2^2/eta^2).
+        The larger of the theory form (1/(eps*eta)) * ln^C(Tkn/(xi*eta)),
+        C = ``TAU_LOG_POWER``, and the candidacy floor
+        4*sqrt(gamma1/(phi k) + 512 gamma2^2/eta^2).
         """
         cfg = self.cfg
         theory = (
             1.0
             / (cfg.epsilon * cfg.eta)
-            * math.log(cfg.T * cfg.k * cfg.n / (cfg.xi * cfg.eta)) ** cfg.C
+            * math.log(cfg.T * cfg.k * cfg.n / (cfg.xi * cfg.eta)) ** TAU_LOG_POWER
         )
         probe = self.copies[0]
         floor = 4.0 * math.sqrt(

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .budget import MechanismBudget
+from .budget import check_accuracy, copy_count, equal_shares
 from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
 from .randomness import (
     GeometricLevelHash,
@@ -176,18 +175,9 @@ class LowFreqConfig:
     copies: int | None = None  # None: ceil(50 ln(3T/xi))
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta < 0.5:
-            raise ValueError(f"eta must be in (0, 0.5), got {self.eta}")
-        if not 0 < self.xi < 0.5:
-            raise ValueError(f"xi must be in (0, 0.5), got {self.xi}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        check_accuracy(self.eta, self.epsilon, self.xi)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-
-
-def default_lowfreq_copies(T: int, xi: float) -> int:
-    return math.ceil(50 * math.log(3 * T / xi))
 
 
 def _median_vectors(vectors: Sequence[Sequence[float]]) -> list[float]:
@@ -225,13 +215,13 @@ def low_freq_block(
 def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator:
     """Boosted per-frequency count estimator with budget ledger: one
     :func:`low_freq_block` per copy at epsilon/copies."""
-    copies = cfg.copies if cfg.copies is not None else default_lowfreq_copies(cfg.T, cfg.xi)
+    copies = copy_count(cfg.copies, cfg.T, cfg.xi, c=3)
     eps_copy = cfg.epsilon / copies
     xi_dhat = cfg.xi / (3 * copies)
-    budget = MechanismBudget(cfg.epsilon, cfg.xi)
-    instances = []
-    for c in range(copies):
-        copy_ctx = ctx.child("lowfreq-copy", c)
-        instances.append(low_freq_block(cfg.n, cfg.k, cfg.T, cfg.eta, eps_copy, xi_dhat, copy_ctx))
-        budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
-    return BoostedEstimator(instances, _median_vectors, budget)
+    instances = [
+        low_freq_block(
+            cfg.n, cfg.k, cfg.T, cfg.eta, eps_copy, xi_dhat, ctx.child("lowfreq-copy", c)
+        )
+        for c in range(copies)
+    ]
+    return BoostedEstimator(instances, _median_vectors, equal_shares(cfg.epsilon, cfg.xi, copies))

@@ -11,10 +11,10 @@ from interval boundaries.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .budget import MechanismBudget
+from .budget import check_accuracy, copy_count, equal_shares
 from .heavy_hitters import REEVAL_SUBSTREAM, HHConfig, HHSketch
 from .low_freq import _HASH_RANGE_CAP, low_freq_block
 from .summing import Clock
@@ -76,15 +76,10 @@ class MomentConfig:
     def __post_init__(self) -> None:
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
-        if not 0 < self.eta < 0.5:
-            raise ValueError(f"eta must be in (0, 0.5), got {self.eta}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        check_accuracy(self.eta, self.epsilon)
 
     def n_copies(self) -> int:
-        if self.copies is not None:
-            return self.copies
-        return math.ceil(50 * math.log(3 * self.T / self.xi))
+        return copy_count(self.copies, self.T, self.xi, c=3)
 
 
 @dataclass(frozen=True)
@@ -100,6 +95,7 @@ class LevelSetShape:
     lam: int
     B: float
     qualify_floor: float  # 8*lam/eta^2
+    boundaries: tuple[float, ...]  # beta(1+eta)^q for q = q1 .. max(q1, q2+1)
 
 
 def _geometric_boundary(beta: float, eta: float, q: int) -> float:
@@ -135,28 +131,23 @@ def build_shape(cfg: MomentConfig, beta: float, tau: float) -> LevelSetShape:
         lam=lam,
         B=B,
         qualify_floor=8 * lam / eta**2,
+        boundaries=tuple(
+            _geometric_boundary(beta, eta, q) for q in range(q1, max(q1, q2 + 1) + 1)
+        ),
     )
 
 
-def interval_index(shape: LevelSetShape, eta: float, f_hat: float):
+def interval_index(shape: LevelSetShape, f_hat: float):
     """The q with f_hat in (beta(1+eta)^q, beta(1+eta)^(q+1)], or below/above."""
     if f_hat < 0:
         raise ValueError(f"frequency estimate must be >= 0, got {f_hat}")
-    beta = shape.beta
-    if f_hat <= _geometric_boundary(beta, eta, shape.q1):
+    # the number of boundaries below f_hat
+    i = bisect_left(shape.boundaries, f_hat)
+    if i == 0:
         return BELOW
-    if f_hat > _geometric_boundary(beta, eta, shape.q2 + 1):
+    if i == len(shape.boundaries):
         return ABOVE
-    q = math.floor(math.log(f_hat / beta) / math.log1p(eta))
-    while _geometric_boundary(beta, eta, q) >= f_hat:
-        q -= 1
-    while _geometric_boundary(beta, eta, q + 1) < f_hat:
-        q += 1
-    if q < shape.q1:
-        return BELOW
-    if q > shape.q2:
-        return ABOVE
-    return q
+    return shape.q1 + i - 1
 
 
 def contributing_intervals(
@@ -233,11 +224,8 @@ class MomentState:
             cfg.xi / (3 * cfg.n_copies()), ctx.child("moment-lf"),
         )
         # the weights current() applies every tick: boundary^p per interval
-        # and l^p per low frequency
-        self._interval_weights = {
-            q: _geometric_boundary(shape.beta, cfg.eta, q) ** cfg.p
-            for q in range(shape.q1, shape.q2 + 1)
-        }
+        # q = q1 .. q2 and l^p per low frequency
+        self._interval_weights = [b**cfg.p for b in shape.boundaries[:-1]]
         self._low_freq_weights = [l**cfg.p for l in range(1, shape.k + 1)]
         self._level_cache: dict[int, int | None] = {}
 
@@ -264,25 +252,24 @@ class MomentState:
 
     def current(self) -> float:
         cfg, shape = self.cfg, self.shape
-        eta = cfg.eta
-        # interval populations from per-level reports
-        z_hat: dict[int, float] = {q: 0.0 for q in range(shape.q1, shape.q2 + 1)}
+        q1 = shape.q1
+        # interval populations from per-level reports, q = q1 .. q2
+        z_hat = [0.0] * len(self._interval_weights)
         for i, sketch in enumerate(self.hh):
             counts: dict[int, int] = {}
             for f_hat in sketch.report().values():
                 # noisy estimates can dip below zero; those sit below every
                 # interval
-                q = interval_index(shape, eta, max(0.0, f_hat))
+                q = interval_index(shape, max(0.0, f_hat))
                 if isinstance(q, int):
                     counts[q] = counts.get(q, 0) + 1
             for q, cnt in counts.items():
                 if i == 0 or cnt >= shape.qualify_floor:
-                    z_hat[q] = max(z_hat[q], cnt * 2.0**i)
+                    z_hat[q - q1] = max(z_hat[q - q1], cnt * 2.0**i)
         total = 0.0
-        weights = self._interval_weights
-        for q, z in z_hat.items():
+        for z, w in zip(z_hat, self._interval_weights):
             if z:
-                total += z * weights[q]
+                total += z * w
         clamp = cfg.clamp_low_freq
         for s_hat, w in zip(self.low_freq.current(), self._low_freq_weights):
             # the clamp max(0, s) * w would add exactly 0.0 where s > 0 fails
@@ -296,9 +283,5 @@ def moment_estimator(cfg: MomentConfig, ctx: NoiseContext) -> BoostedEstimator:
     units (level-stream tuple worth 3, low-frequency block worth 1)."""
     copies = cfg.n_copies()
     eps_unit = cfg.epsilon / (4 * copies)
-    budget = MechanismBudget(cfg.epsilon, cfg.xi)
-    instances = []
-    for c in range(copies):
-        instances.append(MomentState(cfg, ctx.child("moment-copy", c), eps_unit))
-        budget.allocate(f"copy-{c}", Fraction(1, copies), Fraction(1, copies))
-    return BoostedEstimator(instances, median_boost, budget)
+    instances = [MomentState(cfg, ctx.child("moment-copy", c), eps_unit) for c in range(copies)]
+    return BoostedEstimator(instances, median_boost, equal_shares(cfg.epsilon, cfg.xi, copies))

@@ -79,11 +79,8 @@ def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
 
 # A 64-bit word z becomes the uniform ((z >> 11) or 1) / 2^53: its top 53 bits
 # on the grid {1, ..., 2^53 - 1} / 2^53, with 0 taken as 1 so the inverse CDF
-# never meets u = 0, where log1p(-1) has no value.
-
-
-def _uniforms(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z >> _U11, np.uint64(1)).astype(np.float64) * 2.0**-53
+# never meets u = 0, where log1p(-1) has no value.  Both Laplace draws,
+# node_laplace and NoiseContext.laplace, map their words this way.
 
 
 def node_laplace(base, a: int, b: int, scale: float):
@@ -133,31 +130,19 @@ class NoiseContext:
         # own output sequence, started from a keyed state
         self._stream = _mix64(self.master_seed ^ _STREAM)
 
-    def laplace(self, scale: float, size: int | None = None):
-        """Sequential Laplace draw(s) of the given scale; 0 when noise is off.
-
-        ``size=n`` reads the next n draws of the stream, the values of n
-        scalar calls up to the last bit of the log.
-        """
+    def laplace(self, scale: float) -> float:
+        """Next sequential Laplace draw of the given scale; 0 when noise is off."""
         if not (scale > 0 and math.isfinite(scale)):
             raise ValueError(f"scale must be positive and finite, got {scale}")
-        if size is None:
-            i = self.draw_counter = self.draw_counter + 1
-            if self.noise_off:
-                return 0.0
-            # _mix64 and the inverse CDF, inlined: this is a hot path
-            z = (self._stream + i * _GOLDEN) & _MASK64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            q = (((z ^ (z >> 31)) >> 11) or 1) * 2.0**-53 - 0.5
-            return -scale * math.copysign(1.0, q) * math.log1p(-2.0 * abs(q))
-        first = self.draw_counter + 1
-        self.draw_counter += size
+        i = self.draw_counter = self.draw_counter + 1
         if self.noise_off:
-            return np.zeros(size)
-        counters = np.arange(first, first + size, dtype=np.uint64)
-        q = _uniforms(_mix64_array(np.uint64(self._stream) + counters * np.uint64(_GOLDEN))) - 0.5
-        return -scale * np.copysign(1.0, q) * np.log1p(-2.0 * np.abs(q))
+            return 0.0
+        # _mix64 and the inverse CDF, inlined: this is a hot path
+        z = (self._stream + i * _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        q = (((z ^ (z >> 31)) >> 11) or 1) * 2.0**-53 - 0.5
+        return -scale * math.copysign(1.0, q) * math.log1p(-2.0 * abs(q))
 
     def uniform(self) -> float:
         """Next draw of the sequential stream as a uniform on [0, 1)."""

@@ -41,18 +41,6 @@ class SmoothnessParams:
         return cls(zeta=eta, beta=eta)
 
 
-@dataclass(frozen=True)
-class ShiftedEstimate:
-    """Raw estimate with the additive shift that turned its guarantee relative."""
-
-    raw: float
-    shift: float
-
-    @property
-    def value(self) -> float:
-        return self.raw + self.shift
-
-
 def relative_shift(alpha: float, gamma: float) -> float:
     """Smallest shift making an (alpha, gamma) guarantee purely relative."""
     if alpha <= 1.0:
@@ -60,11 +48,6 @@ def relative_shift(alpha: float, gamma: float) -> float:
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return alpha * gamma / (alpha - 1.0)
-
-
-def shift_to_relative(raw: float, alpha: float, gamma: float) -> ShiftedEstimate:
-    """Shift an (alpha, gamma)-approximate value so raw+Z alpha-approximates g+Z."""
-    return ShiftedEstimate(raw=raw, shift=relative_shift(alpha, gamma))
 
 
 @dataclass

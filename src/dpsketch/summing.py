@@ -74,14 +74,12 @@ class BinaryTreeMechanism:
     ``key + (ids[i],)`` under copy c's own seed.  A full read refills each
     stale level for all lanes with one array draw and is memoised, read-only,
     for its timestamp until an ``add`` or ``restore``.  A lane read uses the
-    memo or a current row, else the lane's own record of base, node and draw
-    per level, built at its first lane read (Python lists: numpy indexing per
-    element slowed point-query-heavy workloads by about 5%).  Array and
-    scalar draws are bit for bit equal, and both reads add noise from the
-    highest level down.
+    memo when it is current, else the lane's own record of base, node and
+    draw per level, built at its first lane read (Python lists: numpy
+    indexing per element slowed point-query-heavy workloads by about 5%).
+    Array and scalar draws are bit for bit equal, so a record's draw is the
+    row's, and both reads add noise from the highest level down.
     """
-
-    _NO_ROWS = (-1,) * 64  # the row nodes before the first full read
 
     def __init__(
         self,
@@ -106,8 +104,7 @@ class BinaryTreeMechanism:
         self._width = 1 if ids is None else len(ids)
         self.k = len(self._lanes) * self._width
         self._running = np.zeros(self.k)
-        self._row_node = self._NO_ROWS
-        self._rows = self._row_bases = self._memo = self._lane_records = None
+        self._rows = self._row_node = self._row_bases = self._memo = self._lane_records = None
         self._memo_t = 0
 
     @property
@@ -184,11 +181,7 @@ class BinaryTreeMechanism:
                 fold_key(seed, key), [-1] * self.levels, [0.0] * self.levels
             )
         base, lane_node, draw = record
-        row_node = self._row_node
         for level, node in self._clock.nodes():
-            if row_node[level] == node:
-                total += float(self._rows[level, j])
-                continue
             if lane_node[level] != node:
                 draw[level] = node_laplace(base, level, node, self.noise_scale)
                 lane_node[level] = node

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from dpsketch.budget import copy_count
 from dpsketch.countsketch import (
     CountSketchState,
     L2Config,
     L2Estimator,
     default_l2_buckets,
-    default_l2_copies,
 )
 from dpsketch.experiment import _bucket_mapping
 from dpsketch.randomness import NoiseContext
@@ -165,7 +165,7 @@ class TestCountSketchState:
 class TestL2Estimator:
     def test_default_copies_formula(self):
         # ceil(50 (ln(2*1024/0.1) + 16 ln 2)) = 1051
-        assert default_l2_copies(1024, 0.1, 1 << 16) == 1051
+        assert copy_count(None, 1024, 0.1, 1 << 16) == 1051
 
     def test_default_buckets(self):
         assert default_l2_buckets(0.2) == 10_000

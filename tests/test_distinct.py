@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dpsketch.budget import copy_count
 from dpsketch.distinct import (
     GROUP,
     TREE,
@@ -10,7 +11,6 @@ from dpsketch.distinct import (
     SmallUniverseDistinct,
     SubsampleParams,
     SubsampledDistinct,
-    default_distinct_copies,
     distinct_estimator,
     make_summing_backend,
     subsample_params,
@@ -157,7 +157,7 @@ class TestSubsampled:
             if out:
                 assert any(
                     out == s * 2**i
-                    for i, s in enumerate(sub.level_estimates(), start=1)
+                    for i, s in enumerate([c.current() for c in sub.levels], start=1)
                 )
 
 
@@ -208,7 +208,7 @@ class TestBoostedSubsampledEnvelope:
 class TestDistinctEstimator:
     def test_default_copy_count(self):
         # ceil(50 ln(2*1024/0.05)) = 532
-        assert default_distinct_copies(1024, 0.05) == 532
+        assert copy_count(None, 1024, 0.05) == 532
 
     def test_budget_ledger_sums_exactly(self):
         cfg = DistinctConfig(

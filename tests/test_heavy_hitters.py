@@ -4,6 +4,7 @@ import pytest
 
 from dpsketch.heavy_hitters import (
     REEVAL_SUBSTREAM,
+    TAU_LOG_POWER,
     HHConfig,
     HHEstimator,
     HHSketch,
@@ -176,7 +177,7 @@ class TestNoisySketch:
         est = HHEstimator(cfg, NoiseContext(0))
         theory = (1 / (cfg.epsilon * cfg.eta)) * math.log(
             cfg.T * cfg.k * cfg.n / (cfg.xi * cfg.eta)
-        ) ** cfg.C
+        ) ** TAU_LOG_POWER
         assert est.tau >= theory
 
 

@@ -1,11 +1,11 @@
 import pytest
 
+from dpsketch.budget import copy_count
 from dpsketch.low_freq import (
     LowFreqConfig,
     LowFreqGeneral,
     LowFreqSmall,
     SubsampleLowFreqParams,
-    default_lowfreq_copies,
     lowfreq_estimator,
     subsample_lowfreq_params,
 )
@@ -170,7 +170,7 @@ class TestLowFreqGeneral:
 class TestLowFreqEstimator:
     def test_default_copies(self):
         # ceil(50 ln(3*1024/0.1)) = 517
-        assert default_lowfreq_copies(1024, 0.1) == 517
+        assert copy_count(None, 1024, 0.1, c=3) == 517
 
     def test_ledger_total(self):
         cfg = LowFreqConfig(epsilon=1.0, eta=0.25, xi=0.1, k=2, n=64, T=32, copies=4)

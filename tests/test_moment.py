@@ -90,30 +90,66 @@ class TestIntervalIndex:
     def test_interior_point(self):
         q = self.shape.q1 + 3
         f = _geometric_boundary(0.75, self.eta, q) * (1 + self.eta / 2)
-        assert interval_index(self.shape, self.eta, f) == q
+        assert interval_index(self.shape, f) == q
 
     def test_right_endpoint_belongs(self):
         q = self.shape.q1 + 2
         f = _geometric_boundary(0.75, self.eta, q + 1)
-        assert interval_index(self.shape, self.eta, f) == q
+        assert interval_index(self.shape, f) == q
 
     def test_below_and_above(self):
-        assert interval_index(self.shape, self.eta, 0.0) == BELOW
-        assert interval_index(self.shape, self.eta, 1.0) == BELOW
-        assert interval_index(self.shape, self.eta, 2.0**40) == ABOVE
+        assert interval_index(self.shape, 0.0) == BELOW
+        assert interval_index(self.shape, 1.0) == BELOW
+        assert interval_index(self.shape, 2.0**40) == ABOVE
 
     def test_monotone_sweep(self):
         rng = np.random.default_rng(0)
         values = np.sort(rng.uniform(0, 2**13, size=10_000))
         prev = -(10**9)
         for v in values:
-            q = interval_index(self.shape, self.eta, float(v))
+            q = interval_index(self.shape, float(v))
             if q == BELOW:
                 q = self.shape.q1 - 1
             elif q == ABOVE:
                 q = self.shape.q2 + 1
             assert q >= prev
             prev = q
+
+    @pytest.mark.parametrize("eta", [0.1, 0.25, 0.45])
+    @pytest.mark.parametrize(
+        "T, beta, tau", [(2**12, 0.75, 8.0), (2**20, 0.613, 64.0), (8, 0.5, 64.0)]
+    )
+    def test_bisection_equals_the_loop(self, eta, T, beta, tau):
+        # (8, 0.5, 64) has q2 < q1 - 1: no interval, everything below or above
+        shape = build_shape(moment_cfg(T=T, eta=eta), beta=beta, tau=tau)
+        edges = [_geometric_boundary(beta, eta, q) for q in range(shape.q1 - 2, shape.q2 + 4)]
+        points = [0.0, math.inf]
+        for b in edges:
+            points += [math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)]
+        rng = np.random.default_rng(11)
+        points += np.exp(rng.uniform(math.log(0.05), math.log(4.0 * T), size=10_000)).tolist()
+        for f in points:
+            assert interval_index(shape, f) == _loop_interval_index(shape, eta, f), f
+
+
+def _loop_interval_index(shape, eta, f_hat):
+    """interval_index as it was computed before the boundaries were stored: a
+    log, then exact fix-up steps."""
+    beta = shape.beta
+    if f_hat <= _geometric_boundary(beta, eta, shape.q1):
+        return BELOW
+    if f_hat > _geometric_boundary(beta, eta, shape.q2 + 1):
+        return ABOVE
+    q = math.floor(math.log(f_hat / beta) / math.log1p(eta))
+    while _geometric_boundary(beta, eta, q) >= f_hat:
+        q -= 1
+    while _geometric_boundary(beta, eta, q + 1) < f_hat:
+        q += 1
+    if q < shape.q1:
+        return BELOW
+    if q > shape.q2:
+        return ABOVE
+    return q
 
 
 class TestContributing:
@@ -218,7 +254,7 @@ def _reference_current(state):
         ranked = sorted(sketch.candidates.items(), key=lambda kv: (-kv[1], kv[0]))
         counts = {}
         for f_hat in dict(ranked[: sketch.cfg.report_cap]).values():
-            q = interval_index(shape, eta, max(0.0, f_hat))
+            q = interval_index(shape, max(0.0, f_hat))
             if isinstance(q, int):
                 counts[q] = counts.get(q, 0) + 1
         for q, cnt in counts.items():

@@ -48,13 +48,13 @@ class TestLaplace:
 
     def test_mean_near_zero(self):
         ctx = NoiseContext(7)
-        draws = ctx.laplace(1.0, size=1_000_000)
+        draws = np.array([ctx.laplace(1.0) for _ in range(1_000_000)])
         assert abs(draws.mean()) < 0.01
 
     def test_variance_matches(self):
         # Var(Lap(b)) = 2 b^2
         ctx = NoiseContext(8)
-        draws = ctx.laplace(2.0, size=1_000_000)
+        draws = np.array([ctx.laplace(2.0) for _ in range(1_000_000)])
         assert abs(draws.var() - 8.0) <= 0.05 * 8.0
 
     def test_bad_scale(self):
@@ -67,8 +67,7 @@ class TestLaplace:
     def test_draw_counter_advances(self):
         ctx = NoiseContext(1)
         ctx.laplace(1.0)
-        ctx.laplace(1.0, size=10)
-        assert ctx.draw_counter == 11
+        assert ctx.draw_counter == 1
 
 
 class TestPolyHash:
@@ -192,31 +191,16 @@ class TestLaplaceDistribution:
         draws = [ctx.laplace(1.5) for _ in range(20_000)]
         assert _ks_laplace(draws, 1.5) <= _ks_bound(len(draws))
 
-    def test_array_draws_ks(self):
-        draws = NoiseContext(2025).laplace(0.7, size=200_000)
-        assert _ks_laplace(draws, 0.7) <= _ks_bound(draws.size)
-
     def test_node_draws_ks(self):
         # one node under many lane bases, as a tree-counter bank draws a level
         bases = fold_lanes(fold_key(11, ("tree", "ks")), np.arange(100_000, dtype=np.uint64))
         draws = node_laplace(bases, 3, 5, 2.5)
         assert _ks_laplace(draws, 2.5) <= _ks_bound(draws.size)
 
-    def test_size_n_reads_the_scalar_stream(self):
-        a, b = NoiseContext(31), NoiseContext(31)
-        scalar = [a.laplace(3.0) for _ in range(3)]
-        bulk = b.laplace(3.0, size=3)
-        assert a.draw_counter == b.draw_counter == 3
-        scalar += [a.laplace(3.0) for _ in range(5_000)]
-        bulk = np.concatenate([bulk, b.laplace(3.0, size=4_999), [b.laplace(3.0)]])
-        assert a.draw_counter == b.draw_counter == 5_003
-        np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=0)
-
     def test_noise_off_still_advances_the_counter(self):
         ctx = NoiseContext(4, noise_off=True)
         assert ctx.laplace(1.0) == 0.0
-        assert not np.any(ctx.laplace(1.0, size=7))
-        assert ctx.draw_counter == 8
+        assert ctx.draw_counter == 1
 
     def test_uniform_shares_the_stream(self):
         a, b = NoiseContext(12), NoiseContext(12)
@@ -292,7 +276,7 @@ class TestKeyedDerivation:
             monkeypatch.setattr(np.random, name, refuse)
         ctx = NoiseContext(5)
         child = ctx.child("sliding", 3)
-        draws = [child.laplace(1.0), child.uniform(), *child.laplace(1.0, size=4)]
+        draws = [child.laplace(1.0), child.uniform()]
         assert all(math.isfinite(x) for x in draws)
         assert 0 <= PolyHashFamily(4, 10, 3)(12345) < 10
         assert SignHash(8)(1) in (-1, 1)

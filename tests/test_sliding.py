@@ -7,7 +7,6 @@ from dpsketch.sliding import (
     SmoothnessParams,
     default_max_live,
     relative_shift,
-    shift_to_relative,
     window_estimator,
 )
 from dpsketch.streams import (
@@ -51,13 +50,13 @@ class TestSmoothnessParams:
 
 class TestShift:
     def test_boundary_case(self):
-        est = shift_to_relative(0.0, alpha=2.0, gamma=5.0)
-        assert est.shift == 10.0
+        shift = relative_shift(2.0, 5.0)
+        assert shift == 10.0
         # worst-case pair g=10, g'=0: shifted ratio is exactly alpha
-        assert (10.0 + est.shift) / (0.0 + est.shift) == 2.0
+        assert (10.0 + shift) / (0.0 + shift) == 2.0
 
     def test_gamma_zero_identity(self):
-        assert shift_to_relative(3.0, alpha=1.5, gamma=0.0).shift == 0.0
+        assert relative_shift(1.5, 0.0) == 0.0
 
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dpsketch.budget import MechanismBudget
+from dpsketch.budget import BudgetEntry, MechanismBudget, copy_count, equal_shares
+from dpsketch.heavy_hitters import HHConfig
+from dpsketch.moment import MomentConfig
 from dpsketch.randomness import NoiseContext
 from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism, StateError
 
@@ -267,3 +270,44 @@ class TestBudget:
         b = MechanismBudget(2.0)
         b.allocate("half", Fraction(1, 2))
         assert b.epsilon_of("half") == 1.0
+
+    def test_equal_shares_build_in_linear_time(self, monkeypatch):
+        # running totals make an allocation O(1); re-summing every entry on
+        # each allocation made about 40,000 additions for 200 copies
+        add = Fraction.__add__
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return add(a, b)
+
+        monkeypatch.setattr(Fraction, "__add__", counting)
+        budget = equal_shares(1.0, 0.1, 200)
+        monkeypatch.undo()
+        assert calls <= 2_000
+        assert budget.epsilon_fraction_allocated == budget.xi_fraction_allocated == 1
+        assert budget.entries[7] == BudgetEntry("copy-7", Fraction(1, 200), Fraction(1, 200))
+        with pytest.raises(ValueError):
+            budget.allocate("copy-7", 0)
+        with pytest.raises(ValueError):
+            budget.allocate("extra", Fraction(1, 10**9))
+
+    def test_copy_count_equals_the_five_formulas(self):
+        # the default copy counts the five boosted estimators computed, each
+        # with its own formula, before they shared one
+        for T in (1, 1024, 2**20):
+            for xi in (0.01, 0.1, 0.49):
+                for n in (1, 2**16):
+                    l2 = math.ceil(50 * (math.log(2 * T / xi) + math.log(n)))
+                    hh = math.ceil(50 * (math.log(2 * T / xi) + math.log(n)))
+                    distinct = math.ceil(50 * math.log(2 * T / xi))
+                    lowfreq = math.ceil(50 * math.log(3 * T / xi))
+                    moment = math.ceil(50 * math.log(3 * T / xi))
+                    assert copy_count(None, T, xi, n) == l2
+                    assert HHConfig(p=2, k=1, eta=0.2, epsilon=1, xi=xi, T=T, n=n).n_copies() == hh
+                    assert copy_count(None, T, xi) == distinct
+                    assert copy_count(None, T, xi, c=3) == lowfreq
+                    cfg = MomentConfig(p=2, epsilon=1, eta=0.2, xi=xi, T=T, n=n)
+                    assert cfg.n_copies() == moment
+                    assert copy_count(7, T, xi, n) == 7
