@@ -27,7 +27,6 @@ from .distinct import (
     TREE,
     DistinctConfig,
     SmallUniverseDistinct,
-    backend_guarantee,
     distinct_estimator,
     make_summing_backend,
 )
@@ -143,10 +142,10 @@ def _build_sliding(a, ctx):
     """Smooth histogram over single-copy instances of the --stat subcommand,
     each built at its per-instance epsilon over the remaining horizon.
 
-    The shift's additive error gamma is the one of the summing backend an
-    instance runs (sum, and distinct over a small universe at epsilon/5),
-    taken at the per-instance epsilon over the full horizon.  The other stats
-    take gamma from a unit-epsilon grouping probe."""
+    The shift takes its (alpha, gamma) from the summing backend an instance
+    runs (sum, and distinct over a small universe at epsilon/5), taken at the
+    per-instance epsilon over the full horizon.  The other stats take them
+    from a unit-epsilon grouping probe."""
     inner = STREAMING[a.stat]
     shared = dict(eta=a.eta, xi=a.xi, n=a.n, p=a.p, tau=a.tau, copies=1)
     smoothness = SmoothnessParams.for_moment(inner.p(a), a.eta)
@@ -175,8 +174,8 @@ def _build_sliding(a, ctx):
         a.W,
         a.T,
         a.epsilon,
-        inner_alpha=1.0 + a.eta,
-        inner_gamma=backend_guarantee(backend, a.xi)[1],
+        inner_alpha=backend.alpha,
+        inner_gamma=backend.error_bound(a.xi),
     )
     return hist
 

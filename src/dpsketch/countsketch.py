@@ -120,12 +120,11 @@ class CountSketchState:
         return F2Estimate(float(out @ out))
 
     def error_bound(self, xi: float) -> float:
-        """Per-bucket additive noise bound, all t and buckets jointly w.p. 1-xi."""
+        """Per-bucket additive noise bound, all t and buckets jointly w.p. 1-xi:
+        the bank's bound at xi/k, a union bound over the k buckets."""
         if not 0 < xi < 1:
             raise ValueError(f"xi must be in (0, 1), got {xi}")
-        if self._ctx.noise_off:
-            return 0.0
-        return self._bank.levels * self._bank.noise_scale * math.log(2 * self.T * self.k / xi)
+        return self._bank.error_bound(xi / self.k)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,11 @@ from typing import Callable, Sequence
 
 from .budget import MechanismBudget, check_accuracy, copy_count, equal_shares
 from .randomness import (
-    GeometricLevelHash,
+    LevelRouter,
     NoiseContext,
-    PolyHashFamily,
     even_independence,
     median_boost,
+    subsample_depth,
 )
 from .streams import EMPTY_EVENT, StreamEvent, element
 from .summing import BinaryTreeMechanism, GroupingMechanism
@@ -38,22 +38,13 @@ def make_summing_backend(
     eta: float,
     xi: float,
     ctx: NoiseContext,
-    key: tuple = (),
 ):
+    """A summing backend; either kind guarantees (alpha, error_bound(xi))."""
     if variant == TREE:
-        return BinaryTreeMechanism(T, epsilon, ctx, key=key)
+        return BinaryTreeMechanism(T, epsilon, ctx)
     if variant == GROUP:
         return GroupingMechanism(T, epsilon, eta, xi, ctx)
     raise ValueError(f"unknown summing variant {variant!r}")
-
-
-def backend_guarantee(mech, xi: float) -> tuple[float, float]:
-    """(alpha, gamma) approximation guarantee of a summing backend."""
-    if isinstance(mech, BinaryTreeMechanism):
-        return 1.0, mech.error_bound(xi)
-    if isinstance(mech, GroupingMechanism):
-        return mech.alpha, mech.error_bound(xi)
-    raise TypeError(f"unknown summing backend {type(mech)!r}")
 
 
 class SmallUniverseDistinct:
@@ -102,7 +93,7 @@ class SubsampleParams:
 def subsample_params(
     n: int, T: int, eta: float, alpha: float, gamma: float
 ) -> SubsampleParams:
-    L = max(1, math.ceil(math.log2(min(n, T))))
+    L = subsample_depth(n, T)
     lam = even_independence(2 * math.log2(1000 * L))
     threshold = max(gamma / eta, 32 * alpha * lam / eta**2)
     m = math.ceil(100 * L * (16 * alpha * threshold) ** 2)
@@ -124,26 +115,19 @@ class SubsampledDistinct:
         summing_factory: Callable[[tuple], object],
     ) -> None:
         self.params = params
-        self._h = PolyHashFamily(2, params.m, ctx.child_seed("subsample-h"))
-        self._g = GeometricLevelHash(params.L, params.lam, ctx.child_seed("subsample-g"))
+        self._route = LevelRouter(params.L, params.lam, params.m, ctx, "subsample")
         self.levels = [
             SmallUniverseDistinct(params.m, summing_factory(("level", i)))
             for i in range(1, params.L + 1)
         ]
-        self._route_cache: dict[int, tuple[int | None, int]] = {}
-
-    def _route(self, ident: int) -> tuple[int | None, int]:
-        hit = self._route_cache.get(ident)
-        if hit is None:
-            hit = (self._g.level(ident), self._h(ident))
-            self._route_cache[ident] = hit
-        return hit
 
     def ingest(self, e: StreamEvent) -> None:
         """Advance one timestamp without computing the estimate."""
         level, hashed = (None, 0)
         if e.is_element():
             level, hashed = self._route(e.value)
+        elif e.is_integer():
+            raise ValueError("distinct counting requires an elements-mode stream")
         for i, counter in enumerate(self.levels, start=1):
             counter.feed(element(hashed) if level == i else EMPTY_EVENT)
 
@@ -214,16 +198,11 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
     copies = copy_count(cfg.copies, cfg.T, cfg.xi)
     eps_copy = cfg.epsilon / copies
     eps_sum = eps_copy / INDICATOR_SENSITIVITY
-
-    L = max(1, math.ceil(math.log2(min(cfg.n, cfg.T))))
-    xi_inner = (cfg.xi / 2) / (L * copies)
-
-    probe_ctx = ctx.child("distinct-probe")
+    xi_inner = (cfg.xi / 2) / (subsample_depth(cfg.n, cfg.T) * copies)
     probe = make_summing_backend(
-        cfg.variant, cfg.T, eps_sum, cfg.eta, xi_inner, probe_ctx
+        cfg.variant, cfg.T, eps_sum, cfg.eta, xi_inner, ctx.child("distinct-probe")
     )
-    alpha, gamma = backend_guarantee(probe, xi_inner)
-    params = subsample_params(cfg.n, cfg.T, cfg.eta, alpha, gamma)
+    params = subsample_params(cfg.n, cfg.T, cfg.eta, probe.alpha, probe.error_bound(xi_inner))
 
     instances = []
     for c in range(copies):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .budget import check_accuracy, copy_count, equal_shares
 from .randomness import NoiseContext, PolyHashFamily
 from .streams import StreamEvent
-from .summing import Clock
+from .summing import Clock, tree_levels
 from .countsketch import CountSketchState
 
 REEVAL_ALL = "all"
@@ -87,6 +87,13 @@ class HHConfig:
         return copy_count(self.copies, self.T, self.xi, self.n)
 
 
+def noise_floor(T: int, epsilon_tree: float, eta: float, factor: float, noise_off: bool):
+    """(gamma2, floor): a substream bucket's additive error factor * levels/epsilon_tree
+    (0 with noise off) and the candidacy floor 512 gamma2^2/eta^2."""
+    gamma2 = 0.0 if noise_off else factor * (tree_levels(T) / epsilon_tree)
+    return gamma2, 512 * gamma2**2 / eta**2
+
+
 class HHSketch:
     """One copy of the substream heavy-hitter sketch.
 
@@ -106,13 +113,11 @@ class HHSketch:
         self._ctx = ctx
         self._key = ("hh",) + tuple(key)
         self.epsilon_tree = float(epsilon_tree)
-        levels = math.ceil(math.log2(cfg.T)) + 1 if cfg.T > 1 else 1
-        self.noise_scale = levels / self.epsilon_tree
-        self.gamma2 = 0.0 if ctx.noise_off else cfg.gamma2_factor * self.noise_scale
+        self.gamma2, self._floor = noise_floor(
+            cfg.T, self.epsilon_tree, cfg.eta, cfg.gamma2_factor, ctx.noise_off
+        )
         self.gamma1 = 4 * cfg.inner_buckets * self.gamma2**2 / ETA_F2
         self.report_cap = cfg.report_cap
-        # the candidacy floor and the divisor of the F2 bar
-        self._floor = 512 * self.gamma2**2 / cfg.eta**2
         self._bar_divisor = 25 * cfg.phi * cfg.k
         self._h = PolyHashFamily(2, cfg.m, ctx.child_seed(*self._key, "route"))
         self._clock = clock if clock is not None else Clock(cfg.T)
@@ -168,6 +173,8 @@ class HHSketch:
         if e.is_element():
             arrived = e.value
             self._substream(self._route(arrived)).observe(e)
+        elif e.is_integer():
+            raise ValueError("heavy-hitter detection requires an elements-mode stream")
         if self.cfg.reeval == REEVAL_ALL:
             retest = set(self.candidates)
         else:
@@ -244,8 +251,8 @@ class HHEstimator:
         """Recall threshold: frequencies above it are reported w.h.p.
 
         The larger of the theory form (1/(eps*eta)) * ln^C(Tkn/(xi*eta)),
-        C = ``TAU_LOG_POWER``, and the candidacy floor
-        4*sqrt(gamma1/(phi k) + 512 gamma2^2/eta^2).
+        C = ``TAU_LOG_POWER``, and 4*sqrt(gamma1/(phi k) + floor), with the
+        copies' :func:`noise_floor`.
         """
         cfg = self.cfg
         theory = (
@@ -254,8 +261,6 @@ class HHEstimator:
             * math.log(cfg.T * cfg.k * cfg.n / (cfg.xi * cfg.eta)) ** TAU_LOG_POWER
         )
         probe = self.copies[0]
-        floor = 4.0 * math.sqrt(
-            probe.gamma1 / (cfg.phi * cfg.k) + 512 * probe.gamma2**2 / cfg.eta**2
-        )
+        floor = 4.0 * math.sqrt(probe.gamma1 / (cfg.phi * cfg.k) + probe._floor)
         return max(theory, floor)
 

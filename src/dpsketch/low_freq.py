@@ -16,11 +16,11 @@ from typing import Callable, Sequence
 from .budget import check_accuracy, copy_count, equal_shares
 from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
 from .randomness import (
-    GeometricLevelHash,
+    LevelRouter,
     NoiseContext,
-    PolyHashFamily,
     even_independence,
     median_boost,
+    subsample_depth,
 )
 from .streams import EMPTY_EVENT, StreamEvent, element
 from .summing import BinaryTreeMechanism
@@ -94,11 +94,10 @@ class SubsampleLowFreqParams:
 def subsample_lowfreq_params(
     n: int, T: int, k: int, eta: float, gamma1: float
 ) -> SubsampleLowFreqParams:
-    L = max(1, math.ceil(math.log2(min(n, T))))
     lam = even_independence(2 * math.log2(1000 * k))
     m = min(math.ceil(100 * (25600 * lam / eta**2) ** 2), _HASH_RANGE_CAP)
     return SubsampleLowFreqParams(
-        L=L, lam=lam, m=m, gamma1=gamma1, selection_floor=64 * lam / eta**2
+        L=subsample_depth(n, T), lam=lam, m=m, gamma1=gamma1, selection_floor=64 * lam / eta**2
     )
 
 
@@ -115,31 +114,22 @@ class LowFreqGeneral:
         self,
         params: SubsampleLowFreqParams,
         k: int,
-        eta: float,
         ctx: NoiseContext,
         level_factory: Callable[[int], LowFreqSmall],
         distinct_backend,
     ) -> None:
         self.params = params
         self.k = int(k)
-        self.eta = float(eta)
-        self._h = PolyHashFamily(2, params.m, ctx.child_seed("lfg-h"))
-        self._g = GeometricLevelHash(params.L, params.lam, ctx.child_seed("lfg-g"))
+        self._route = LevelRouter(params.L, params.lam, params.m, ctx, "lfg")
         self.levels = [level_factory(i) for i in range(1, params.L + 1)]
         self.d_hat = distinct_backend
-        self._route_cache: dict[int, tuple[int | None, int]] = {}
-
-    def _route(self, ident: int) -> tuple[int | None, int]:
-        hit = self._route_cache.get(ident)
-        if hit is None:
-            hit = (self._g.level(ident), self._h(ident))
-            self._route_cache[ident] = hit
-        return hit
 
     def ingest(self, e: StreamEvent) -> None:
         level, hashed = (None, 0)
         if e.is_element():
             level, hashed = self._route(e.value)
+        elif e.is_integer():
+            raise ValueError("low-frequency counting requires an elements-mode stream")
         for i, counter in enumerate(self.levels, start=1):
             counter.ingest(element(hashed) if level == i else EMPTY_EVENT)
         self.d_hat.feed(e)
@@ -209,7 +199,7 @@ def low_freq_block(
     def level_factory(i: int) -> LowFreqSmall:
         return LowFreqSmall(params.m, k, T, eps_counter, ctx.child("level", i))
 
-    return LowFreqGeneral(params, k, eta, ctx, level_factory, d_hat)
+    return LowFreqGeneral(params, k, ctx, level_factory, d_hat)
 
 
 def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator:

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .budget import check_accuracy, copy_count, equal_shares
-from .heavy_hitters import REEVAL_SUBSTREAM, HHConfig, HHSketch
+from .heavy_hitters import REEVAL_SUBSTREAM, HHConfig, HHSketch, noise_floor
 from .low_freq import _HASH_RANGE_CAP, low_freq_block
 from .summing import Clock
 from .randomness import (
@@ -34,6 +34,9 @@ ABOVE = "above"
 # populations are count-weighted by boundary^p, so one noise-inflated
 # candidate is far costlier here than a spurious report there
 GAMMA2_FACTOR = 0.2
+
+# tau's cap, so the low-frequency block keeps at most about this many counters
+MAX_LOW_FREQ_K = 64
 
 
 def beta_sample(ctx: NoiseContext, eta: float, T: int, C: int = 3) -> float:
@@ -57,8 +60,7 @@ class MomentConfig:
 
     ``tau`` is the heavy-hitter recall threshold splitting low from high
     frequencies; None derives it from the heavy-hitter backend's candidacy
-    floor, capped so the low-frequency block keeps at most
-    ``max_low_freq_k`` counters.
+    floor.  Either is capped at ``MAX_LOW_FREQ_K``.
     """
 
     p: float
@@ -70,8 +72,6 @@ class MomentConfig:
     copies: int | None = None  # None: ceil(50 ln(3T/xi))
     tau: float | None = None
     beta_grid_exponent: int = 3
-    max_low_freq_k: int = 64
-    clamp_low_freq: bool = True
 
     def __post_init__(self) -> None:
         if self.p < 0:
@@ -104,7 +104,7 @@ def _geometric_boundary(beta: float, eta: float, q: int) -> float:
 
 def build_shape(cfg: MomentConfig, beta: float, tau: float) -> LevelSetShape:
     eta, T = cfg.eta, cfg.T
-    tau = max(1.0, min(tau, float(cfg.max_low_freq_k)))
+    tau = max(1.0, min(tau, float(MAX_LOW_FREQ_K)))
     # smallest q with beta(1+eta)^q > tau; floating start, then exact fix-up
     q1 = math.floor(math.log(tau / beta) / math.log1p(eta)) + 1
     while _geometric_boundary(beta, eta, q1) <= tau:
@@ -185,16 +185,13 @@ class MomentState:
     def __init__(self, cfg: MomentConfig, ctx: NoiseContext, epsilon_unit: float) -> None:
         self.cfg = cfg
         beta = beta_sample(ctx, cfg.eta, cfg.T, cfg.beta_grid_exponent)
-        # heavy-hitter instances: heaviness parameter B, trees at eps_unit/4
-        levels = math.ceil(math.log2(cfg.T)) + 1 if cfg.T > 1 else 1
-        tree_scale = levels / (epsilon_unit / 4)
-        gamma2 = 0.0 if ctx.noise_off else GAMMA2_FACTOR * tree_scale
-        if cfg.tau is not None:
-            tau = cfg.tau
-        else:
-            tau = 4.0 * math.sqrt(512.0 * gamma2**2 / cfg.eta**2)
+        tau = cfg.tau
+        if tau is None:  # from the candidacy floor of the levels' sketches
+            _, floor = noise_floor(cfg.T, epsilon_unit / 4, cfg.eta, GAMMA2_FACTOR, ctx.noise_off)
+            tau = 4.0 * math.sqrt(floor)
         self.shape = build_shape(cfg, beta, tau)
         shape = self.shape
+        # heavy-hitter instances: heaviness parameter B, trees at eps_unit/4
         hh_cfg = HHConfig(
             p=cfg.p,
             k=max(1, math.ceil(shape.B)),
@@ -251,7 +248,7 @@ class MomentState:
         return self.current()
 
     def current(self) -> float:
-        cfg, shape = self.cfg, self.shape
+        shape = self.shape
         q1 = shape.q1
         # interval populations from per-level reports, q = q1 .. q2
         z_hat = [0.0] * len(self._interval_weights)
@@ -270,10 +267,9 @@ class MomentState:
         for z, w in zip(z_hat, self._interval_weights):
             if z:
                 total += z * w
-        clamp = cfg.clamp_low_freq
         for s_hat, w in zip(self.low_freq.current(), self._low_freq_weights):
             # the clamp max(0, s) * w would add exactly 0.0 where s > 0 fails
-            if s_hat > 0 or not clamp:
+            if s_hat > 0:
                 total += s_hat * w
         return total
 

@@ -226,6 +226,29 @@ class GeometricLevelHash:
         return (v & -v).bit_length()
 
 
+def subsample_depth(n: int, T: int) -> int:
+    """Level count L of geometric subsampling: ceil(log2 min(n, T)), at least 1."""
+    return max(1, math.ceil(math.log2(min(n, T))))
+
+
+class LevelRouter:
+    """``router(a)`` is (level, id), memoised: a's lam-wise geometric level
+    over L levels (None: dropped) and its pairwise hash into [0, m), under
+    seeds ``name + "-g"`` and ``name + "-h"``."""
+
+    def __init__(self, L: int, lam: int, m: int, ctx: NoiseContext, name: str) -> None:
+        self._g = GeometricLevelHash(L, lam, ctx.child_seed(name + "-g"))
+        self._h = PolyHashFamily(2, m, ctx.child_seed(name + "-h"))
+        self._cache: dict[int, tuple[int | None, int]] = {}
+
+    def __call__(self, ident: int) -> tuple[int | None, int]:
+        hit = self._cache.get(ident)
+        if hit is None:
+            hit = (self._g.level(ident), self._h(ident))
+            self._cache[ident] = hit
+        return hit
+
+
 def even_independence(raw: float) -> int:
     """Round an independence parameter up to the next even integer >= 4."""
     lam = max(4, math.ceil(raw))

@@ -21,6 +21,11 @@ class StateError(RuntimeError):
     """Mechanism driven past its declared horizon."""
 
 
+def tree_levels(T: int) -> int:
+    """ceil(log2 T) + 1: the nodes an input touches, and the most a prefix sums."""
+    return math.ceil(math.log2(T)) + 1 if T > 1 else 1
+
+
 class Clock:
     """Shared 1-based timestamp for a family of tree counters.
 
@@ -81,6 +86,8 @@ class BinaryTreeMechanism:
     row's, and both reads add noise from the highest level down.
     """
 
+    alpha = 1.0  # the guarantee is purely additive: (1, error_bound(xi))
+
     def __init__(
         self,
         T: int,
@@ -94,7 +101,7 @@ class BinaryTreeMechanism:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
         self.T = int(T)
         self.epsilon = float(epsilon)
-        self.levels = math.ceil(math.log2(self.T)) + 1 if self.T > 1 else 1
+        self.levels = tree_levels(self.T)
         self.noise_scale = self.levels / self.epsilon
         self._ctx = ctx
         self._clock = clock if clock is not None else Clock(self.T)
@@ -232,6 +239,7 @@ class GroupingMechanism:
         self.epsilon0 = self.epsilon / 2.0
         self.eta = float(eta)
         self.xi = float(xi)
+        self.alpha = 1.0 + self.eta
         self._ctx = ctx
         # deterministic part of the threshold; overridable for statistical DP
         # tests only (privacy does not depend on this offset)
@@ -275,10 +283,6 @@ class GroupingMechanism:
         latest release comes out negative.
         """
         return self.released_prefix
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 + self.eta
 
     def error_bound(self, xi: float | None = None) -> float:
         """Additive part of the (1 ± eta) envelope over every interval [l, r]."""

@@ -317,6 +317,36 @@ class TestSlidingShift:
         assert hist.shift == 0.0
 
 
+# the element-only estimators that used to skip integer events unchecked:
+# heavy hitters at any n, and the level-subsampled paths (n > 2^14)
+ELEMENT_ONLY_ARGS = {
+    "heavy-hitters": ["heavy-hitters", "--p", "2", "--k", "2", "--epsilon", "1",
+                      "--n", "16", "--copies", "1"],
+    "distinct-general": ["distinct", "--universe", "general", "--epsilon", "1",
+                         "--n", str(1 << 15), "--copies", "1"],
+    "low-freq-general": ["low-freq", "--k", "2", "--epsilon", "1", "--n", str(1 << 15),
+                         "--copies", "1"],
+    "moment-general": ["moment", "--p", "2", "--epsilon", "1", "--n", str(1 << 15),
+                       "--copies", "1"],
+}
+
+
+class TestIntegerStreamRefused:
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("name", sorted(ELEMENT_ONLY_ARGS))
+    def test_exits_2(self, name, header, tmp_path, capsys):
+        path = tmp_path / "ints.txt"
+        args = ELEMENT_ONLY_ARGS[name]
+        lines = ["+3", "-1", "+2", "+1"]
+        if header:
+            lines.insert(0, f"#T=8 n={args[args.index('--n') + 1]} mode=integers")
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        code = run(args + ["--T", "8", "--input", str(path), "--output", str(out)])
+        assert code == 2
+        assert "requires an elements-mode stream" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         code = run(

@@ -1,0 +1,182 @@
+"""Each derived bound and route has one owner; these tests pin every one of
+them to the formula it was computed by where it is used, bit for bit.
+
+Tree depth fixes every node draw's noise scale, the heavy-hitter floor fixes
+which candidates a sketch holds and the moment cutoff tau, the summing
+guarantee fixes the subsampled estimators' shapes, and the level router fixes
+which level and hashed id every element gets.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from dpsketch.countsketch import CountSketchState
+from dpsketch.distinct import DistinctConfig, SubsampleParams, distinct_estimator
+from dpsketch.budget import copy_count
+from dpsketch.heavy_hitters import (
+    ETA_F2,
+    TAU_LOG_POWER,
+    HHConfig,
+    HHEstimator,
+    HHSketch,
+    noise_floor,
+)
+from dpsketch.low_freq import low_freq_block
+from dpsketch.moment import GAMMA2_FACTOR, MAX_LOW_FREQ_K, MomentConfig, MomentState
+from dpsketch.randomness import (
+    GeometricLevelHash,
+    LevelRouter,
+    NoiseContext,
+    PolyHashFamily,
+    even_independence,
+    subsample_depth,
+)
+from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism, tree_levels
+
+HORIZONS = [1, 2, 1024, 1 << 17]
+NOISE = [False, True]
+
+
+def _levels(T):
+    return math.ceil(math.log2(T)) + 1 if T > 1 else 1
+
+
+def test_tree_levels_is_the_tree_depth():
+    assert all(tree_levels(T) == _levels(T) for T in range(1, (1 << 20) + 1))
+
+
+def test_subsample_depth():
+    sizes = [1, 2, 3, 64, 1000, 1 << 14, (1 << 14) + 1, 1 << 20]
+    for n, T in itertools.product(sizes, sizes):
+        assert subsample_depth(n, T) == max(1, math.ceil(math.log2(min(n, T))))
+
+
+class TestHeavyHitterFloor:
+    @pytest.mark.parametrize("noise_off", NOISE)
+    @pytest.mark.parametrize("T", HORIZONS)
+    def test_sketch_gamma2_and_floor(self, T, noise_off):
+        for eps_tree, eta, factor in itertools.product(
+            [1e-3, 0.0625, 0.3, 1.0, 7.5], [0.1, 0.2, 0.45], [0.1, 0.2, 1.0]
+        ):
+            cfg = HHConfig(p=2.0, k=2, eta=eta, epsilon=1.0, xi=0.1, T=T, n=16,
+                           copies=1, gamma2_factor=factor)
+            # the formula HHSketch evaluated in place
+            scale = _levels(T) / float(eps_tree)
+            gamma2 = 0.0 if noise_off else factor * scale
+            floor = 512 * gamma2**2 / eta**2
+            sketch = HHSketch(cfg, NoiseContext(3, noise_off=noise_off), eps_tree)
+            assert (sketch.gamma2, sketch._floor) == (gamma2, floor)
+            assert noise_floor(T, eps_tree, eta, factor, noise_off) == (gamma2, floor)
+            assert sketch.gamma1 == 4 * cfg.inner_buckets * gamma2**2 / ETA_F2
+
+    @pytest.mark.parametrize("noise_off", NOISE)
+    @pytest.mark.parametrize("T", HORIZONS)
+    def test_estimator_tau(self, T, noise_off):
+        for epsilon, eta, factor, copies in itertools.product(
+            [0.5, 4.0, 64.0], [0.1, 0.3], [0.1, 1.0], [1, 2]
+        ):
+            cfg = HHConfig(p=2.0, k=3, eta=eta, epsilon=epsilon, xi=0.1, T=T, n=16,
+                           copies=copies, gamma2_factor=factor)
+            est = HHEstimator(cfg, NoiseContext(5, noise_off=noise_off))
+            # the formula HHEstimator.tau evaluated from the copies' values
+            scale = _levels(T) / (epsilon / (4 * copies))
+            gamma2 = 0.0 if noise_off else factor * scale
+            gamma1 = 4 * cfg.inner_buckets * gamma2**2 / ETA_F2
+            theory = (
+                1.0 / (epsilon * eta)
+                * math.log(T * cfg.k * cfg.n / (cfg.xi * eta)) ** TAU_LOG_POWER
+            )
+            floor = 4.0 * math.sqrt(gamma1 / (cfg.phi * cfg.k) + 512 * gamma2**2 / eta**2)
+            assert est.tau == max(theory, floor)
+
+    @pytest.mark.parametrize("noise_off", NOISE)
+    @pytest.mark.parametrize("T", [2, 1024, 1 << 17])
+    def test_moment_default_tau(self, T, noise_off):
+        inside = 0
+        for eps_unit, eta in itertools.product([0.5, 8.0, 64.0, 512.0, 4096.0], [0.1, 0.25]):
+            cfg = MomentConfig(p=2.0, epsilon=1.0, eta=eta, xi=0.1, T=T, n=16, copies=1)
+            state = MomentState(cfg, NoiseContext(7, noise_off=noise_off), eps_unit)
+            # the formula MomentState evaluated in place, then capped
+            tree_scale = _levels(T) / (eps_unit / 4)
+            gamma2 = 0.0 if noise_off else GAMMA2_FACTOR * tree_scale
+            tau = 4.0 * math.sqrt(512.0 * gamma2**2 / eta**2)
+            assert state.shape.tau == max(1.0, min(tau, float(MAX_LOW_FREQ_K)))
+            inside += 1.0 < tau < MAX_LOW_FREQ_K
+        # some cutoffs fall inside the cap, where tau's bits show unclamped
+        assert inside > 0 or noise_off
+
+
+class TestLevelRouter:
+    @pytest.mark.parametrize("name", ["subsample", "lfg"])
+    def test_equals_level_hash_and_id_hash(self, name):
+        ctx = NoiseContext(11)
+        L, lam, m = 12, 28, 1 << 40
+        g = GeometricLevelHash(L, lam, ctx.child_seed(name + "-g"))
+        h = PolyHashFamily(2, m, ctx.child_seed(name + "-h"))
+        router = LevelRouter(L, lam, m, ctx, name)
+        for ident in range(10_000):
+            assert router(ident) == (g.level(ident), h(ident))
+        assert router(17) == (g.level(17), h(17))  # a memoised route
+
+    def test_estimators_route_under_their_names(self):
+        ctx = NoiseContext(4)
+        cfg = DistinctConfig(epsilon=1.0, eta=0.45, xi=0.1, n=1 << 15, T=1 << 10, copies=2)
+        est = distinct_estimator(cfg, ctx)
+        block = low_freq_block(1 << 15, 3, 1 << 10, 0.25, 1.0, 0.05, ctx.child("lf"))
+        routes = [(copy.params, ctx.child("distinct-copy", c), copy._route, "subsample")
+                  for c, copy in enumerate(est.copies)]
+        routes.append((block.params, ctx.child("lf"), block._route, "lfg"))
+        for params, owner, route, name in routes:
+            g = GeometricLevelHash(params.L, params.lam, owner.child_seed(name + "-g"))
+            h = PolyHashFamily(2, params.m, owner.child_seed(name + "-h"))
+            for ident in range(0, 1 << 15, 7):
+                assert route(ident) == (g.level(ident), h(ident))
+
+
+class TestSummingGuarantee:
+    @pytest.mark.parametrize("noise_off", NOISE)
+    @pytest.mark.parametrize("variant", ["tree", "group"])
+    def test_distinct_params(self, variant, noise_off):
+        for n, T, eta, epsilon, copies in [
+            (1 << 15, 1 << 10, 0.45, 1.0, 3),
+            (64, 512, 0.1, 64.0, 2),
+            (1 << 20, 1 << 12, 0.25, 8.0, None),
+        ]:
+            cfg = DistinctConfig(epsilon=epsilon, eta=eta, xi=0.1, n=n, T=T,
+                                 variant=variant, copies=copies)
+            ctx = NoiseContext(9, noise_off=noise_off)
+            # the former per-type dispatch: a probe backend, then (1, bound) for
+            # a tree and (1 + eta, bound) for grouping
+            c = copy_count(copies, T, 0.1)
+            eps_sum = epsilon / c / 5
+            L = max(1, math.ceil(math.log2(min(n, T))))
+            xi_inner = (0.1 / 2) / (L * c)
+            probe_ctx = ctx.child("distinct-probe")
+            if variant == "tree":
+                probe = BinaryTreeMechanism(T, eps_sum, probe_ctx)
+                alpha, gamma = 1.0, probe.error_bound(xi_inner)
+            else:
+                probe = GroupingMechanism(T, eps_sum, eta, xi_inner, probe_ctx)
+                alpha, gamma = 1.0 + eta, probe.error_bound(xi_inner)
+            lam = even_independence(2 * math.log2(1000 * L))
+            threshold = max(gamma / eta, 32 * alpha * lam / eta**2)
+            m = math.ceil(100 * L * (16 * alpha * threshold) ** 2)
+            expected = SubsampleParams(L=L, lam=lam, m=m, alpha=alpha, gamma=gamma,
+                                       threshold=threshold)
+            est = distinct_estimator(cfg, NoiseContext(9, noise_off=noise_off))
+            assert all(copy.params == expected for copy in est.copies)
+
+    @pytest.mark.parametrize("noise_off", NOISE)
+    def test_countsketch_bound_within_one_ulp(self, noise_off):
+        for k, T, eps, xi in itertools.product([1, 8, 512], [1, 64, 1 << 17],
+                                               [0.01, 1.0], [1e-6, 0.1, 0.9]):
+            sketch = CountSketchState(k, T, eps, NoiseContext(2, noise_off=noise_off))
+            levels = _levels(T)
+            expected = 0.0 if noise_off else (
+                levels * (levels / eps) * math.log(2 * T * k / xi)
+            )
+            assert abs(sketch.error_bound(xi) - expected) <= math.ulp(expected)
+        with pytest.raises(ValueError):
+            sketch.error_bound(1.0)

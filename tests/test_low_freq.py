@@ -126,7 +126,6 @@ class TestLowFreqGeneral:
         gen = LowFreqGeneral(
             params,
             k,
-            0.25,
             ctx,
             lambda i: LowFreqSmall(1 << 30, k, T, 1.0, ctx.child("lvl", i)),
             _ExactDistinct(),

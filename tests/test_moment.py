@@ -13,6 +13,7 @@ from dpsketch.low_freq import (
 from dpsketch.moment import (
     ABOVE,
     BELOW,
+    MAX_LOW_FREQ_K,
     MomentConfig,
     MomentState,
     _geometric_boundary,
@@ -76,9 +77,11 @@ class TestShape:
         assert shape.k >= 32
 
     def test_tau_capped_by_max_k(self):
-        cfg = moment_cfg(max_low_freq_k=16)
+        assert MAX_LOW_FREQ_K == 64
+        cfg = moment_cfg()
         shape = build_shape(cfg, beta=0.75, tau=1e9)
-        assert shape.k <= math.floor(16 * (1 + cfg.eta)) + 1
+        assert shape.tau == MAX_LOW_FREQ_K
+        assert shape.k <= math.floor(MAX_LOW_FREQ_K * (1 + cfg.eta)) + 1
 
 
 class TestIntervalIndex:
@@ -265,19 +268,17 @@ def _reference_current(state):
         if z:
             total += z * _geometric_boundary(shape.beta, eta, q) ** cfg.p
     for l, s_hat in enumerate(state.low_freq.current(), start=1):
-        if cfg.clamp_low_freq:
-            s_hat = max(0.0, s_hat)
-        total += s_hat * l**cfg.p
+        total += max(0.0, s_hat) * l**cfg.p
     return total
 
 
 class TestCurrentMatchesReferenceLoop:
-    @pytest.mark.parametrize("p,clamp", [(2.0, True), (1.5, True), (2.0, False)])
-    def test_bit_identical_at_every_tick(self, p, clamp):
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_bit_identical_at_every_tick(self, p):
         # at epsilon 64 the top levels hold candidates for most ticks and
         # some low-frequency counters are negative, so every branch runs
         cfg = MomentConfig(p=p, epsilon=64.0, eta=0.25, xi=0.1, T=512, n=16,
-                           copies=1, tau=4.0, clamp_low_freq=clamp)
+                           copies=1, tau=4.0)
         state = MomentState(cfg, NoiseContext(3), 16.0)
         reported = negative = 0
         for e in generate_stream("zipf", StreamConfig(T=512, n=16), seed=4, s=1.2):
