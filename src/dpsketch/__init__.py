@@ -15,7 +15,7 @@ from .distinct import (
     SubsampledDistinct,
     distinct_estimator,
 )
-from .heavy_hitters import HHConfig, HHEstimator, HHSketch
+from .heavy_hitters import HHConfig, HHSketch, hh_estimator, recall_threshold
 from .low_freq import LowFreqConfig, LowFreqGeneral, LowFreqSmall, lowfreq_estimator
 from .moment import (
     MomentConfig,

@@ -31,7 +31,7 @@ from .distinct import (
     make_summing_backend,
 )
 from .experiment import ExperimentSpec, run_experiment, sensitivity_check, sensitivity_mappings
-from .heavy_hitters import HHConfig, HHEstimator
+from .heavy_hitters import HHConfig, hh_estimator
 from .low_freq import LowFreqConfig, lowfreq_estimator
 from .moment import MomentConfig, moment_estimator
 from .randomness import NoiseContext, median_boost
@@ -127,7 +127,7 @@ def _build_f2(a, ctx):
 
 
 def _build_heavy_hitters(a, ctx):
-    return HHEstimator(_config(HHConfig, a), ctx)
+    return hh_estimator(_config(HHConfig, a), ctx)
 
 
 def _build_low_freq(a, ctx):
@@ -301,8 +301,6 @@ STREAMING: dict[str, Streaming] = {
         (
             ("--p", dict(type=float, required=True)),
             _EPSILON, _eta(0.25), _XI, _T, _N, _COPIES, _TAU,
-            ("--beta-c", dict(type=int, default=3, metavar="BETA_C",
-                              dest="beta_grid_exponent")),
         ),
         _build_moment,
         "t,F_hat_p,exact_F_p,rel_error",
@@ -331,7 +329,7 @@ def command_params(name: str, **values) -> argparse.Namespace:
     else its default; keys that are no flag of it are ignored."""
     params = {}
     for flag, kw in STREAMING[name].params:
-        dest = kw.get("dest", flag.lstrip("-").replace("-", "_"))
+        dest = flag.lstrip("-").replace("-", "_")
         if dest not in values and kw.get("required"):
             raise ValueError(f"{name} needs a value for {dest}")
         params[dest] = values.get(dest, kw.get("default"))

@@ -20,6 +20,9 @@ from .randomness import node_laplace  # noqa: F401  (traced by perfbench/run.py)
 from .streams import StreamEvent
 from .summing import BinaryTreeMechanism, Clock
 
+# one universe change moves +-1 between two buckets of one sketch
+BUCKET_SENSITIVITY = 2
+
 
 @dataclass(frozen=True)
 class F2Estimate:
@@ -155,8 +158,7 @@ class L2Estimator:
         self.cfg = cfg
         copies = copy_count(cfg.copies, cfg.T, cfg.xi, cfg.n)
         k = cfg.buckets if cfg.buckets is not None else default_l2_buckets(cfg.eta)
-        # one universe change moves +-1 between two buckets of one copy
-        eps_bucket = cfg.epsilon / (2 * copies)
+        eps_bucket = cfg.epsilon / (BUCKET_SENSITIVITY * copies)
         contexts = [ctx.child("l2-copy", c) for c in range(copies)]
         lanes = [bucket_lanes(k, child, (c,)) for c, child in enumerate(contexts)]
         self._bank = BinaryTreeMechanism(cfg.T, eps_bucket, ctx, lanes=lanes)

@@ -22,7 +22,7 @@ from .randomness import (
     subsample_depth,
 )
 from .streams import EMPTY_EVENT, StreamEvent, element
-from .summing import BinaryTreeMechanism, GroupingMechanism
+from .summing import BinaryTreeMechanism, Clock, GroupingMechanism
 
 TREE = "tree"
 GROUP = "group"
@@ -131,39 +131,40 @@ class SubsampledDistinct:
         for i, counter in enumerate(self.levels, start=1):
             counter.feed(element(hashed) if level == i else EMPTY_EVENT)
 
-    def feed(self, e: StreamEvent) -> float:
-        self.ingest(e)
-        return self.current()
-
     def current(self) -> float:
-        best = 0.0
         for i in range(self.params.L, 0, -1):
             s_i = self.levels[i - 1].current()
             if s_i >= self.params.threshold:
-                best = s_i * 2.0**i
-                break
-        return best
+                return s_i * 2.0**i
+        return 0.0
 
 
 class BoostedEstimator:
-    """Independent copies combined per timestamp (lower median by default)."""
+    """Independent copies, each driven by ``ingest(e)`` and read by ``current()``,
+    combined per timestamp (lower median by default).  Copies built on one
+    shared ``clock`` leave it to the estimator, which ticks it once per event."""
 
     def __init__(
         self,
         copies: Sequence,
         combiner: Callable[[Sequence[float]], float] = median_boost,
         budget: MechanismBudget | None = None,
+        clock: Clock | None = None,
     ) -> None:
         if not copies:
             raise ValueError("boosted estimator needs at least one copy")
         self.copies = list(copies)
         self.combiner = combiner
         self.budget = budget
+        self._clock = clock
 
     def feed(self, e: StreamEvent) -> float:
-        return self.combiner([c.feed(e) for c in self.copies])
+        self.ingest(e)
+        return self.current()
 
     def ingest(self, e: StreamEvent) -> None:
+        if self._clock is not None:
+            self._clock.tick()
         for c in self.copies:
             c.ingest(e)
 

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import countsketch, distinct, heavy_hitters, low_freq
 from .countsketch import CountSketchState
 from .distinct import SmallUniverseDistinct, SubsampleParams, SubsampledDistinct
 from .heavy_hitters import HHConfig, HHSketch
@@ -43,7 +44,7 @@ from .streams import (
     integer,
     mapping_sensitivity,
 )
-from .summing import BinaryTreeMechanism
+from .summing import BinaryTreeMechanism, Clock
 
 DEFAULT_SENSITIVITY_SEEDS = tuple(range(101, 109))
 
@@ -125,10 +126,9 @@ def _bucket_mapping(n: int, T: int, k: int, seed: int):
 def _substream_mapping(n: int, T: int, k: int, m: int, seed: int):
     def mapping(events: Sequence[StreamEvent]):
         cfg = HHConfig(
-            p=2.0, k=k, eta=0.2, epsilon=1.0, xi=0.1, T=T, n=n, copies=1,
-            inner_buckets=2, m_override=m,
+            p=2.0, k=k, eta=0.2, epsilon=1.0, xi=0.1, T=T, n=n, copies=1, m_override=m
         )
-        sketch = HHSketch(cfg, NoiseContext(seed, noise_off=True), 1.0)
+        sketch = HHSketch(cfg, NoiseContext(seed, noise_off=True), 1.0, Clock(T))
         return _routed_streams(lambda a: (sketch._route(a), element(a)), range(m), events)
 
     return mapping
@@ -166,28 +166,31 @@ class _SensitivitySpec:
     aggregate: str
 
 
+# each claim is the constant its mechanism divides epsilon by, read at check time
 _SENSITIVITY_REGISTRY: dict[str, _SensitivitySpec] = {
     "identity": _SensitivitySpec(
         lambda n, T, p, seed: _identity_mapping(seed), lambda p: 1, "sum"
     ),
     "distinct-indicator": _SensitivitySpec(
-        lambda n, T, p, seed: _indicator_mapping(n, T, seed), lambda p: 5, "sum"
+        lambda n, T, p, seed: _indicator_mapping(n, T, seed),
+        lambda p: distinct.INDICATOR_SENSITIVITY,
+        "sum",
     ),
     "lowfreq-counters": _SensitivitySpec(
         lambda n, T, p, seed: _counter_mapping(n, T, p.get("k", 2), seed),
-        lambda p: 8 * p.get("k", 2),
+        lambda p: low_freq.COUNTER_SENSITIVITY_PER_K * p.get("k", 2),
         "sum",
     ),
     "countsketch-buckets": _SensitivitySpec(
         lambda n, T, p, seed: _bucket_mapping(n, T, p.get("k", 2), seed),
-        lambda p: 2,
+        lambda p: countsketch.BUCKET_SENSITIVITY,
         "sum",
     ),
     "hh-substreams": _SensitivitySpec(
         lambda n, T, p, seed: _substream_mapping(
             n, T, p.get("k", 2), p.get("m", 2), seed
         ),
-        lambda p: 2,
+        lambda p: heavy_hitters.SUBSTREAM_SENSITIVITY,
         "sum",
     ),
     "subsample-levels": _SensitivitySpec(

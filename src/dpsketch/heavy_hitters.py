@@ -19,10 +19,11 @@ import statistics
 from dataclasses import dataclass
 
 from .budget import check_accuracy, copy_count, equal_shares
-from .randomness import NoiseContext, PolyHashFamily
+from .distinct import BoostedEstimator
+from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily
 from .streams import StreamEvent
 from .summing import Clock, tree_levels
-from .countsketch import CountSketchState
+from .countsketch import BUCKET_SENSITIVITY, CountSketchState
 
 REEVAL_ALL = "all"
 REEVAL_SUBSTREAM = "substream"
@@ -33,6 +34,12 @@ ETA_F2 = 0.1
 
 # the power C of the log in the recall threshold tau
 TAU_LOG_POWER = 3
+
+# buckets of each substream's CountSketch
+INNER_BUCKETS = 8
+
+# one universe change moves one arrival between at most 2 substreams
+SUBSTREAM_SENSITIVITY = 2
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,6 @@ class HHConfig:
     T: int
     n: int
     copies: int | None = None  # None: ceil(50 (ln(2T/xi) + ln n))
-    inner_buckets: int = 8
     gamma2_factor: float = 0.1
     reeval: str = REEVAL_ALL
     m_override: int | None = None
@@ -77,7 +83,7 @@ class HHConfig:
     def m(self) -> int:
         if self.m_override is not None:
             return self.m_override
-        return 10 * self.k * self.k
+        return min(10 * self.k * self.k, HASH_RANGE_CAP)
 
     @property
     def report_cap(self) -> int:
@@ -95,19 +101,16 @@ def noise_floor(T: int, epsilon_tree: float, eta: float, factor: float, noise_of
 
 
 class HHSketch:
-    """One copy of the substream heavy-hitter sketch.
-
-    Like a tree counter, it ticks its own clock on each ``ingest`` unless it
-    is given a ``clock``, which its owner then advances once per event.
-    """
+    """One copy of the substream heavy-hitter sketch, on its owner's ``clock``:
+    the owner advances it once per event, before ``ingest``."""
 
     def __init__(
         self,
         cfg: HHConfig,
         ctx: NoiseContext,
         epsilon_tree: float,
+        clock: Clock,
         key: tuple = (),
-        clock: Clock | None = None,
     ) -> None:
         self.cfg = cfg
         self._ctx = ctx
@@ -116,12 +119,11 @@ class HHSketch:
         self.gamma2, self._floor = noise_floor(
             cfg.T, self.epsilon_tree, cfg.eta, cfg.gamma2_factor, ctx.noise_off
         )
-        self.gamma1 = 4 * cfg.inner_buckets * self.gamma2**2 / ETA_F2
+        self.gamma1 = 4 * INNER_BUCKETS * self.gamma2**2 / ETA_F2
         self.report_cap = cfg.report_cap
         self._bar_divisor = 25 * cfg.phi * cfg.k
         self._h = PolyHashFamily(2, cfg.m, ctx.child_seed(*self._key, "route"))
-        self._clock = clock if clock is not None else Clock(cfg.T)
-        self._owns_clock = clock is None
+        self._clock = clock
         self._sketches: dict[int, CountSketchState] = {}
         self._route_cache: dict[int, int] = {}
         self.candidates: dict[int, float] = {}
@@ -134,7 +136,7 @@ class HHSketch:
         sketch = self._sketches.get(idx)
         if sketch is None:
             sketch = CountSketchState(
-                self.cfg.inner_buckets,
+                INNER_BUCKETS,
                 self.cfg.T,
                 self.epsilon_tree,
                 self._ctx,
@@ -165,10 +167,7 @@ class HHSketch:
 
     def ingest(self, e: StreamEvent) -> None:
         """Take the current timestamp's event and refresh candidacy, skipping
-        the report.  Advances the clock first when the sketch owns it; a
-        shared clock is advanced by its owner."""
-        if self._owns_clock:
-            self._clock.tick()
+        the report."""
         arrived = None
         if e.is_element():
             arrived = e.value
@@ -177,12 +176,11 @@ class HHSketch:
             raise ValueError("heavy-hitter detection requires an elements-mode stream")
         if self.cfg.reeval == REEVAL_ALL:
             retest = set(self.candidates)
+        elif arrived is None:
+            retest = set()
         else:
-            if arrived is None:
-                retest = set()
-            else:
-                idx = self._route(arrived)
-                retest = {b for b in self.candidates if self._route(b) == idx}
+            idx = self._route(arrived)
+            retest = {b for b in self.candidates if self._route(b) == idx}
         if arrived is not None:
             retest.add(arrived)
         for b in retest:
@@ -192,10 +190,6 @@ class HHSketch:
             else:
                 self.candidates[b] = f_hat
 
-    def feed(self, e: StreamEvent) -> dict[int, float]:
-        self.ingest(e)
-        return self.report()
-
     def report(self) -> dict[int, float]:
         """Top candidates by estimate, ties favouring the smaller element id."""
         if not self.candidates:
@@ -203,64 +197,49 @@ class HHSketch:
         ranked = sorted(self.candidates.items(), key=lambda kv: (-kv[1], kv[0]))
         return dict(ranked[: self.report_cap])
 
-
-class HHEstimator:
-    """Boosted heavy hitters: union of copy reports, median of their estimates.
-    The copies share one clock, ticked once per event."""
-
-    def __init__(self, cfg: HHConfig, ctx: NoiseContext) -> None:
-        self.cfg = cfg
-        copies = cfg.n_copies()
-        # 4 = substream routing sensitivity (2) times bucket routing inside
-        # the per-substream sketch (2)
-        self.epsilon_tree = cfg.epsilon / (4 * copies)
-        self._clock = Clock(cfg.T)
-        self.copies = [
-            HHSketch(cfg, ctx.child("hh-copy", c), self.epsilon_tree, key=(c,), clock=self._clock)
-            for c in range(copies)
-        ]
-        self.budget = equal_shares(cfg.epsilon, cfg.xi, copies)
-
-    def ingest(self, e: StreamEvent) -> None:
-        self._clock.tick()
-        for copy in self.copies:
-            copy.ingest(e)
-
-    def feed(self, e: StreamEvent) -> dict[int, float]:
-        self.ingest(e)
+    def current(self) -> dict[int, float]:
         return self.report()
 
-    def _combine(self, reports: list[dict[int, float]]) -> dict[int, float]:
-        # interpolated median: the lower-median convention would bias the
-        # estimate low whenever an even number of copies report an element
-        union: dict[int, list[float]] = {}
-        for rep in reports:
-            for ident, f_hat in rep.items():
-                union.setdefault(ident, []).append(f_hat)
-        return {ident: statistics.median(vals) for ident, vals in union.items()}
 
-    def report(self) -> dict[int, float]:
-        return self._combine([copy.report() for copy in self.copies])
+def union_median(reports: list[dict[int, float]]) -> dict[int, float]:
+    """Every element some copy reports, at the interpolated median of its copies'
+    estimates: the lower median would bias it low whenever an even number of
+    copies report it."""
+    union: dict[int, list[float]] = {}
+    for rep in reports:
+        for ident, f_hat in rep.items():
+            union.setdefault(ident, []).append(f_hat)
+    return {ident: statistics.median(vals) for ident, vals in union.items()}
 
-    @property
-    def report_cap(self) -> int:
-        return len(self.copies) * self.cfg.report_cap
 
-    @property
-    def tau(self) -> float:
-        """Recall threshold: frequencies above it are reported w.h.p.
+def hh_estimator(cfg: HHConfig, ctx: NoiseContext) -> BoostedEstimator:
+    """Boosted heavy hitters: :class:`HHSketch` copies on one clock, combined by
+    :func:`union_median`.  A copy's trees run at epsilon/copies over the
+    substream and bucket sensitivities."""
+    copies = cfg.n_copies()
+    epsilon_tree = cfg.epsilon / (SUBSTREAM_SENSITIVITY * BUCKET_SENSITIVITY * copies)
+    clock = Clock(cfg.T)
+    sketches = [
+        HHSketch(cfg, ctx.child("hh-copy", c), epsilon_tree, clock, key=(c,))
+        for c in range(copies)
+    ]
+    return BoostedEstimator(
+        sketches, union_median, equal_shares(cfg.epsilon, cfg.xi, copies), clock=clock
+    )
 
-        The larger of the theory form (1/(eps*eta)) * ln^C(Tkn/(xi*eta)),
-        C = ``TAU_LOG_POWER``, and 4*sqrt(gamma1/(phi k) + floor), with the
-        copies' :func:`noise_floor`.
-        """
-        cfg = self.cfg
-        theory = (
-            1.0
-            / (cfg.epsilon * cfg.eta)
-            * math.log(cfg.T * cfg.k * cfg.n / (cfg.xi * cfg.eta)) ** TAU_LOG_POWER
-        )
-        probe = self.copies[0]
-        floor = 4.0 * math.sqrt(probe.gamma1 / (cfg.phi * cfg.k) + probe._floor)
-        return max(theory, floor)
 
+def recall_threshold(cfg: HHConfig, sketch: HHSketch) -> float:
+    """Recall threshold of heavy hitters boosted from copies like ``sketch``:
+    frequencies above it are reported w.h.p.
+
+    The larger of the theory form (1/(eps*eta)) * ln^C(Tkn/(xi*eta)),
+    C = ``TAU_LOG_POWER``, and 4*sqrt(gamma1/(phi k) + floor), with the
+    sketch's :func:`noise_floor`.
+    """
+    theory = (
+        1.0
+        / (cfg.epsilon * cfg.eta)
+        * math.log(cfg.T * cfg.k * cfg.n / (cfg.xi * cfg.eta)) ** TAU_LOG_POWER
+    )
+    floor = 4.0 * math.sqrt(sketch.gamma1 / (cfg.phi * cfg.k) + sketch._floor)
+    return max(theory, floor)

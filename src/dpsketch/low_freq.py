@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 from .budget import check_accuracy, copy_count, equal_shares
 from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
 from .randomness import (
+    HASH_RANGE_CAP,
     LevelRouter,
     NoiseContext,
     even_independence,
@@ -31,15 +32,13 @@ COUNTER_SENSITIVITY_PER_K = 8
 # universes up to this size are counted directly, without subsampling
 SMALL_UNIVERSE_LIMIT = 1 << 14
 
-_HASH_RANGE_CAP = 1 << 60
-
 
 class LowFreqSmall:
     """Exact-frequency counts over a small universe via k signed counters.
 
     With noise off, counter i's total equals |{a : f_a = i}| at every
     timestamp.  Counters hold +-1 inputs, so they are tree-backed: one bank
-    of k lanes, counter i keyed ``("lfs",) + key + (i,)``.
+    of k lanes, counter i keyed ``("lfs", i)``.
     """
 
     def __init__(
@@ -49,13 +48,12 @@ class LowFreqSmall:
         T: int,
         epsilon_counter: float,
         ctx: NoiseContext,
-        key: tuple = (),
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.m = int(m)
         self.k = int(k)
-        lanes = [(ctx.master_seed, ("tree", "lfs") + tuple(key), range(1, k + 1))]
+        lanes = [(ctx.master_seed, ("tree", "lfs"), range(1, k + 1))]
         self.counters = BinaryTreeMechanism(T, epsilon_counter, ctx, lanes=lanes)
         self.freq: dict[int, int] = {}
 
@@ -74,10 +72,6 @@ class LowFreqSmall:
         elif e.is_integer():
             raise ValueError("low-frequency counting requires an elements-mode stream")
 
-    def feed(self, e: StreamEvent) -> list[float]:
-        self.ingest(e)
-        return self.current()
-
     def current(self) -> list[float]:
         return self.counters.current().tolist()
 
@@ -95,7 +89,7 @@ def subsample_lowfreq_params(
     n: int, T: int, k: int, eta: float, gamma1: float
 ) -> SubsampleLowFreqParams:
     lam = even_independence(2 * math.log2(1000 * k))
-    m = min(math.ceil(100 * (25600 * lam / eta**2) ** 2), _HASH_RANGE_CAP)
+    m = min(math.ceil(100 * (25600 * lam / eta**2) ** 2), HASH_RANGE_CAP)
     return SubsampleLowFreqParams(
         L=subsample_depth(n, T), lam=lam, m=m, gamma1=gamma1, selection_floor=64 * lam / eta**2
     )
@@ -132,26 +126,18 @@ class LowFreqGeneral:
             raise ValueError("low-frequency counting requires an elements-mode stream")
         for i, counter in enumerate(self.levels, start=1):
             counter.ingest(element(hashed) if level == i else EMPTY_EVENT)
-        self.d_hat.feed(e)
-
-    def feed(self, e: StreamEvent) -> list[float]:
-        self.ingest(e)
-        return self.current()
+        self.d_hat.ingest(e)
 
     def current(self) -> list[float]:
         d_val = self.d_hat.current()
         floor = self.params.selection_floor
         if d_val <= max(3 * self.params.gamma1, floor):
             return [0.0] * self.k
-        i_star = None
         for i in range(self.params.L, 0, -1):
             if 2**i * floor <= d_val:
-                i_star = i
-                break
-        if i_star is None:
-            return [0.0] * self.k
-        scale = 2.0**i_star
-        return [s * scale for s in self.levels[i_star - 1].current()]
+                scale = 2.0**i
+                return [s * scale for s in self.levels[i - 1].current()]
+        return [0.0] * self.k
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .budget import check_accuracy, copy_count, equal_shares
-from .heavy_hitters import REEVAL_SUBSTREAM, HHConfig, HHSketch, noise_floor
-from .low_freq import _HASH_RANGE_CAP, low_freq_block
+from .countsketch import BUCKET_SENSITIVITY
+from .heavy_hitters import REEVAL_SUBSTREAM, SUBSTREAM_SENSITIVITY, HHConfig, HHSketch, noise_floor
+from .low_freq import low_freq_block
 from .summing import Clock
 from .randomness import (
     GeometricLevelHash,
@@ -38,17 +39,23 @@ GAMMA2_FACTOR = 0.2
 # tau's cap, so the low-frequency block keeps at most about this many counters
 MAX_LOW_FREQ_K = 64
 
+# the exponent C of beta's (eta/T)^C grid
+BETA_GRID_EXPONENT = 3
 
-def beta_sample(ctx: NoiseContext, eta: float, T: int, C: int = 3) -> float:
-    """Randomized interval base: uniform on a ((eta/T)^C)-grid of [1/2, 1].
+# budget units of the level-stream tuple (S0, S1..SL): one universe change
+# touches S0 plus at most one level per stream version
+LEVEL_TUPLE_UNITS = 3
+
+
+def beta_sample(ctx: NoiseContext, eta: float, T: int) -> float:
+    """Randomized interval base: uniform on a ((eta/T)^C)-grid of [1/2, 1],
+    C = ``BETA_GRID_EXPONENT``.
 
     Deterministic convention 3/4 under noise-off.
     """
-    if C < 2:
-        raise ValueError(f"grid exponent C must be >= 2, got {C}")
     if ctx.noise_off:
         return 0.75
-    step = (eta / T) ** C
+    step = (eta / T) ** BETA_GRID_EXPONENT
     raw = 0.5 + 0.5 * ctx.uniform()
     beta = 0.5 + round((raw - 0.5) / step) * step
     return min(max(beta, 0.5), 1.0)
@@ -71,7 +78,6 @@ class MomentConfig:
     n: int
     copies: int | None = None  # None: ceil(50 ln(3T/xi))
     tau: float | None = None
-    beta_grid_exponent: int = 3
 
     def __post_init__(self) -> None:
         if self.p < 0:
@@ -184,14 +190,16 @@ class MomentState:
 
     def __init__(self, cfg: MomentConfig, ctx: NoiseContext, epsilon_unit: float) -> None:
         self.cfg = cfg
-        beta = beta_sample(ctx, cfg.eta, cfg.T, cfg.beta_grid_exponent)
+        beta = beta_sample(ctx, cfg.eta, cfg.T)
+        # the levels' trees: one unit over the substream and bucket sensitivities
+        epsilon_tree = epsilon_unit / (SUBSTREAM_SENSITIVITY * BUCKET_SENSITIVITY)
         tau = cfg.tau
         if tau is None:  # from the candidacy floor of the levels' sketches
-            _, floor = noise_floor(cfg.T, epsilon_unit / 4, cfg.eta, GAMMA2_FACTOR, ctx.noise_off)
+            _, floor = noise_floor(cfg.T, epsilon_tree, cfg.eta, GAMMA2_FACTOR, ctx.noise_off)
             tau = 4.0 * math.sqrt(floor)
         self.shape = build_shape(cfg, beta, tau)
         shape = self.shape
-        # heavy-hitter instances: heaviness parameter B, trees at eps_unit/4
+        # heavy-hitter instances: heaviness parameter B
         hh_cfg = HHConfig(
             p=cfg.p,
             k=max(1, math.ceil(shape.B)),
@@ -203,15 +211,12 @@ class MomentState:
             copies=1,
             gamma2_factor=GAMMA2_FACTOR,
             reeval=REEVAL_SUBSTREAM,
-            m_override=min(10 * max(1, math.ceil(shape.B)) ** 2, _HASH_RANGE_CAP),
         )
         # one clock for every level: an empty event retests no candidate
         # under REEVAL_SUBSTREAM, so a level only sees its own arrivals
         self._clock = Clock(cfg.T)
         self.hh = [
-            HHSketch(
-                hh_cfg, ctx.child("moment-hh", i), epsilon_unit / 4, key=(i,), clock=self._clock
-            )
+            HHSketch(hh_cfg, ctx.child("moment-hh", i), epsilon_tree, self._clock, key=(i,))
             for i in range(shape.L + 1)
         ]
         self._g = GeometricLevelHash(shape.L, shape.lam, ctx.child_seed("moment-g"))
@@ -243,10 +248,6 @@ class MomentState:
                 self.hh[level].ingest(e)
         self.low_freq.ingest(e)
 
-    def feed(self, e: StreamEvent) -> float:
-        self.ingest(e)
-        return self.current()
-
     def current(self) -> float:
         shape = self.shape
         q1 = shape.q1
@@ -275,9 +276,10 @@ class MomentState:
 
 
 def moment_estimator(cfg: MomentConfig, ctx: NoiseContext) -> BoostedEstimator:
-    """Boosted moment estimator; per copy the budget splits into 4 equal
-    units (level-stream tuple worth 3, low-frequency block worth 1)."""
+    """Boosted moment estimator; per copy the budget splits into equal units,
+    ``LEVEL_TUPLE_UNITS`` for the level-stream tuple and one for the
+    low-frequency block."""
     copies = cfg.n_copies()
-    eps_unit = cfg.epsilon / (4 * copies)
+    eps_unit = cfg.epsilon / ((LEVEL_TUPLE_UNITS + 1) * copies)
     instances = [MomentState(cfg, ctx.child("moment-copy", c), eps_unit) for c in range(copies)]
     return BoostedEstimator(instances, median_boost, equal_shares(cfg.epsilon, cfg.xi, copies))

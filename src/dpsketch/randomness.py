@@ -22,6 +22,8 @@ from typing import Sequence
 import numpy as np
 
 MERSENNE_PRIME = (1 << 61) - 1
+# the largest hash range a derived universe size is given, below the field size
+HASH_RANGE_CAP = 1 << 60
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

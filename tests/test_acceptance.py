@@ -17,7 +17,7 @@ import pytest
 from dpsketch.distinct import SmallUniverseDistinct
 from dpsketch.experiment import sensitivity_check
 from dpsketch.countsketch import CountSketchState
-from dpsketch.heavy_hitters import HHConfig, HHEstimator
+from dpsketch.heavy_hitters import HHConfig, hh_estimator
 from dpsketch.low_freq import LowFreqSmall
 from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.randomness import NoiseContext
@@ -88,7 +88,8 @@ def test_criterion_1_noise_off_exactness():
             if distinct.feed(e) != len(seen):
                 failures.append(f"{kind}: distinct count")
                 break
-            if lowfreq.feed(e) != [float(c) for c in exact_counts[1 : k + 1]]:
+            lowfreq.ingest(e)
+            if lowfreq.current() != [float(c) for c in exact_counts[1 : k + 1]]:
                 failures.append(f"{kind}: per-frequency counts")
                 break
     report(
@@ -283,13 +284,13 @@ def test_criterion_6_heavy_hitters():
     recall_ok = 0
     violating_runs = 0
     for seed in range(trials):
-        est = HHEstimator(cfg, NoiseContext(600_000 + seed))
+        est = hh_estimator(cfg, NoiseContext(600_000 + seed))
         stream = generate_stream(
             "planted_heavy", StreamConfig(T=T, n=n), seed=seed, frac=0.6
         )
         for e in stream:
             est.ingest(e)
-        rep = est.report()
+        rep = est.current()
         table = exact_frequencies(stream)
         planted = table[0]
         if 0 in rep and abs(rep[0] - planted) <= eta * planted:

@@ -12,19 +12,27 @@ import math
 
 import pytest
 
-from dpsketch.countsketch import CountSketchState
+from dpsketch.countsketch import CountSketchState, L2Config, L2Estimator
 from dpsketch.distinct import DistinctConfig, SubsampleParams, distinct_estimator
 from dpsketch.budget import copy_count
 from dpsketch.heavy_hitters import (
     ETA_F2,
     TAU_LOG_POWER,
+    INNER_BUCKETS,
     HHConfig,
-    HHEstimator,
     HHSketch,
+    hh_estimator,
     noise_floor,
+    recall_threshold,
 )
 from dpsketch.low_freq import low_freq_block
-from dpsketch.moment import GAMMA2_FACTOR, MAX_LOW_FREQ_K, MomentConfig, MomentState
+from dpsketch.moment import (
+    GAMMA2_FACTOR,
+    MAX_LOW_FREQ_K,
+    MomentConfig,
+    MomentState,
+    moment_estimator,
+)
 from dpsketch.randomness import (
     GeometricLevelHash,
     LevelRouter,
@@ -33,7 +41,7 @@ from dpsketch.randomness import (
     even_independence,
     subsample_depth,
 )
-from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism, tree_levels
+from dpsketch.summing import BinaryTreeMechanism, Clock, GroupingMechanism, tree_levels
 
 HORIZONS = [1, 2, 1024, 1 << 17]
 NOISE = [False, True]
@@ -66,10 +74,10 @@ class TestHeavyHitterFloor:
             scale = _levels(T) / float(eps_tree)
             gamma2 = 0.0 if noise_off else factor * scale
             floor = 512 * gamma2**2 / eta**2
-            sketch = HHSketch(cfg, NoiseContext(3, noise_off=noise_off), eps_tree)
+            sketch = HHSketch(cfg, NoiseContext(3, noise_off=noise_off), eps_tree, Clock(T))
             assert (sketch.gamma2, sketch._floor) == (gamma2, floor)
             assert noise_floor(T, eps_tree, eta, factor, noise_off) == (gamma2, floor)
-            assert sketch.gamma1 == 4 * cfg.inner_buckets * gamma2**2 / ETA_F2
+            assert sketch.gamma1 == 4 * INNER_BUCKETS * gamma2**2 / ETA_F2
 
     @pytest.mark.parametrize("noise_off", NOISE)
     @pytest.mark.parametrize("T", HORIZONS)
@@ -79,17 +87,17 @@ class TestHeavyHitterFloor:
         ):
             cfg = HHConfig(p=2.0, k=3, eta=eta, epsilon=epsilon, xi=0.1, T=T, n=16,
                            copies=copies, gamma2_factor=factor)
-            est = HHEstimator(cfg, NoiseContext(5, noise_off=noise_off))
-            # the formula HHEstimator.tau evaluated from the copies' values
+            est = hh_estimator(cfg, NoiseContext(5, noise_off=noise_off))
+            # the formula recall_threshold evaluated from the copies' values
             scale = _levels(T) / (epsilon / (4 * copies))
             gamma2 = 0.0 if noise_off else factor * scale
-            gamma1 = 4 * cfg.inner_buckets * gamma2**2 / ETA_F2
+            gamma1 = 4 * INNER_BUCKETS * gamma2**2 / ETA_F2
             theory = (
                 1.0 / (epsilon * eta)
                 * math.log(T * cfg.k * cfg.n / (cfg.xi * eta)) ** TAU_LOG_POWER
             )
             floor = 4.0 * math.sqrt(gamma1 / (cfg.phi * cfg.k) + 512 * gamma2**2 / eta**2)
-            assert est.tau == max(theory, floor)
+            assert recall_threshold(cfg, est.copies[0]) == max(theory, floor)
 
     @pytest.mark.parametrize("noise_off", NOISE)
     @pytest.mark.parametrize("T", [2, 1024, 1 << 17])
@@ -106,6 +114,38 @@ class TestHeavyHitterFloor:
             inside += 1.0 < tau < MAX_LOW_FREQ_K
         # some cutoffs fall inside the cap, where tau's bits show unclamped
         assert inside > 0 or noise_off
+
+
+class TestEpsilonSplits:
+    """Each factory's epsilon split equals its integer-divisor form bit for
+    bit: 2 per L2 copy, 4 per heavy-hitter copy and per moment unit, 4 moment
+    units per copy."""
+
+    GRID = list(itertools.product([1e-3, 0.1, 1.0, 3.7, 64.0, 1e6], [1, 2, 3, 7, 50]))
+
+    def test_l2_bucket_epsilon(self):
+        for epsilon, copies in self.GRID:
+            cfg = L2Config(epsilon=epsilon, eta=0.2, xi=0.1, n=16, T=8, copies=copies,
+                           buckets=2)
+            est = L2Estimator(cfg, NoiseContext(1))
+            assert all(s.epsilon_bucket == epsilon / (2 * copies) for s in est.copies)
+
+    def test_hh_tree_epsilon(self):
+        for epsilon, copies in self.GRID:
+            cfg = HHConfig(p=2.0, k=2, eta=0.2, epsilon=epsilon, xi=0.1, T=8, n=16,
+                           copies=copies)
+            est = hh_estimator(cfg, NoiseContext(1))
+            assert all(s.epsilon_tree == epsilon / (4 * copies) for s in est.copies)
+
+    def test_moment_unit_and_tree_epsilon(self):
+        for epsilon, copies in self.GRID:
+            cfg = MomentConfig(p=2.0, epsilon=epsilon, eta=0.25, xi=0.1, T=8, n=16,
+                               copies=copies, tau=4.0)
+            est = moment_estimator(cfg, NoiseContext(1))
+            unit = epsilon / (4 * copies)
+            for state in est.copies:
+                assert all(s.cfg.epsilon == unit for s in state.hh)
+                assert all(s.epsilon_tree == unit / 4 for s in state.hh)
 
 
 class TestLevelRouter:

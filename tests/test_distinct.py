@@ -99,7 +99,8 @@ class TestSubsampled:
             params, ctx, lambda key: BinaryTreeMechanism(32, 1.0, ctx.child(*key))
         )
         for x in range(5):
-            assert sub.feed(element(x)) == 0.0
+            sub.ingest(element(x))
+            assert sub.current() == 0.0
 
     def test_selection_scales_level_count(self):
         # forced level, low threshold: output is the exact level count * 2^i
@@ -111,7 +112,8 @@ class TestSubsampled:
         )
         out = 0.0
         for x in range(6):
-            out = sub.feed(element(x))
+            sub.ingest(element(x))
+            out = sub.current()
         # collision check through the same public hash
         h = PolyHashFamily(2, params.m, NoiseContext(seed).child_seed("subsample-h"))
         assert len({h(x) for x in range(6)}) == 6
@@ -141,7 +143,11 @@ class TestSubsampled:
                 ctx,
                 lambda key: BinaryTreeMechanism(256, 1.0, ctx.child(*key)),
             )
-            outs.append([sub.feed(e) for e in stream])
+            run = []
+            for e in stream:
+                sub.ingest(e)
+                run.append(sub.current())
+            outs.append(run)
         assert outs[0] == outs[1]
 
     def test_output_form(self):
@@ -152,7 +158,8 @@ class TestSubsampled:
             params, ctx, lambda key: BinaryTreeMechanism(128, 1.0, ctx.child(*key))
         )
         for x in range(128):
-            out = sub.feed(element(x))
+            sub.ingest(element(x))
+            out = sub.current()
             assert out >= 0
             if out:
                 assert any(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dpsketch import countsketch, distinct, heavy_hitters, low_freq
 from dpsketch.cli import main
 from dpsketch.experiment import (
     ExperimentSpec,
@@ -59,6 +60,23 @@ class TestSensitivityChecks:
         buckets = sensitivity_check("countsketch-buckets", n=3, T=4, k=2)
         assert (lowfreq.observed, buckets.observed) == (24, 4)
         assert not lowfreq.passed and not buckets.passed
+
+    @pytest.mark.parametrize(
+        "owner, name, mapping, params",
+        [
+            (distinct, "INDICATOR_SENSITIVITY", "distinct-indicator", dict(n=2, T=5)),
+            (low_freq, "COUNTER_SENSITIVITY_PER_K", "lowfreq-counters", dict(n=2, T=5, k=2)),
+            (countsketch, "BUCKET_SENSITIVITY", "countsketch-buckets", dict(n=3, T=4, k=2)),
+            (heavy_hitters, "SUBSTREAM_SENSITIVITY", "hh-substreams", dict(n=3, T=4, k=2, m=2)),
+        ],
+    )
+    def test_claim_is_the_divisor_of_its_owner(self, monkeypatch, owner, name, mapping, params):
+        # a mechanism that divided epsilon by too little would fail its check
+        assert sensitivity_check(mapping, **params).passed
+        monkeypatch.setattr(owner, name, 1)
+        report = sensitivity_check(mapping, **params)
+        assert report.claimed == (params["k"] if name.endswith("_PER_K") else 1)
+        assert not report.passed
 
     def test_unknown_mapping(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,12 @@ from dpsketch.heavy_hitters import (
     REEVAL_SUBSTREAM,
     TAU_LOG_POWER,
     HHConfig,
-    HHEstimator,
     HHSketch,
+    hh_estimator,
+    recall_threshold,
 )
 from dpsketch.randomness import NoiseContext
+from dpsketch.summing import Clock
 from dpsketch.streams import (
     StreamConfig,
     element,
@@ -72,23 +74,29 @@ class TestNoiseOffSketch:
         # four elements at equal mass are all (1/4)-l2 heavy hitters; with
         # exact backends the report equals the exact heavy-hitter set
         cfg = hh_config(k=4, T=64, copies=1)
-        sketch = HHSketch(cfg, NoiseContext(2, noise_off=True), epsilon_tree=1.0)
+        clock = Clock(cfg.T)
+        sketch = HHSketch(cfg, NoiseContext(2, noise_off=True), epsilon_tree=1.0, clock=clock)
         stream = [element(x % 4) for x in range(64)]
         report = {}
         for e in stream:
-            report = sketch.feed(e)
+            clock.tick()
+            sketch.ingest(e)
+            report = sketch.current()
         table = exact_frequencies(stream)
         assert set(report) == exact_heavy_hitters(table, 2, 4) == {0, 1, 2, 3}
         assert all(report[a] == 16.0 for a in report)
 
     def test_planted_exact_estimate(self):
         cfg = hh_config(k=4, T=100)
-        sketch = HHSketch(cfg, NoiseContext(3, noise_off=True), epsilon_tree=1.0)
+        clock = Clock(cfg.T)
+        sketch = HHSketch(cfg, NoiseContext(3, noise_off=True), epsilon_tree=1.0, clock=clock)
         stream = generate_stream(
             "planted_heavy", StreamConfig(T=100, n=64), seed=7, frac=0.6
         )
         for e in stream:
-            report = sketch.feed(e)
+            clock.tick()
+            sketch.ingest(e)
+            report = sketch.current()
         table = exact_frequencies(stream)
         assert 0 in report
         # estimate differs from the truth only by inner-bucket collisions
@@ -97,29 +105,39 @@ class TestNoiseOffSketch:
 
     def test_report_respects_cap_and_presence(self):
         cfg = hh_config(k=2, T=128, eta=0.25)
-        sketch = HHSketch(cfg, NoiseContext(5, noise_off=True), epsilon_tree=1.0)
+        clock = Clock(cfg.T)
+        sketch = HHSketch(cfg, NoiseContext(5, noise_off=True), epsilon_tree=1.0, clock=clock)
         stream = generate_stream("zipf", StreamConfig(T=128, n=64), seed=3, s=1.5)
         present = set()
         for e in stream:
             present.add(e.value)
-            report = sketch.feed(e)
+            clock.tick()
+            sketch.ingest(e)
+            report = sketch.current()
             assert len(report) <= cfg.report_cap
             assert set(report) <= present
 
     def test_p0_reports_all_when_distinct_below_k(self):
         cfg = hh_config(p=0.0, k=4, T=30)
-        sketch = HHSketch(cfg, NoiseContext(8, noise_off=True), epsilon_tree=1.0)
+        clock = Clock(cfg.T)
+        sketch = HHSketch(cfg, NoiseContext(8, noise_off=True), epsilon_tree=1.0, clock=clock)
         stream = [element(x % 3) for x in range(30)]
         for e in stream:
-            report = sketch.feed(e)
+            clock.tick()
+            sketch.ingest(e)
+            report = sketch.current()
         assert set(report) == {0, 1, 2}
         assert all(report[a] == 10.0 for a in report)
 
     def test_ties_prefer_smaller_id(self):
         cfg = hh_config(p=0.0, k=1, T=8)  # cap = 1
-        sketch = HHSketch(cfg, NoiseContext(1, noise_off=True), epsilon_tree=1.0)
-        sketch.feed(element(7))
-        report = sketch.feed(element(2))
+        clock = Clock(cfg.T)
+        sketch = HHSketch(cfg, NoiseContext(1, noise_off=True), epsilon_tree=1.0, clock=clock)
+        clock.tick()
+        sketch.ingest(element(7))
+        clock.tick()
+        sketch.ingest(element(2))
+        report = sketch.current()
         assert list(report) == [2]
 
 
@@ -128,10 +146,13 @@ class TestNoisySketch:
         # every frequency far below the candidacy floor: H stays empty
         cfg = hh_config(k=4, T=256, n=256)
         for seed in range(10):
-            sketch = HHSketch(cfg, NoiseContext(700 + seed), epsilon_tree=0.25)
+            clock = Clock(cfg.T)
+            sketch = HHSketch(cfg, NoiseContext(700 + seed), epsilon_tree=0.25, clock=clock)
             stream = generate_stream("uniform", StreamConfig(T=256, n=256), seed=seed)
             for e in stream:
-                report = sketch.feed(e)
+                clock.tick()
+                sketch.ingest(e)
+                report = sketch.current()
             assert report == {}
 
     def test_planted_recovery_boosted(self):
@@ -142,7 +163,7 @@ class TestNoisySketch:
         cfg = hh_config(k=4, T=T, n=1 << 14, copies=3, epsilon=4.0)
         hits = 0
         for seed in range(trials):
-            est = HHEstimator(cfg, NoiseContext(4000 + seed))
+            est = hh_estimator(cfg, NoiseContext(4000 + seed))
             stream = generate_stream(
                 "planted_heavy", StreamConfig(T=T, n=1 << 14), seed=seed, frac=0.6
             )
@@ -156,29 +177,29 @@ class TestNoisySketch:
 
     def test_union_cap(self):
         cfg = hh_config(k=2, T=64, copies=3)
-        est = HHEstimator(cfg, NoiseContext(9))
+        est = hh_estimator(cfg, NoiseContext(9))
         stream = generate_stream("zipf", StreamConfig(T=64, n=32), seed=4, s=1.4)
         for e in stream:
             report = est.feed(e)
-            assert len(report) <= est.report_cap
+            assert len(report) <= len(est.copies) * cfg.report_cap
 
     def test_determinism(self):
         cfg = hh_config(k=2, T=64, copies=2)
         stream = generate_stream("zipf", StreamConfig(T=64, n=32), seed=6, s=1.2)
         runs = []
         for _ in range(2):
-            est = HHEstimator(cfg, NoiseContext(123))
+            est = hh_estimator(cfg, NoiseContext(123))
             outs = [sorted(est.feed(e).items()) for e in stream]
             runs.append(outs)
         assert runs[0] == runs[1]
 
     def test_tau_invariant(self):
         cfg = hh_config(T=1024, n=1 << 10, copies=2)
-        est = HHEstimator(cfg, NoiseContext(0))
+        est = hh_estimator(cfg, NoiseContext(0))
         theory = (1 / (cfg.epsilon * cfg.eta)) * math.log(
             cfg.T * cfg.k * cfg.n / (cfg.xi * cfg.eta)
         ) ** TAU_LOG_POWER
-        assert est.tau >= theory
+        assert recall_threshold(cfg, est.copies[0]) >= theory
 
 
 class TestReevalPolicies:
@@ -189,8 +210,11 @@ class TestReevalPolicies:
         reports = {}
         for policy in ("all", REEVAL_SUBSTREAM):
             cfg = hh_config(k=4, T=256, n=16, reeval=policy)
-            sketch = HHSketch(cfg, NoiseContext(77, noise_off=True), epsilon_tree=1.0)
+            clock = Clock(cfg.T)
+            sketch = HHSketch(cfg, NoiseContext(77, noise_off=True), epsilon_tree=1.0, clock=clock)
             for e in stream:
-                report = sketch.feed(e)
+                clock.tick()
+                sketch.ingest(e)
+                report = sketch.current()
             reports[policy] = report
         assert reports["all"] == reports[REEVAL_SUBSTREAM]

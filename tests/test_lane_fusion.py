@@ -7,6 +7,7 @@ heavy-hitter copy.
 """
 
 import gc
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from dpsketch.cli import (
     main,
 )
 from dpsketch.countsketch import CountSketchState, L2Config, L2Estimator
-from dpsketch.heavy_hitters import HHConfig, HHEstimator, HHSketch
+from dpsketch.heavy_hitters import HHConfig, HHSketch, hh_estimator
 from dpsketch.randomness import NoiseContext, median_boost
 from dpsketch.streamio import write_stream_file
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
@@ -198,22 +199,38 @@ class TestLaneReadMemory:
         assert (after - before) / count < 3500
 
 
+def _union_median(reports):
+    # the boosted heavy hitters' combine, written out as a loop
+    union = {}
+    for rep in reports:
+        for ident, f_hat in rep.items():
+            union.setdefault(ident, []).append(f_hat)
+    return {ident: statistics.median(vals) for ident, vals in union.items()}
+
+
 class TestHHSharedClock:
     def test_reports_equal_per_copy_clocks(self):
         T, seed = 256, 4
         cfg = HHConfig(p=2.0, k=2, eta=0.2, epsilon=8.0, xi=0.1, T=T, n=32, copies=3)
-        est = HHEstimator(cfg, NoiseContext(seed))
+        est = hh_estimator(cfg, NoiseContext(seed))
+        clocks = [Clock(T) for _ in range(3)]
         refs = [
-            HHSketch(cfg, NoiseContext(seed).child("hh-copy", c), est.epsilon_tree, key=(c,))
+            HHSketch(cfg, NoiseContext(seed).child("hh-copy", c), cfg.epsilon / (4 * 3),
+                     clocks[c], key=(c,))
             for c in range(3)
         ]
         stream = generate_stream("zipf", StreamConfig(T=T, n=32), seed=seed, s=1.5)
         reported = 0
         for e in stream:
             got = est.feed(e)
-            want = est._combine([r.feed(e) for r in refs])
+            reports = []
+            for clock, r in zip(clocks, refs):
+                clock.tick()
+                r.ingest(e)
+                reports.append(r.current())
+            want = _union_median(reports)
             assert got == want
-            assert est.report() == want
+            assert est.current() == want
             reported += len(got)
         assert reported > 0  # the comparison covers non-empty reports
         assert [s.t for s in est.copies] == [T] * 3

@@ -6,6 +6,7 @@ from dpsketch.low_freq import (
     LowFreqGeneral,
     LowFreqSmall,
     SubsampleLowFreqParams,
+    low_freq_block,
     lowfreq_estimator,
     subsample_lowfreq_params,
 )
@@ -32,20 +33,22 @@ def exact_freq_counts(stream, k):
 class TestLowFreqSmall:
     def test_mixed_frequencies(self):
         d = lfs(8, 2, 3)
-        d.feed(element(0))
-        d.feed(element(1))
-        assert d.feed(element(0)) == [1.0, 1.0]
+        d.ingest(element(0))
+        d.ingest(element(1))
+        d.ingest(element(0))
+        assert d.current() == [1.0, 1.0]
 
     def test_frequency_exits_tracked_range(self):
         d = lfs(8, 2, 3)
-        d.feed(element(0))
-        d.feed(element(0))
-        assert d.feed(element(0)) == [0.0, 0.0]
+        d.ingest(element(0))
+        d.ingest(element(0))
+        d.ingest(element(0))
+        assert d.current() == [0.0, 0.0]
 
     def test_empty_events_ignored(self):
         d = lfs(4, 2, 4)
-        d.feed(EMPTY_EVENT)
-        d.feed(element(1))
+        d.ingest(EMPTY_EVENT)
+        d.ingest(element(1))
         assert d.current() == [1.0, 0.0]
 
     def test_matches_oracle_on_random_stream(self):
@@ -53,7 +56,8 @@ class TestLowFreqSmall:
         stream = generate_stream("uniform", StreamConfig(T=T, n=n), seed=5)
         d = lfs(n, k, T)
         for t, e in enumerate(stream, start=1):
-            values = d.feed(e)
+            d.ingest(e)
+            values = d.current()
             assert values == [float(x) for x in exact_freq_counts(stream[:t], k)]
 
     def test_sum_bounded_by_distinct(self):
@@ -64,7 +68,8 @@ class TestLowFreqSmall:
         for e in stream:
             if e.is_element():
                 distinct.add(e.value)
-            values = d.feed(e)
+            d.ingest(e)
+            values = d.current()
             assert sum(values) <= len(distinct)
 
     def test_noisy_counters_within_tree_bound(self):
@@ -77,7 +82,8 @@ class TestLowFreqSmall:
             bound = d.counters.error_bound(0.1 / k)
             good = True
             for t, e in enumerate(stream, start=1):
-                values = d.feed(e)
+                d.ingest(e)
+                values = d.current()
                 exact = exact_freq_counts(stream[:t], k)
                 if any(abs(v - x) > bound for v, x in zip(values, exact)):
                     good = False
@@ -90,7 +96,8 @@ class TestLowFreqSmall:
         d = LowFreqSmall(8, 2, 64, 0.01, NoiseContext(12))
         saw_negative = False
         for x in range(64):
-            values = d.feed(element(x % 8))
+            d.ingest(element(x % 8))
+            values = d.current()
             saw_negative = saw_negative or any(v < 0 for v in values)
         assert saw_negative
 
@@ -108,10 +115,9 @@ class _ExactDistinct:
     def __init__(self):
         self.seen = set()
 
-    def feed(self, e):
+    def ingest(self, e):
         if e.is_element():
             self.seen.add(e.value)
-        return float(len(self.seen))
 
     def current(self):
         return float(len(self.seen))
@@ -135,25 +141,40 @@ class TestLowFreqGeneral:
     def test_zero_output_below_floor(self):
         gen = self._build(k=2, T=16, floor=100.0)
         for x in range(10):
-            assert gen.feed(element(x)) == [0.0, 0.0]
+            gen.ingest(element(x))
+            assert gen.current() == [0.0, 0.0]
 
     def test_level_scaling_on_all_distinct(self):
         gen = self._build(k=2, T=64, floor=2.0, seed=11)
         out = None
         for x in range(64):
-            out = gen.feed(element(x))
+            gen.ingest(element(x))
+            out = gen.current()
         d = gen.d_hat.current()
         i_star = max(i for i in range(1, gen.params.L + 1) if 2**i * 2.0 <= d)
         expected = [v * 2.0**i_star for v in gen.levels[i_star - 1].current()]
         assert out == expected
+
+    def test_ingest_leaves_the_distinct_estimate_uncombined(self):
+        # ingest advances the distinct estimate's copies; only current()
+        # takes their median
+        gen = low_freq_block(1 << 15, 2, 64, 0.25, 1.0, 0.1, NoiseContext(4))
+        combine, calls = gen.d_hat.combiner, []
+        gen.d_hat.combiner = lambda values: calls.append(values) or combine(values)
+        for x in range(16):
+            gen.ingest(element(x))
+        assert calls == []
+        gen.current()
+        assert len(calls) == 1
 
     def test_pairs_stream(self):
         # every element appears exactly twice: only s_2 grows
         gen = self._build(k=2, T=64, floor=1.0, seed=3)
         out = None
         for x in range(32):
-            gen.feed(element(x))
-            out = gen.feed(element(x))
+            gen.ingest(element(x))
+            gen.ingest(element(x))
+            out = gen.current()
         assert out[0] == 0.0 or out[0] < out[1] or out[1] >= 0.0
         # the scaled level-2 count tracks the pair count within sampling error
         d = gen.d_hat.current()

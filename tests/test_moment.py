@@ -13,6 +13,7 @@ from dpsketch.low_freq import (
 from dpsketch.moment import (
     ABOVE,
     BELOW,
+    LEVEL_TUPLE_UNITS,
     MAX_LOW_FREQ_K,
     MomentConfig,
     MomentState,
@@ -57,12 +58,8 @@ class TestBetaSample:
     def test_grid_resolution(self):
         ctx = NoiseContext(3)
         step = (0.25 / 1024) ** 3
-        b = beta_sample(ctx, 0.25, 1024, C=3)
+        b = beta_sample(ctx, 0.25, 1024)
         assert abs((b - 0.5) / step - round((b - 0.5) / step)) < 1e-6
-
-    def test_c_validated(self):
-        with pytest.raises(ValueError):
-            beta_sample(NoiseContext(0), 0.25, 64, C=1)
 
 
 class TestShape:
@@ -193,7 +190,8 @@ class TestContributing:
 class TestMomentState:
     def test_empty_stream_zero(self):
         state = MomentState(moment_cfg(), NoiseContext(0, noise_off=True), 1.0)
-        assert state.feed(EMPTY_EVENT) == 0.0
+        state.ingest(EMPTY_EVENT)
+        assert state.current() == 0.0
 
     def test_noise_off_p1_tracks_count(self):
         cfg = moment_cfg(p=1.0, T=256, n=32)
@@ -201,7 +199,8 @@ class TestMomentState:
         stream = generate_stream("zipf", StreamConfig(T=256, n=32), seed=6, s=1.2)
         out = 0.0
         for e in stream:
-            out = state.feed(e)
+            state.ingest(e)
+            out = state.current()
         exact = float(exact_frequencies(stream).total_nonempty)
         assert (1 - 2 * cfg.eta) * exact <= out <= (1 + 2 * cfg.eta) * exact
 
@@ -211,7 +210,8 @@ class TestMomentState:
         stream = generate_stream("zipf", StreamConfig(T=256, n=64), seed=8, s=1.4)
         out = 0.0
         for e in stream:
-            out = state.feed(e)
+            state.ingest(e)
+            out = state.current()
         exact = exact_lp_moment(exact_frequencies(stream), 2.0)
         assert (1 - cfg.eta) ** 3 * exact <= out <= (1 + cfg.eta) * exact
 
@@ -221,7 +221,7 @@ class TestMomentState:
         state = MomentState(cfg, NoiseContext(3, noise_off=True), 1.0)
         stream = generate_stream("zipf", StreamConfig(T=512, n=64), seed=9, s=1.3)
         for e in stream:
-            state.feed(e)
+            state.ingest(e)
         table = exact_frequencies(stream)
         shape = state.shape
         eta, p = cfg.eta, cfg.p
@@ -241,7 +241,8 @@ class TestMomentState:
         state = MomentState(cfg, NoiseContext(4), 0.25)
         stream = generate_stream("uniform", StreamConfig(T=128, n=32), seed=1)
         for e in stream:
-            out = state.feed(e)
+            state.ingest(e)
+            out = state.current()
             assert out >= 0.0
 
 
@@ -318,7 +319,7 @@ class TestLevelTupleSensitivity:
             differing = sum(
                 1 for a, b in zip(derived, other) if stream_distance(a, b) > 0
             )
-            assert differing <= 3
+            assert differing <= LEVEL_TUPLE_UNITS
 
 
 class TestMomentEstimator:
@@ -376,14 +377,15 @@ class TestSharedClock:
         # each level used to tick its own clock and take EMPTY_EVENT for
         # arrivals routed elsewhere; on one clock it sees its arrivals only
         from dpsketch.heavy_hitters import HHSketch
-        from dpsketch.summing import StateError
+        from dpsketch.summing import Clock, StateError
 
         cfg = MomentConfig(p=2.0, epsilon=64.0, eta=0.25, xi=0.1, T=512, n=16,
                            copies=1, tau=4.0)
         state = MomentState(cfg, NoiseContext(3), 16.0)
         twin = MomentState(cfg, NoiseContext(3), 16.0)
+        clocks = [Clock(512) for _ in state.hh]
         twin.hh = [
-            HHSketch(sketch.cfg, NoiseContext(3).child("moment-hh", i), 4.0, key=(i,))
+            HHSketch(sketch.cfg, NoiseContext(3).child("moment-hh", i), 4.0, clocks[i], key=(i,))
             for i, sketch in enumerate(state.hh)
         ]
         deep = 0
@@ -391,6 +393,7 @@ class TestSharedClock:
             state.ingest(e)
             level = state._level(e.value) if e.is_element() else None
             for i, sketch in enumerate(twin.hh):
+                clocks[i].tick()
                 sketch.ingest(e if i == 0 or i == level else EMPTY_EVENT)
             twin.low_freq.ingest(e)
             assert [s.report() for s in state.hh] == [s.report() for s in twin.hh]

@@ -173,8 +173,8 @@ class TestLowFreqSmall:
     def test_equals_reference_at_every_t(self, seed):
         n, k, T, eps = 16, 5, 300, 0.25
         stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.1)
-        d = LowFreqSmall(n, k, T, eps, NoiseContext(seed), key=(4,))
-        refs = [ReferenceNoise(seed, ("tree", "lfs", 4, i), T, eps) for i in range(1, k + 1)]
+        d = LowFreqSmall(n, k, T, eps, NoiseContext(seed))
+        refs = [ReferenceNoise(seed, ("tree", "lfs", i), T, eps) for i in range(1, k + 1)]
         freq = {}
         counts = [0.0] * k
         for t, e in enumerate(stream, start=1):
@@ -185,7 +185,8 @@ class TestLowFreqSmall:
                     counts[j - 1] += 1
                 if 2 <= j <= k + 1:
                     counts[j - 2] -= 1
-            got = d.feed(e)
+            d.ingest(e)
+            got = d.current()
             assert isinstance(got, list)
             want = [ref.tree_output(counts[i], t) for i, ref in enumerate(refs)]
             assert np.array_equal(_bits(got), _bits(want))
