@@ -31,20 +31,16 @@ class F2Estimate:
     value: float
 
 
-def bucket_lanes(k: int, ctx: NoiseContext, key: tuple = ()) -> tuple:
-    """A sketch's buckets as bank lanes, bucket i keyed ("cs",) + key + ("bucket", i)."""
-    return (ctx.master_seed, ("cs",) + tuple(key) + ("bucket",), range(k))
-
-
 class CountSketchState:
     """One CountSketch: k signed buckets over a shared time axis.
 
     Each non-empty event adds its sign to exactly one bucket; every bucket's
     output is its running sum plus the noise of the dyadic nodes tiling
     [1, t], each node carrying an independent Laplace draw of scale
-    (ceil(log2 T)+1)/epsilon_bucket.  The buckets are lanes of the sketch's
-    own bank or, with ``window=(bank, c)``, lanes [c*k, (c+1)*k) of a bank
-    shared by boosted copies, whose owner ticks it and calls ``observe``.
+    (ceil(log2 T)+1)/epsilon_bucket.  Bucket i is the lane keyed ("cs",) +
+    key + ("bucket", i) of a window the sketch joins: of its own bank, or of
+    ``bank``, shared by boosted copies, whose owner ticks it and calls
+    ``observe``.
     """
 
     def __init__(
@@ -55,7 +51,7 @@ class CountSketchState:
         ctx: NoiseContext,
         key: tuple = (),
         clock: Clock | None = None,
-        window: tuple[BinaryTreeMechanism, int] | None = None,
+        bank: BinaryTreeMechanism | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"bucket count must be >= 1, got {k}")
@@ -64,11 +60,11 @@ class CountSketchState:
         self.epsilon_bucket = float(epsilon_bucket)
         self._ctx = ctx
         self._key = ("cs",) + tuple(key)
-        if window is None:
-            lanes = [bucket_lanes(self.k, ctx, key)]
-            window = (BinaryTreeMechanism(self.T, epsilon_bucket, ctx, clock=clock, lanes=lanes), 0)
-        self._bank, c = window
-        self._lo, self._hi = c * self.k, (c + 1) * self.k
+        self._bank = BinaryTreeMechanism.bank(self.T, ctx, clock) if bank is None else bank
+        self._lo = self._bank.join(
+            ctx.master_seed, self._key + ("bucket",), range(self.k), epsilon_bucket
+        )
+        self._hi = self._lo + self.k
         self.h = PolyHashFamily(4, self.k, ctx.child_seed(*self._key, "h"))
         self.g = SignHash(ctx.child_seed(*self._key, "g"))
         self._route_cache: dict[int, tuple[int, int]] = {}
@@ -127,7 +123,7 @@ class CountSketchState:
         the bank's bound at xi/k, a union bound over the k buckets."""
         if not 0 < xi < 1:
             raise ValueError(f"xi must be in (0, 1), got {xi}")
-        return self._bank.error_bound(xi / self.k)
+        return self._bank.error_bound(xi / self.k, self._lo)
 
 
 @dataclass(frozen=True)
@@ -159,12 +155,12 @@ class L2Estimator:
         copies = copy_count(cfg.copies, cfg.T, cfg.xi, cfg.n)
         k = cfg.buckets if cfg.buckets is not None else default_l2_buckets(cfg.eta)
         eps_bucket = cfg.epsilon / (BUCKET_SENSITIVITY * copies)
-        contexts = [ctx.child("l2-copy", c) for c in range(copies)]
-        lanes = [bucket_lanes(k, child, (c,)) for c, child in enumerate(contexts)]
-        self._bank = BinaryTreeMechanism(cfg.T, eps_bucket, ctx, lanes=lanes)
+        self._bank = BinaryTreeMechanism.bank(cfg.T, ctx)
         self.copies = [
-            CountSketchState(k, cfg.T, eps_bucket, child, key=(c,), window=(self._bank, c))
-            for c, child in enumerate(contexts)
+            CountSketchState(
+                k, cfg.T, eps_bucket, ctx.child("l2-copy", c), key=(c,), bank=self._bank
+            )
+            for c in range(copies)
         ]
         self.budget = equal_shares(cfg.epsilon, cfg.xi, copies)
 

@@ -14,9 +14,12 @@ delayed at most until its next arrival).
 
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable, Hashable
 
 from .budget import check_accuracy, copy_count, equal_shares
 from .distinct import BoostedEstimator
@@ -102,7 +105,15 @@ def noise_floor(T: int, epsilon_tree: float, eta: float, factor: float, noise_of
 
 class HHSketch:
     """One copy of the substream heavy-hitter sketch, on its owner's ``clock``:
-    the owner advances it once per event, before ``ingest``."""
+    the owner advances it once per event, before ``ingest``.
+
+    Under ``REEVAL_SUBSTREAM`` a candidate's estimate moves only with its own
+    substream's arrivals, so candidates are indexed by substream and the
+    ranking (key (-f_hat, id)) is kept sorted on every admit, evict and
+    re-estimate.  ``bins(f_hat)`` then names the bin a reported estimate
+    counts in (None: none), and ``report_bins`` holds the number of reported
+    candidates per bin, kept up to date with the ranking.
+    """
 
     def __init__(
         self,
@@ -111,6 +122,7 @@ class HHSketch:
         epsilon_tree: float,
         clock: Clock,
         key: tuple = (),
+        bins: Callable[[float], Hashable | None] | None = None,
     ) -> None:
         self.cfg = cfg
         self._ctx = ctx
@@ -127,6 +139,14 @@ class HHSketch:
         self._sketches: dict[int, CountSketchState] = {}
         self._route_cache: dict[int, int] = {}
         self.candidates: dict[int, float] = {}
+        self._by_substream: dict[int, set[int]] | None = None
+        self._ranked: list[tuple[float, int]] | None = None
+        if cfg.reeval == REEVAL_SUBSTREAM:
+            self._by_substream, self._ranked = {}, []
+        elif bins is not None:
+            raise ValueError("report bins are kept under REEVAL_SUBSTREAM only")
+        self._bins = bins
+        self.report_bins: dict = {}
 
     @property
     def t(self) -> int:
@@ -168,19 +188,21 @@ class HHSketch:
     def ingest(self, e: StreamEvent) -> None:
         """Take the current timestamp's event and refresh candidacy, skipping
         the report."""
-        arrived = None
         if e.is_element():
             arrived = e.value
-            self._substream(self._route(arrived)).observe(e)
+            idx = self._route(arrived)
+            self._substream(idx).observe(e)
         elif e.is_integer():
             raise ValueError("heavy-hitter detection requires an elements-mode stream")
-        if self.cfg.reeval == REEVAL_ALL:
-            retest = set(self.candidates)
-        elif arrived is None:
-            retest = set()
         else:
-            idx = self._route(arrived)
-            retest = {b for b in self.candidates if self._route(b) == idx}
+            arrived = None
+        if self._ranked is not None:
+            if arrived is not None:
+                held = self._by_substream.get(idx)
+                for b in (held | {arrived}) if held else (arrived,):
+                    self._rerank(b, idx, self._passes(b))
+            return
+        retest = set(self.candidates)
         if arrived is not None:
             retest.add(arrived)
         for b in retest:
@@ -190,12 +212,57 @@ class HHSketch:
             else:
                 self.candidates[b] = f_hat
 
+    def _rerank(self, b: int, idx: int, f_new: float | None) -> None:
+        """Set b's estimate (None: not a candidate), moving it in the ranking
+        and moving the report bins of the entries that enter or leave the
+        top ``report_cap``."""
+        f_old = self.candidates.get(b)
+        if f_new == f_old:
+            return
+        ranked, cap = self._ranked, self.report_cap
+        if f_old is not None:
+            pos = bisect_left(ranked, (-f_old, b))
+            del ranked[pos]
+            if pos < cap:
+                self._tally(f_old, -1)
+                if len(ranked) >= cap:  # the first entry below the cap moves up
+                    self._tally(-ranked[cap - 1][0], 1)
+            if f_new is None:
+                del self.candidates[b]
+                held = self._by_substream[idx]
+                held.discard(b)
+                if not held:
+                    del self._by_substream[idx]
+                return
+        else:
+            self._by_substream.setdefault(idx, set()).add(b)
+        self.candidates[b] = f_new
+        pos = bisect_left(ranked, (-f_new, b))
+        ranked.insert(pos, (-f_new, b))
+        if pos < cap:
+            self._tally(f_new, 1)
+            if len(ranked) > cap:  # the entry pushed below the cap leaves
+                self._tally(-ranked[cap][0], -1)
+
+    def _tally(self, f_hat: float, step: int) -> None:
+        if self._bins is None:
+            return
+        slot = self._bins(f_hat)
+        if slot is not None:
+            count = self.report_bins.get(slot, 0) + step
+            if count:
+                self.report_bins[slot] = count
+            else:
+                del self.report_bins[slot]
+
     def report(self) -> dict[int, float]:
         """Top candidates by estimate, ties favouring the smaller element id."""
-        if not self.candidates:
-            return {}
-        ranked = sorted(self.candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-        return dict(ranked[: self.report_cap])
+        if self._ranked is not None:
+            return {b: -neg for neg, b in self._ranked[: self.report_cap]}
+        top = heapq.nsmallest(
+            self.report_cap, self.candidates.items(), key=lambda kv: (-kv[1], kv[0])
+        )
+        return dict(top)
 
     def current(self) -> dict[int, float]:
         return self.report()

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .budget import check_accuracy, copy_count, equal_shares
 from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
@@ -23,8 +25,8 @@ from .randomness import (
     median_boost,
     subsample_depth,
 )
-from .streams import EMPTY_EVENT, StreamEvent, element
-from .summing import BinaryTreeMechanism
+from .streams import StreamEvent, element
+from .summing import BinaryTreeMechanism, Clock
 
 # one universe change perturbs each counter stream in at most 8 unit steps
 COUNTER_SENSITIVITY_PER_K = 8
@@ -37,8 +39,10 @@ class LowFreqSmall:
     """Exact-frequency counts over a small universe via k signed counters.
 
     With noise off, counter i's total equals |{a : f_a = i}| at every
-    timestamp.  Counters hold +-1 inputs, so they are tree-backed: one bank
-    of k lanes, counter i keyed ``("lfs", i)``.
+    timestamp.  Counters hold +-1 inputs, so they are tree-backed: a window
+    of k lanes, counter i keyed ``("lfs", i)``, that the block joins at
+    ``epsilon_counter`` in ``bank``, whose owner ticks it.  Without a bank
+    the block holds its own, and ``ingest`` ticks it.
     """
 
     def __init__(
@@ -48,32 +52,41 @@ class LowFreqSmall:
         T: int,
         epsilon_counter: float,
         ctx: NoiseContext,
+        bank: BinaryTreeMechanism | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.m = int(m)
         self.k = int(k)
-        lanes = [(ctx.master_seed, ("tree", "lfs"), range(1, k + 1))]
-        self.counters = BinaryTreeMechanism(T, epsilon_counter, ctx, lanes=lanes)
+        self._owns_bank = bank is None
+        self.counters = BinaryTreeMechanism.bank(T, ctx) if bank is None else bank
+        self._lo = self.counters.join(
+            ctx.master_seed, ("tree", "lfs"), range(1, k + 1), epsilon_counter
+        )
         self.freq: dict[int, int] = {}
 
     def ingest(self, e: StreamEvent) -> None:
-        """Advance one timestamp without computing the counter outputs."""
-        self.counters.tick()
+        """Take the current timestamp's event without computing the counter outputs."""
+        if self._owns_bank:
+            self.counters.tick()
         if e.is_element():
             if e.value >= self.m:
                 raise ValueError(f"element id {e.value} outside universe [0, {self.m})")
             j = self.freq.get(e.value, 0) + 1
             self.freq[e.value] = j
             if j <= self.k:
-                self.counters.add(1, j - 1)
+                self.counters.add(1, self._lo + j - 1)
             if 2 <= j <= self.k + 1:
-                self.counters.add(-1, j - 2)
+                self.counters.add(-1, self._lo + j - 2)
         elif e.is_integer():
             raise ValueError("low-frequency counting requires an elements-mode stream")
 
+    def outputs(self) -> np.ndarray:
+        """Every counter's output, read-only, from the bank's memoised full read."""
+        return self.counters.current()[self._lo : self._lo + self.k]
+
     def current(self) -> list[float]:
-        return self.counters.current().tolist()
+        return self.outputs().tolist()
 
 
 @dataclass(frozen=True)
@@ -101,43 +114,54 @@ class LowFreqGeneral:
     The distinct estimate picks the deepest level whose expected sample count
     still clears the selection floor; level counts are rescaled by 2^i*.
     Outputs all zeros while the distinct estimate is below
-    max(3*gamma1, floor).
+    max(3*gamma1, floor).  The L level blocks are windows of one bank: of
+    ``bank``, whose owner ticks it, or of the block's own, ticked by
+    ``ingest``.
     """
 
     def __init__(
         self,
         params: SubsampleLowFreqParams,
         k: int,
+        T: int,
+        epsilon_counter: float,
         ctx: NoiseContext,
-        level_factory: Callable[[int], LowFreqSmall],
         distinct_backend,
+        bank: BinaryTreeMechanism | None = None,
     ) -> None:
         self.params = params
         self.k = int(k)
         self._route = LevelRouter(params.L, params.lam, params.m, ctx, "lfg")
-        self.levels = [level_factory(i) for i in range(1, params.L + 1)]
+        self._owns_bank = bank is None
+        self._bank = BinaryTreeMechanism.bank(T, ctx) if bank is None else bank
+        self.levels = [
+            LowFreqSmall(params.m, k, T, epsilon_counter, ctx.child("level", i), self._bank)
+            for i in range(1, params.L + 1)
+        ]
         self.d_hat = distinct_backend
 
     def ingest(self, e: StreamEvent) -> None:
-        level, hashed = (None, 0)
+        if self._owns_bank:
+            self._bank.tick()
         if e.is_element():
             level, hashed = self._route(e.value)
+            if level is not None:
+                self.levels[level - 1].ingest(element(hashed))
         elif e.is_integer():
             raise ValueError("low-frequency counting requires an elements-mode stream")
-        for i, counter in enumerate(self.levels, start=1):
-            counter.ingest(element(hashed) if level == i else EMPTY_EVENT)
         self.d_hat.ingest(e)
 
-    def current(self) -> list[float]:
+    def outputs(self) -> np.ndarray:
         d_val = self.d_hat.current()
         floor = self.params.selection_floor
-        if d_val <= max(3 * self.params.gamma1, floor):
-            return [0.0] * self.k
-        for i in range(self.params.L, 0, -1):
-            if 2**i * floor <= d_val:
-                scale = 2.0**i
-                return [s * scale for s in self.levels[i - 1].current()]
-        return [0.0] * self.k
+        if d_val > max(3 * self.params.gamma1, floor):
+            for i in range(self.params.L, 0, -1):
+                if 2**i * floor <= d_val:
+                    return self.levels[i - 1].outputs() * 2.0**i
+        return np.zeros(self.k)
+
+    def current(self) -> list[float]:
+        return self.outputs().tolist()
 
 
 @dataclass(frozen=True)
@@ -161,9 +185,17 @@ def _median_vectors(vectors: Sequence[Sequence[float]]) -> list[float]:
 
 
 def low_freq_block(
-    n: int, k: int, T: int, eta: float, epsilon: float, xi: float, ctx: NoiseContext
+    n: int,
+    k: int,
+    T: int,
+    eta: float,
+    epsilon: float,
+    xi: float,
+    ctx: NoiseContext,
+    bank: BinaryTreeMechanism | None = None,
 ) -> LowFreqSmall | LowFreqGeneral:
-    """One epsilon-DP block of per-frequency counters for frequencies 1..k.
+    """One epsilon-DP block of per-frequency counters for frequencies 1..k,
+    whose counters are windows of ``bank`` (or of the block's own bank).
 
     A small universe is counted directly.  Otherwise the budget splits three
     ways: the level tuple is touched twice per universe change and the
@@ -173,7 +205,7 @@ def low_freq_block(
     additive bound enters the level selection.
     """
     if n <= SMALL_UNIVERSE_LIMIT:
-        return LowFreqSmall(n, k, T, epsilon / (COUNTER_SENSITIVITY_PER_K * k), ctx)
+        return LowFreqSmall(n, k, T, epsilon / (COUNTER_SENSITIVITY_PER_K * k), ctx, bank)
     eps_block = epsilon / 3
     d_cfg = DistinctConfig(
         epsilon=eps_block, eta=0.1, xi=min(0.49, xi), n=n, T=T, variant=GROUP, copies=3
@@ -181,23 +213,24 @@ def low_freq_block(
     d_hat = distinct_estimator(d_cfg, ctx.child("dhat"))
     params = subsample_lowfreq_params(n, T, k, eta, d_hat.copies[0].params.gamma)
     eps_counter = eps_block / (COUNTER_SENSITIVITY_PER_K * k)
-
-    def level_factory(i: int) -> LowFreqSmall:
-        return LowFreqSmall(params.m, k, T, eps_counter, ctx.child("level", i))
-
-    return LowFreqGeneral(params, k, ctx, level_factory, d_hat)
+    return LowFreqGeneral(params, k, T, eps_counter, ctx, d_hat, bank)
 
 
 def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator:
     """Boosted per-frequency count estimator with budget ledger: one
-    :func:`low_freq_block` per copy at epsilon/copies."""
+    :func:`low_freq_block` per copy at epsilon/copies, all of their counters
+    windows of one bank on the estimator's clock."""
     copies = copy_count(cfg.copies, cfg.T, cfg.xi, c=3)
     eps_copy = cfg.epsilon / copies
     xi_dhat = cfg.xi / (3 * copies)
+    clock = Clock(cfg.T)
+    bank = BinaryTreeMechanism.bank(cfg.T, ctx, clock)
     instances = [
         low_freq_block(
-            cfg.n, cfg.k, cfg.T, cfg.eta, eps_copy, xi_dhat, ctx.child("lowfreq-copy", c)
+            cfg.n, cfg.k, cfg.T, cfg.eta, eps_copy, xi_dhat, ctx.child("lowfreq-copy", c), bank
         )
         for c in range(copies)
     ]
-    return BoostedEstimator(instances, _median_vectors, equal_shares(cfg.epsilon, cfg.xi, copies))
+    return BoostedEstimator(
+        instances, _median_vectors, equal_shares(cfg.epsilon, cfg.xi, copies), clock=clock
+    )

@@ -14,11 +14,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .budget import check_accuracy, copy_count, equal_shares
 from .countsketch import BUCKET_SENSITIVITY
 from .heavy_hitters import REEVAL_SUBSTREAM, SUBSTREAM_SENSITIVITY, HHConfig, HHSketch, noise_floor
 from .low_freq import low_freq_block
-from .summing import Clock
+from .summing import BinaryTreeMechanism, Clock
 from .randomness import (
     GeometricLevelHash,
     NoiseContext,
@@ -185,10 +187,18 @@ class MomentState:
     Holds one heavy-hitter sketch per subsampling level (level 0 sees the
     full stream), plus a per-frequency counter block for the head.  Interval
     populations take, per interval, the best qualifying level's report count
-    rescaled by 2^i.
+    rescaled by 2^i.  The levels and the head run on the clock of ``bank``,
+    whose owner ticks it, and the head's counters are windows of it; without
+    a bank the copy holds its own, and ``ingest`` ticks it.
     """
 
-    def __init__(self, cfg: MomentConfig, ctx: NoiseContext, epsilon_unit: float) -> None:
+    def __init__(
+        self,
+        cfg: MomentConfig,
+        ctx: NoiseContext,
+        epsilon_unit: float,
+        bank: BinaryTreeMechanism | None = None,
+    ) -> None:
         self.cfg = cfg
         beta = beta_sample(ctx, cfg.eta, cfg.T)
         # the levels' trees: one unit over the substream and bucket sensitivities
@@ -212,24 +222,35 @@ class MomentState:
             gamma2_factor=GAMMA2_FACTOR,
             reeval=REEVAL_SUBSTREAM,
         )
+        self._owns_bank = bank is None
+        self._bank = BinaryTreeMechanism.bank(cfg.T, ctx) if bank is None else bank
         # one clock for every level: an empty event retests no candidate
-        # under REEVAL_SUBSTREAM, so a level only sees its own arrivals
-        self._clock = Clock(cfg.T)
+        # under REEVAL_SUBSTREAM, so a level only sees its own arrivals.  Each
+        # level counts its reported candidates per interval as they change.
         self.hh = [
-            HHSketch(hh_cfg, ctx.child("moment-hh", i), epsilon_tree, self._clock, key=(i,))
+            HHSketch(
+                hh_cfg, ctx.child("moment-hh", i), epsilon_tree, self._bank.clock, key=(i,),
+                bins=self._interval_slot,
+            )
             for i in range(shape.L + 1)
         ]
         self._g = GeometricLevelHash(shape.L, shape.lam, ctx.child_seed("moment-g"))
         # the head block: one lowfreq_estimator copy at this copy's budget unit
         self.low_freq = low_freq_block(
             cfg.n, shape.k, cfg.T, cfg.eta, epsilon_unit,
-            cfg.xi / (3 * cfg.n_copies()), ctx.child("moment-lf"),
+            cfg.xi / (3 * cfg.n_copies()), ctx.child("moment-lf"), self._bank,
         )
         # the weights current() applies every tick: boundary^p per interval
         # q = q1 .. q2 and l^p per low frequency
         self._interval_weights = [b**cfg.p for b in shape.boundaries[:-1]]
-        self._low_freq_weights = [l**cfg.p for l in range(1, shape.k + 1)]
+        self._low_freq_weights = np.array([l**cfg.p for l in range(1, shape.k + 1)])
         self._level_cache: dict[int, int | None] = {}
+
+    def _interval_slot(self, f_hat: float) -> int | None:
+        """q - q1 for the interval q holding a reported estimate, None below
+        or above every interval; a noisy estimate below zero is below."""
+        q = interval_index(self.shape, max(0.0, f_hat))
+        return q - self.shape.q1 if isinstance(q, int) else None
 
     def _level(self, ident: int) -> int | None:
         hit = self._level_cache.get(ident, -2)
@@ -239,8 +260,9 @@ class MomentState:
         return hit
 
     def ingest(self, e: StreamEvent) -> None:
-        """Advance one timestamp without computing the estimate."""
-        self._clock.tick()
+        """Take the current timestamp's event without computing the estimate."""
+        if self._owns_bank:
+            self._bank.tick()
         self.hh[0].ingest(e)
         if e.is_element():
             level = self._level(e.value)
@@ -249,37 +271,38 @@ class MomentState:
         self.low_freq.ingest(e)
 
     def current(self) -> float:
-        shape = self.shape
-        q1 = shape.q1
-        # interval populations from per-level reports, q = q1 .. q2
+        floor = self.shape.qualify_floor
+        # interval populations from the levels' report counts, slot q - q1
         z_hat = [0.0] * len(self._interval_weights)
         for i, sketch in enumerate(self.hh):
-            counts: dict[int, int] = {}
-            for f_hat in sketch.report().values():
-                # noisy estimates can dip below zero; those sit below every
-                # interval
-                q = interval_index(shape, max(0.0, f_hat))
-                if isinstance(q, int):
-                    counts[q] = counts.get(q, 0) + 1
-            for q, cnt in counts.items():
-                if i == 0 or cnt >= shape.qualify_floor:
-                    z_hat[q - q1] = max(z_hat[q - q1], cnt * 2.0**i)
+            for slot, cnt in sketch.report_bins.items():
+                if i == 0 or cnt >= floor:
+                    z_hat[slot] = max(z_hat[slot], cnt * 2.0**i)
         total = 0.0
         for z, w in zip(z_hat, self._interval_weights):
             if z:
                 total += z * w
-        for s_hat, w in zip(self.low_freq.current(), self._low_freq_weights):
-            # the clamp max(0, s) * w would add exactly 0.0 where s > 0 fails
-            if s_hat > 0:
-                total += s_hat * w
-        return total
+        # the clamped head max(0, s) * w (every w > 0), summed left to right
+        # after the intervals: np.cumsum adds in order, where a pairwise sum
+        # would move the last bits
+        head = self.low_freq.outputs() * self._low_freq_weights
+        np.maximum(head, 0.0, out=head)
+        head[0] += total
+        return float(head.cumsum()[-1])
 
 
 def moment_estimator(cfg: MomentConfig, ctx: NoiseContext) -> BoostedEstimator:
     """Boosted moment estimator; per copy the budget splits into equal units,
     ``LEVEL_TUPLE_UNITS`` for the level-stream tuple and one for the
-    low-frequency block."""
+    low-frequency block.  Every copy runs on one clock, and the head counters
+    of all copies are windows of one bank, each at its copy's epsilon."""
     copies = cfg.n_copies()
     eps_unit = cfg.epsilon / ((LEVEL_TUPLE_UNITS + 1) * copies)
-    instances = [MomentState(cfg, ctx.child("moment-copy", c), eps_unit) for c in range(copies)]
-    return BoostedEstimator(instances, median_boost, equal_shares(cfg.epsilon, cfg.xi, copies))
+    clock = Clock(cfg.T)
+    bank = BinaryTreeMechanism.bank(cfg.T, ctx, clock)
+    instances = [
+        MomentState(cfg, ctx.child("moment-copy", c), eps_unit, bank) for c in range(copies)
+    ]
+    return BoostedEstimator(
+        instances, median_boost, equal_shares(cfg.epsilon, cfg.xi, copies), clock=clock
+    )

@@ -91,8 +91,9 @@ def node_laplace(base, a: int, b: int, scale: float):
     The linear combination is injective over the node-index ranges in use and
     the final mix provides the avalanche, so draws for distinct nodes are
     effectively independent uniforms.  ``base`` may be a uint64 array of
-    bases: one draw per entry comes back, each bit-identical to the scalar
-    draw under that base.
+    bases, and ``scale`` a float or one scale per base: one draw per entry
+    comes back, each bit-identical to the scalar draw under that base and
+    scale.
     """
     offset = (a * _NODE_A + b * _NODE_B) & _MASK64
     if isinstance(base, np.ndarray):
@@ -100,10 +101,11 @@ def node_laplace(base, a: int, b: int, scale: float):
         # bits (0 taken as 1), d = m - 2^52 is 2^53 q and -|d| 2^-52 is
         # exactly -2|q|, so the log is the scalar's.  The scalar multiplies
         # it by -scale * sign(q); rounding to nearest is symmetric, so
-        # -scale * log given the sign of d is the same float.
+        # |scale * log| given the sign of d is the same float (copysign reads
+        # only the magnitude, so no negated copy of a scale array is made).
         m = np.maximum(_mix64_array(base ^ np.uint64(offset)) >> _U11, np.uint64(1))
         d = m.view(np.int64) - (1 << 52)
-        return np.copysign(np.log1p(np.abs(d) * -(2.0**-52)) * -scale, d)
+        return np.copysign(np.log1p(np.abs(d) * -(2.0**-52)) * scale, d)
     # _mix64 and the inverse CDF, inlined: lane reads draw here once per
     # stale node.  The log comes from np.log1p, as in the array form, which
     # runs one kernel for 0-d and 1-d input, so the two agree bit for bit;

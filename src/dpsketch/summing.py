@@ -11,6 +11,7 @@ Instances are single-owner mutable and independent across threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -74,54 +75,89 @@ class BinaryTreeMechanism:
     so replay is order-independent.  The running exact sum plus the noise of
     the nodes tiling [1, t] equals the classic per-node construction.
 
-    Alone it is one counter keyed ``("tree",) + key``.  A bank takes its
-    lanes as copies ``(seed, key, ids)``: lane c * len(ids) + i is keyed
-    ``key + (ids[i],)`` under copy c's own seed.  A full read refills each
-    stale level for all lanes with one array draw and is memoised, read-only,
-    for its timestamp until an ``add`` or ``restore``.  A lane read uses the
-    memo when it is current, else the lane's own record of base, node and
-    draw per level, built at its first lane read (Python lists: numpy
-    indexing per element slowed point-query-heavy workloads by about 5%).
-    Array and scalar draws are bit for bit equal, so a record's draw is the
-    row's, and both reads add noise from the highest level down.
+    Built with ``epsilon`` it is one counter keyed ``("tree",) + key``.
+    Built by :meth:`bank` it is a bank of lane groups ``(seed, key, ids)``,
+    each appended by ``join`` at its own epsilon, so the owners of windows of
+    lanes share one clock and one draw per stale level.  Group lane i is keyed
+    ``key + (ids[i],)`` under the group's seed and draws at the group's scale.
+    A full read refills each stale level for all lanes with one array draw,
+    scaled per lane, and is memoised, read-only, for its timestamp until an
+    ``add``, ``join`` or ``restore``.  A lane read uses the memo when it is
+    current, else the lane's own record of base, scale, node and draw per
+    level, built at its first lane read (Python lists: numpy indexing per
+    element slowed point-query-heavy workloads by about 5%).  Array and
+    scalar draws are bit for bit equal, so a record's draw is the row's, and
+    both reads add noise from the highest level down.
     """
 
     alpha = 1.0  # the guarantee is purely additive: (1, error_bound(xi))
 
+    # heavy-hitter substreams build one bank per sketch, thousands per stream
+    __slots__ = (
+        "T", "levels", "k", "_ctx", "_clock", "_owns_clock", "_single", "_groups", "_buffer",
+        "_running", "_rows", "_row_node", "_row_bases", "_row_scales", "_memo", "_memo_t",
+        "_lane_records",
+    )
+
     def __init__(
         self,
         T: int,
-        epsilon: float,
+        epsilon: float | None,
         ctx: NoiseContext,
         key: tuple = (),
         clock: Clock | None = None,
-        lanes=None,
     ) -> None:
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
         self.T = int(T)
-        self.epsilon = float(epsilon)
         self.levels = tree_levels(self.T)
-        self.noise_scale = self.levels / self.epsilon
         self._ctx = ctx
         self._clock = clock if clock is not None else Clock(self.T)
         self._owns_clock = clock is None
-        self._lanes = [(ctx.master_seed, ("tree",) + tuple(key), None)] if lanes is None else lanes
-        ids = self._lanes[0][2]
-        self._width = 1 if ids is None else len(ids)
-        self.k = len(self._lanes) * self._width
-        self._running = np.zeros(self.k)
-        self._rows = self._row_node = self._row_bases = self._memo = self._lane_records = None
+        self.k = 0
+        # (seed, key, ids, scale, first lane) per group
+        self._groups: list[tuple] = []
+        self._buffer = self._running = np.zeros(0)
+        self._rows = self._row_node = self._row_bases = self._row_scales = None
+        self._memo = self._lane_records = None
         self._memo_t = 0
+        self._single = epsilon is not None
+        if self._single:
+            self.join(ctx.master_seed, ("tree",) + tuple(key), None, epsilon)
+
+    @classmethod
+    def bank(cls, T: int, ctx: NoiseContext, clock: Clock | None = None) -> BinaryTreeMechanism:
+        """An empty bank on ``clock`` (None: its own) that owners ``join``."""
+        return cls(T, None, ctx, clock=clock)
 
     @property
     def t(self) -> int:
         return self._clock.t
 
     @property
+    def clock(self) -> Clock:
+        return self._clock
+
+    @property
     def running(self) -> np.ndarray:
         """Exact running sum of each lane (private state, not a release)."""
         return self._running
+
+    def join(self, seed: int, key: tuple, ids, epsilon: float) -> int:
+        """Append a lane group at its own epsilon; returns its first lane.
+        Its lanes start at 0 and draw from the next read on."""
+        if epsilon is None or epsilon <= 0:
+            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        lo = self.k
+        self.k = lo + (1 if ids is None else len(ids))
+        self._groups.append((seed, tuple(key), ids, self.levels / float(epsilon), lo))
+        if self.k > len(self._buffer):  # grow by doubling, so joins cost O(k) in all
+            self._buffer = np.zeros(max(self.k, 2 * lo))
+            self._buffer[:lo] = self._running
+        # a view only while the buffer has room to spare
+        self._running = self._buffer if self.k == len(self._buffer) else self._buffer[: self.k]
+        self._rows = self._memo = None
+        if self._lane_records is not None:
+            self._lane_records += [None] * (self.k - lo)
+        return lo
 
     def tick(self) -> None:
         """Advance the mechanism's own clock one timestamp."""
@@ -149,7 +185,7 @@ class BinaryTreeMechanism:
     def current(self):
         """Noisy prefix sum at the clock's current timestamp: a float for a
         single counter, a read-only array with one entry per lane for a bank."""
-        if self._lanes[0][2] is None:
+        if self._single:
             return self.lane_current(0)
         t = self._clock.t
         if self._memo is not None and self._memo_t == t:
@@ -160,16 +196,22 @@ class BinaryTreeMechanism:
                 self._rows, self._row_node = np.zeros((self.levels, self.k)), [-1] * self.levels
                 self._row_bases = np.concatenate([
                     fold_lanes(fold_key(seed, key), np.asarray(ids, dtype=np.uint64))
-                    for seed, key, ids in self._lanes
+                    for seed, key, ids, _, _ in self._groups
+                ])
+                self._row_scales = np.concatenate([
+                    np.full(len(ids), scale) for _, _, ids, scale, _ in self._groups
                 ])
             for level, node in self._clock.nodes():
                 if self._row_node[level] != node:
-                    self._rows[level] = node_laplace(self._row_bases, level, node, self.noise_scale)
+                    self._rows[level] = node_laplace(self._row_bases, level, node, self._row_scales)
                     self._row_node[level] = node
                 out += self._rows[level]
         out.setflags(write=False)
         self._memo, self._memo_t = out, t
         return out
+
+    def _group_of(self, lane: int) -> tuple:
+        return self._groups[bisect_right(self._groups, lane, key=lambda group: group[4]) - 1]
 
     def lane_current(self, j: int) -> float:
         """Noisy prefix sum of lane j alone; equals ``current()[j]``."""
@@ -182,21 +224,22 @@ class BinaryTreeMechanism:
             self._lane_records = [None] * self.k
         record = self._lane_records[j]
         if record is None:
-            seed, key, ids = self._lanes[j // self._width]
-            key = key if ids is None else key + (ids[j % self._width],)
+            seed, key, ids, scale, lo = self._group_of(j)
+            key = key if ids is None else key + (ids[j - lo],)
             record = self._lane_records[j] = (
-                fold_key(seed, key), [-1] * self.levels, [0.0] * self.levels
+                fold_key(seed, key), scale, [-1] * self.levels, [0.0] * self.levels
             )
-        base, lane_node, draw = record
+        base, scale, lane_node, draw = record
         for level, node in self._clock.nodes():
             if lane_node[level] != node:
-                draw[level] = node_laplace(base, level, node, self.noise_scale)
+                draw[level] = node_laplace(base, level, node, scale)
                 lane_node[level] = node
             total += draw[level]
         return total
 
-    def error_bound(self, xi: float) -> float:
-        """Additive bound holding for every t in [T] jointly w.p. >= 1 - xi.
+    def error_bound(self, xi: float, lane: int = 0) -> float:
+        """Additive bound of ``lane``'s group holding for every t in [T]
+        jointly w.p. >= 1 - xi.
 
         Each prefix output sums at most ``levels`` node noises; a union bound
         over the <= 2T distinct nodes gives per-node magnitude
@@ -206,7 +249,7 @@ class BinaryTreeMechanism:
             raise ValueError(f"xi must be in (0, 1), got {xi}")
         if self._ctx.noise_off:
             return 0.0
-        return self.levels * self.noise_scale * math.log(2 * self.T / xi)
+        return self.levels * self._group_of(lane)[3] * math.log(2 * self.T / xi)
 
 
 class GroupingMechanism:

@@ -218,3 +218,39 @@ class TestReevalPolicies:
                 report = sketch.current()
             reports[policy] = report
         assert reports["all"] == reports[REEVAL_SUBSTREAM]
+
+    def test_substream_ranking_and_bins_equal_a_scan_at_every_tick(self):
+        # a report cap of 2 under many candidates and few substreams, so
+        # entries cross the cap on admits, evictions and re-estimates; the
+        # reference rescans every candidate and sorts them, as ingest and
+        # report did before candidates were indexed by substream
+        cfg = hh_config(k=1, T=512, n=32, epsilon=64.0, reeval=REEVAL_SUBSTREAM, m_override=3)
+        clock = Clock(cfg.T)
+
+        def bins(f_hat):
+            return None if f_hat < 8 else int(f_hat) // 8
+
+        sketch = HHSketch(cfg, NoiseContext(5), epsilon_tree=16.0, clock=clock, bins=bins)
+        assert sketch.report_cap == 2
+        held, crowded = {}, 0
+        for e in generate_stream("zipf", StreamConfig(T=512, n=32), seed=3, s=1.1):
+            clock.tick()
+            sketch.ingest(e)
+            idx = sketch._route(e.value)
+            for b in {b for b in held if sketch._route(b) == idx} | {e.value}:
+                f_hat = sketch._passes(b)
+                if f_hat is None:
+                    held.pop(b, None)
+                else:
+                    held[b] = f_hat
+            assert sketch.candidates == held
+            ranked = sorted(held.items(), key=lambda kv: (-kv[1], kv[0]))
+            want = dict(ranked[: sketch.report_cap])
+            assert sketch.report() == want
+            counts = {}
+            for f_hat in want.values():
+                if bins(f_hat) is not None:
+                    counts[bins(f_hat)] = counts.get(bins(f_hat), 0) + 1
+            assert sketch.report_bins == counts
+            crowded += len(held) > sketch.report_cap
+        assert crowded > 100

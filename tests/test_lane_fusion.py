@@ -2,8 +2,9 @@
 state per read lane, and heavy-hitter copies on one clock.
 
 The references are built the earlier way: one standalone sketch (its own
-bank on its own clock) per L2 copy, and one own-clock ``HHSketch`` per
-heavy-hitter copy.
+bank on its own clock) per L2 copy, one own-clock ``HHSketch`` per
+heavy-hitter copy, and one standalone moment copy or low-frequency counter
+block per window of a fused head bank.
 """
 
 import gc
@@ -24,6 +25,15 @@ from dpsketch.cli import (
 )
 from dpsketch.countsketch import CountSketchState, L2Config, L2Estimator
 from dpsketch.heavy_hitters import HHConfig, HHSketch, hh_estimator
+from dpsketch.low_freq import (
+    LowFreqConfig,
+    LowFreqGeneral,
+    LowFreqSmall,
+    _median_vectors,
+    low_freq_block,
+    lowfreq_estimator,
+)
+from dpsketch.moment import MomentConfig, MomentState, moment_estimator
 from dpsketch.randomness import NoiseContext, median_boost
 from dpsketch.streamio import write_stream_file
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
@@ -102,7 +112,10 @@ class TestFusedL2:
 class TestMemo:
     def bank(self, clock=None):
         lanes = [(11, ("tree", "m", 0), range(4)), (12, ("tree", "m", 1), range(4))]
-        return BinaryTreeMechanism(16, 1.0, NoiseContext(3), clock=clock, lanes=lanes)
+        bank = BinaryTreeMechanism.bank(16, NoiseContext(3), clock)
+        for seed, key, ids in lanes:
+            bank.join(seed, key, ids, 1.0)
+        return bank
 
     def singles(self):
         return [
@@ -262,3 +275,86 @@ class TestSnapshot:
         for ident in range(n):
             got = median_boost([s.point_query(ident) for s in loaded])
             assert got == live.est.point_query(ident)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestFusedHeads:
+    """Head counters as windows of one bank on one clock, each window at its
+    owner's epsilon, against references that hold their own bank and clock."""
+
+    def test_moment_copies_with_different_k(self):
+        T, n, copies, seed = 512, 1024, 3, 1
+        cfg = MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=T, n=n, copies=copies)
+        est = moment_estimator(cfg, NoiseContext(seed))
+        unit = cfg.epsilon / (4 * copies)
+        refs = [MomentState(cfg, NoiseContext(seed).child("moment-copy", c), unit)
+                for c in range(copies)]
+        assert len({state.shape.k for state in est.copies}) == copies
+        assert [state.shape.k for state in est.copies] == [r.shape.k for r in refs]
+        assert len({id(state.low_freq.counters) for state in est.copies}) == 1
+        stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.2)
+        for e in stream:
+            est.ingest(e)
+            for ref in refs:
+                ref.ingest(e)
+            for state, ref in zip(est.copies, refs):
+                assert _bits(state.low_freq.current()) == _bits(ref.low_freq.current())
+            want = [ref.current() for ref in refs]
+            assert _bits([state.current() for state in est.copies]) == _bits(want)
+            assert _bits(est.current()) == _bits(median_boost(want))
+
+    @pytest.mark.parametrize("copies", [None, 2])
+    def test_general_universe_level_bank(self, copies):
+        # n = 2^15: the L level blocks of a LowFreqGeneral (copies=None: one
+        # block standalone; else every block of a boosted estimator) share
+        # one bank, where each level used to be its own bank on its own clock
+        n, k, T, seed, epsilon = 1 << 15, 3, 300, 9, 8.0
+        if copies is None:
+            blocks = [low_freq_block(n, k, T, 0.25, epsilon, 0.05, NoiseContext(seed))]
+            owners = [NoiseContext(seed)]
+            eps_counter = epsilon / 3 / (8 * k)
+            feed = blocks[0].ingest
+        else:
+            cfg = LowFreqConfig(epsilon=epsilon, eta=0.25, xi=0.1, k=k, n=n, T=T, copies=copies)
+            est = lowfreq_estimator(cfg, NoiseContext(seed))
+            blocks = est.copies
+            owners = [NoiseContext(seed).child("lowfreq-copy", c) for c in range(copies)]
+            eps_counter = epsilon / copies / 3 / (8 * k)
+            feed = est.ingest
+        assert all(isinstance(block, LowFreqGeneral) for block in blocks)
+        assert len({id(level.counters) for block in blocks for level in block.levels}) == 1
+        refs = [
+            [LowFreqSmall(block.params.m, k, T, eps_counter, owner.child("level", i))
+             for i in range(1, block.params.L + 1)]
+            for block, owner in zip(blocks, owners)
+        ]
+        stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.05)
+        for e in stream:
+            feed(e)
+            for block, levels in zip(blocks, refs):
+                routed, hashed = block._route(e.value) if e.is_element() else (None, 0)
+                for i, ref in enumerate(levels, start=1):
+                    ref.ingest(element(hashed) if i == routed else EMPTY_EVENT)
+                got = [level.current() for level in block.levels]
+                assert _bits(got) == _bits([ref.current() for ref in levels])
+
+    def test_lowfreq_estimator_copies(self):
+        n, k, T, copies, seed = 64, 4, 256, 3, 12
+        cfg = LowFreqConfig(epsilon=2.0, eta=0.25, xi=0.1, k=k, n=n, T=T, copies=copies)
+        est = lowfreq_estimator(cfg, NoiseContext(seed))
+        assert len({id(block.counters) for block in est.copies}) == 1
+        refs = [
+            LowFreqSmall(n, k, T, cfg.epsilon / copies / (8 * k),
+                         NoiseContext(seed).child("lowfreq-copy", c))
+            for c in range(copies)
+        ]
+        for e in generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.2):
+            got = est.feed(e)
+            for ref in refs:
+                ref.ingest(e)
+            want = [ref.current() for ref in refs]
+            assert _bits([block.current() for block in est.copies]) == _bits(want)
+            assert _bits(got) == _bits(_median_vectors(want))

@@ -129,13 +129,8 @@ class TestLowFreqGeneral:
             L=L, lam=4, m=1 << 30, gamma1=0.0, selection_floor=floor
         )
         ctx = NoiseContext(seed, noise_off=True)
-        gen = LowFreqGeneral(
-            params,
-            k,
-            ctx,
-            lambda i: LowFreqSmall(1 << 30, k, T, 1.0, ctx.child("lvl", i)),
-            _ExactDistinct(),
-        )
+        # the L level blocks are windows of the block's own bank at epsilon 1
+        gen = LowFreqGeneral(params, k, T, 1.0, ctx, _ExactDistinct())
         return gen
 
     def test_zero_output_below_floor(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpsketch import heavy_hitters, moment
 from dpsketch.experiment import _routed_streams
 from dpsketch.low_freq import (
     LowFreqConfig,
@@ -290,6 +291,40 @@ class TestCurrentMatchesReferenceLoop:
         assert reported > 100 and negative > 100
 
 
+class TestPerTickWork:
+    def test_work_per_tick_does_not_grow_with_the_candidates(self, monkeypatch):
+        # noise off, every arrival is a candidate, so the levels hold more
+        # candidates tick by tick; the work counted per tick is interval
+        # lookups plus candidates sorted, and no wall time is taken
+        work = [0]
+        index = moment.interval_index
+
+        def counted_index(shape, f_hat):
+            work[0] += 1
+            return index(shape, f_hat)
+
+        def counted_sort(items, **kw):
+            items = list(items)
+            work[0] += len(items)
+            return sorted(items, **kw)
+
+        monkeypatch.setattr(moment, "interval_index", counted_index)
+        monkeypatch.setattr(heavy_hitters, "sorted", counted_sort, raising=False)
+        T, n, W = 4096, 1 << 14, 512
+        cfg = MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=T, n=n, copies=1)
+        state = MomentState(cfg, NoiseContext(1, noise_off=True), 1.0)
+        per_tick, held = [], []
+        for e in generate_stream("zipf", StreamConfig(T=T, n=n), seed=1, s=1.2):
+            before = work[0]
+            state.ingest(e)
+            state.current()
+            per_tick.append(work[0] - before)
+            held.append(sum(len(sketch.candidates) for sketch in state.hh))
+        assert held[-1] >= 3 * held[W - 1]
+        early, late = sum(per_tick[:W]) / W, sum(per_tick[-W:]) / W
+        assert late <= 1.5 * early
+
+
 class TestLevelTupleSensitivity:
     def test_joint_distance_and_touched_streams(self):
         # one substitution perturbs the (S0, S1..SL) tuple at one timestamp
@@ -385,7 +420,8 @@ class TestSharedClock:
         twin = MomentState(cfg, NoiseContext(3), 16.0)
         clocks = [Clock(512) for _ in state.hh]
         twin.hh = [
-            HHSketch(sketch.cfg, NoiseContext(3).child("moment-hh", i), 4.0, clocks[i], key=(i,))
+            HHSketch(sketch.cfg, NoiseContext(3).child("moment-hh", i), 4.0, clocks[i], key=(i,),
+                     bins=twin._interval_slot)
             for i, sketch in enumerate(state.hh)
         ]
         deep = 0
@@ -395,6 +431,7 @@ class TestSharedClock:
             for i, sketch in enumerate(twin.hh):
                 clocks[i].tick()
                 sketch.ingest(e if i == 0 or i == level else EMPTY_EVENT)
+            twin._bank.tick()  # the head's bank, which twin.ingest would tick
             twin.low_freq.ingest(e)
             assert [s.report() for s in state.hh] == [s.report() for s in twin.hh]
             assert state.current() == twin.current()

@@ -90,6 +90,16 @@ class TestArrayDraw:
             want = [node_laplace(b, level, index, scale) for b in bases.tolist()]
             assert np.array_equal(_bits(got), _bits(want))
 
+    def test_per_lane_scales_equal_scalar_draws_bit_for_bit(self):
+        # a bank whose lane groups run at their own epsilon scales one array
+        # draw per lane
+        rng = np.random.default_rng(7)
+        bases = rng.integers(0, 2**64, size=50_000, dtype=np.uint64, endpoint=False)
+        scales = rng.choice([11 / 0.00169, 11 / 0.00174, 11 / 0.0018, 0.013], size=bases.size)
+        got = node_laplace(bases, 9, 77, scales)
+        want = [node_laplace(b, 9, 77, c) for b, c in zip(bases.tolist(), scales.tolist())]
+        assert np.array_equal(_bits(got), _bits(want))
+
     def test_edge_words_equal_scalar_draw(self):
         # bases whose mixed word gives u = 2^-53 (words 0 and 2^11),
         # u = 1 - 2^-53 and q = 0
@@ -150,7 +160,8 @@ class TestTreeMechanism:
 
     def test_bank_lanes_equal_single_counters(self):
         T, lanes = 100, [3, 9, 27]
-        bank = BinaryTreeMechanism(T, 1.0, NoiseContext(8), lanes=[(8, ("tree", "b"), lanes)])
+        bank = BinaryTreeMechanism.bank(T, NoiseContext(8))
+        bank.join(8, ("tree", "b"), lanes, 1.0)
         singles = [
             BinaryTreeMechanism(T, 1.0, NoiseContext(8), key=("b", lane)) for lane in lanes
         ]
@@ -166,6 +177,48 @@ class TestTreeMechanism:
                 assert [bank.lane_current(j) for j in range(3)] == [
                     s.current() for s in singles
                 ]
+
+
+class TestJoinedGroups:
+    def test_groups_at_their_own_epsilon_equal_single_counters(self):
+        # groups of different widths and epsilons, joined before and after
+        # the first reads, against one counter per lane
+        T = 200
+        spec = [(5, ("tree", "a"), [1, 2, 3], 0.5), (6, ("tree", "b"), [4], 2.0),
+                (7, ("tree", "a"), [1, 2], 0.125)]
+        bank = BinaryTreeMechanism.bank(T, NoiseContext(1))
+        singles, los = [], []
+        for seed, key, ids, eps in spec[:2]:
+            los.append(bank.join(seed, key, ids, eps))
+            singles += [BinaryTreeMechanism(T, eps, NoiseContext(seed), key=(key[1], i))
+                        for i in ids]
+        assert los == [0, 3]
+        for t in range(1, T + 1):
+            if t == 50:
+                seed, key, ids, eps = spec[2]
+                assert bank.join(seed, key, ids, eps) == 4
+                for i in ids:  # counters that start at 0 now
+                    singles.append(BinaryTreeMechanism(T, eps, NoiseContext(seed), key=(key[1], i)))
+                    singles[-1].restore(t - 1, [0.0])
+            bank.tick()
+            for j, single in enumerate(singles):
+                single.tick()
+                bank.add(j % 3 - 1, j)
+                single.add(j % 3 - 1)
+            want = [single.current() for single in singles]
+            if t % 2:
+                assert np.array_equal(_bits(bank.current()), _bits(want))
+            else:
+                got = [bank.lane_current(j) for j in range(len(singles))]
+                assert np.array_equal(_bits(got), _bits(want))
+        for lane in (0, 3, 4):
+            assert bank.error_bound(0.1, lane) == singles[lane].error_bound(0.1)
+
+    def test_join_needs_a_positive_epsilon(self):
+        bank = BinaryTreeMechanism.bank(8, NoiseContext(1))
+        for eps in (None, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                bank.join(1, ("tree",), [0], eps)
 
 
 class TestLowFreqSmall:
