@@ -111,7 +111,7 @@ class HHSketch:
     substream's arrivals, so candidates are indexed by substream and the
     ranking (key (-f_hat, id)) is kept sorted on every admit, evict and
     re-estimate.  ``bins(f_hat)`` then names the bin a reported estimate
-    counts in (None: none), and ``report_bins`` holds the number of reported
+    counts in (None: none), and the report is the number of reported
     candidates per bin, kept up to date with the ranking.
     """
 
@@ -146,7 +146,7 @@ class HHSketch:
         elif bins is not None:
             raise ValueError("report bins are kept under REEVAL_SUBSTREAM only")
         self._bins = bins
-        self.report_bins: dict = {}
+        self._report_bins: dict = {}
 
     @property
     def t(self) -> int:
@@ -249,14 +249,18 @@ class HHSketch:
             return
         slot = self._bins(f_hat)
         if slot is not None:
-            count = self.report_bins.get(slot, 0) + step
+            count = self._report_bins.get(slot, 0) + step
             if count:
-                self.report_bins[slot] = count
+                self._report_bins[slot] = count
             else:
-                del self.report_bins[slot]
+                del self._report_bins[slot]
 
-    def report(self) -> dict[int, float]:
-        """Top candidates by estimate, ties favouring the smaller element id."""
+    def report(self) -> dict:
+        """Top candidates by estimate, ties favouring the smaller element id;
+        with ``bins``, how many of them each bin holds (the live count, not
+        to be changed by the caller)."""
+        if self._bins is not None:
+            return self._report_bins
         if self._ranked is not None:
             return {b: -neg for neg, b in self._ranked[: self.report_cap]}
         top = heapq.nsmallest(

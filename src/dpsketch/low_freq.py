@@ -85,6 +85,11 @@ class LowFreqSmall:
         """Every counter's output, read-only, from the bank's memoised full read."""
         return self.counters.current()[self._lo : self._lo + self.k]
 
+    def window_outputs(self) -> np.ndarray:
+        """``outputs()`` drawing this block's lanes only, for a block read
+        alone among the windows of its bank."""
+        return self.counters.range_current(self._lo, self._lo + self.k)
+
     def current(self) -> list[float]:
         return self.outputs().tolist()
 
@@ -114,9 +119,8 @@ class LowFreqGeneral:
     The distinct estimate picks the deepest level whose expected sample count
     still clears the selection floor; level counts are rescaled by 2^i*.
     Outputs all zeros while the distinct estimate is below
-    max(3*gamma1, floor).  The L level blocks are windows of one bank: of
-    ``bank``, whose owner ticks it, or of the block's own, ticked by
-    ``ingest``.
+    max(3*gamma1, floor).  The L level blocks are windows of ``bank``, whose
+    owner ticks it; a read draws the selected level's window only.
     """
 
     def __init__(
@@ -127,22 +131,18 @@ class LowFreqGeneral:
         epsilon_counter: float,
         ctx: NoiseContext,
         distinct_backend,
-        bank: BinaryTreeMechanism | None = None,
+        bank: BinaryTreeMechanism,
     ) -> None:
         self.params = params
         self.k = int(k)
         self._route = LevelRouter(params.L, params.lam, params.m, ctx, "lfg")
-        self._owns_bank = bank is None
-        self._bank = BinaryTreeMechanism.bank(T, ctx) if bank is None else bank
         self.levels = [
-            LowFreqSmall(params.m, k, T, epsilon_counter, ctx.child("level", i), self._bank)
+            LowFreqSmall(params.m, k, T, epsilon_counter, ctx.child("level", i), bank)
             for i in range(1, params.L + 1)
         ]
         self.d_hat = distinct_backend
 
     def ingest(self, e: StreamEvent) -> None:
-        if self._owns_bank:
-            self._bank.tick()
         if e.is_element():
             level, hashed = self._route(e.value)
             if level is not None:
@@ -157,7 +157,7 @@ class LowFreqGeneral:
         if d_val > max(3 * self.params.gamma1, floor):
             for i in range(self.params.L, 0, -1):
                 if 2**i * floor <= d_val:
-                    return self.levels[i - 1].outputs() * 2.0**i
+                    return self.levels[i - 1].window_outputs() * 2.0**i
         return np.zeros(self.k)
 
     def current(self) -> list[float]:
@@ -192,10 +192,10 @@ def low_freq_block(
     epsilon: float,
     xi: float,
     ctx: NoiseContext,
-    bank: BinaryTreeMechanism | None = None,
+    bank: BinaryTreeMechanism,
 ) -> LowFreqSmall | LowFreqGeneral:
     """One epsilon-DP block of per-frequency counters for frequencies 1..k,
-    whose counters are windows of ``bank`` (or of the block's own bank).
+    whose counters are windows of ``bank``, ticked by its owner.
 
     A small universe is counted directly.  Otherwise the budget splits three
     ways: the level tuple is touched twice per universe change and the

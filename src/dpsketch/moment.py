@@ -14,8 +14,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .budget import check_accuracy, copy_count, equal_shares
 from .countsketch import BUCKET_SENSITIVITY
 from .heavy_hitters import REEVAL_SUBSTREAM, SUBSTREAM_SENSITIVITY, HHConfig, HHSketch, noise_floor
@@ -188,8 +186,7 @@ class MomentState:
     full stream), plus a per-frequency counter block for the head.  Interval
     populations take, per interval, the best qualifying level's report count
     rescaled by 2^i.  The levels and the head run on the clock of ``bank``,
-    whose owner ticks it, and the head's counters are windows of it; without
-    a bank the copy holds its own, and ``ingest`` ticks it.
+    whose owner ticks it, and the head's counters are windows of it.
     """
 
     def __init__(
@@ -197,7 +194,7 @@ class MomentState:
         cfg: MomentConfig,
         ctx: NoiseContext,
         epsilon_unit: float,
-        bank: BinaryTreeMechanism | None = None,
+        bank: BinaryTreeMechanism,
     ) -> None:
         self.cfg = cfg
         beta = beta_sample(ctx, cfg.eta, cfg.T)
@@ -222,14 +219,12 @@ class MomentState:
             gamma2_factor=GAMMA2_FACTOR,
             reeval=REEVAL_SUBSTREAM,
         )
-        self._owns_bank = bank is None
-        self._bank = BinaryTreeMechanism.bank(cfg.T, ctx) if bank is None else bank
         # one clock for every level: an empty event retests no candidate
         # under REEVAL_SUBSTREAM, so a level only sees its own arrivals.  Each
         # level counts its reported candidates per interval as they change.
         self.hh = [
             HHSketch(
-                hh_cfg, ctx.child("moment-hh", i), epsilon_tree, self._bank.clock, key=(i,),
+                hh_cfg, ctx.child("moment-hh", i), epsilon_tree, bank.clock, key=(i,),
                 bins=self._interval_slot,
             )
             for i in range(shape.L + 1)
@@ -238,12 +233,12 @@ class MomentState:
         # the head block: one lowfreq_estimator copy at this copy's budget unit
         self.low_freq = low_freq_block(
             cfg.n, shape.k, cfg.T, cfg.eta, epsilon_unit,
-            cfg.xi / (3 * cfg.n_copies()), ctx.child("moment-lf"), self._bank,
+            cfg.xi / (3 * cfg.n_copies()), ctx.child("moment-lf"), bank,
         )
         # the weights current() applies every tick: boundary^p per interval
         # q = q1 .. q2 and l^p per low frequency
         self._interval_weights = [b**cfg.p for b in shape.boundaries[:-1]]
-        self._low_freq_weights = np.array([l**cfg.p for l in range(1, shape.k + 1)])
+        self._low_freq_weights = [l**cfg.p for l in range(1, shape.k + 1)]
         self._level_cache: dict[int, int | None] = {}
 
     def _interval_slot(self, f_hat: float) -> int | None:
@@ -261,8 +256,6 @@ class MomentState:
 
     def ingest(self, e: StreamEvent) -> None:
         """Take the current timestamp's event without computing the estimate."""
-        if self._owns_bank:
-            self._bank.tick()
         self.hh[0].ingest(e)
         if e.is_element():
             level = self._level(e.value)
@@ -272,23 +265,21 @@ class MomentState:
 
     def current(self) -> float:
         floor = self.shape.qualify_floor
-        # interval populations from the levels' report counts, slot q - q1
+        # interval populations from the levels' reports, counted per slot q - q1
         z_hat = [0.0] * len(self._interval_weights)
         for i, sketch in enumerate(self.hh):
-            for slot, cnt in sketch.report_bins.items():
+            for slot, cnt in sketch.report().items():
                 if i == 0 or cnt >= floor:
                     z_hat[slot] = max(z_hat[slot], cnt * 2.0**i)
         total = 0.0
         for z, w in zip(z_hat, self._interval_weights):
             if z:
                 total += z * w
-        # the clamped head max(0, s) * w (every w > 0), summed left to right
-        # after the intervals: np.cumsum adds in order, where a pairwise sum
-        # would move the last bits
-        head = self.low_freq.outputs() * self._low_freq_weights
-        np.maximum(head, 0.0, out=head)
-        head[0] += total
-        return float(head.cumsum()[-1])
+        # the clamped head max(0, s) * w, left to right after the intervals
+        for s_hat, w in zip(self.low_freq.current(), self._low_freq_weights):
+            if s_hat > 0:
+                total += s_hat * w
+        return total
 
 
 def moment_estimator(cfg: MomentConfig, ctx: NoiseContext) -> BoostedEstimator:

@@ -82,7 +82,8 @@ class BinaryTreeMechanism:
     ``key + (ids[i],)`` under the group's seed and draws at the group's scale.
     A full read refills each stale level for all lanes with one array draw,
     scaled per lane, and is memoised, read-only, for its timestamp until an
-    ``add``, ``join`` or ``restore``.  A lane read uses the memo when it is
+    ``add``, ``join`` or ``restore``; a range read draws only its own lanes,
+    into rows it keeps per range.  A lane read uses the memo when it is
     current, else the lane's own record of base, scale, node and draw per
     level, built at its first lane read (Python lists: numpy indexing per
     element slowed point-query-heavy workloads by about 5%).  Array and
@@ -96,7 +97,7 @@ class BinaryTreeMechanism:
     __slots__ = (
         "T", "levels", "k", "_ctx", "_clock", "_owns_clock", "_single", "_groups", "_buffer",
         "_running", "_rows", "_row_node", "_row_bases", "_row_scales", "_memo", "_memo_t",
-        "_lane_records",
+        "_lane_records", "_ranges",
     )
 
     def __init__(
@@ -117,7 +118,7 @@ class BinaryTreeMechanism:
         self._groups: list[tuple] = []
         self._buffer = self._running = np.zeros(0)
         self._rows = self._row_node = self._row_bases = self._row_scales = None
-        self._memo = self._lane_records = None
+        self._memo = self._lane_records = self._ranges = None
         self._memo_t = 0
         self._single = epsilon is not None
         if self._single:
@@ -167,6 +168,8 @@ class BinaryTreeMechanism:
 
     def add(self, x: float, lane: int = 0) -> None:
         """Credit x to a lane at the current timestamp without advancing the clock."""
+        if self._clock.t == 0:  # no node covers [1, 0]: the credit would read exact
+            raise StateError("credit before the first tick")
         self._running[lane] += x
         self._memo = None
 
@@ -194,13 +197,7 @@ class BinaryTreeMechanism:
         if not self._ctx.noise_off:
             if self._rows is None:
                 self._rows, self._row_node = np.zeros((self.levels, self.k)), [-1] * self.levels
-                self._row_bases = np.concatenate([
-                    fold_lanes(fold_key(seed, key), np.asarray(ids, dtype=np.uint64))
-                    for seed, key, ids, _, _ in self._groups
-                ])
-                self._row_scales = np.concatenate([
-                    np.full(len(ids), scale) for _, _, ids, scale, _ in self._groups
-                ])
+                self._row_bases, self._row_scales = self._bases(0, self.k)
             for level, node in self._clock.nodes():
                 if self._row_node[level] != node:
                     self._rows[level] = node_laplace(self._row_bases, level, node, self._row_scales)
@@ -209,6 +206,45 @@ class BinaryTreeMechanism:
         out.setflags(write=False)
         self._memo, self._memo_t = out, t
         return out
+
+    def range_current(self, lo: int, hi: int) -> np.ndarray:
+        """Noisy prefix sums of lanes [lo, hi) alone, read-only; equals
+        ``current()[lo:hi]``.
+
+        Uses the memo when it is current.  Otherwise the range keeps rows of
+        its own, refilled per stale level, so an owner that reads one of many
+        windows of a bank per timestamp draws that window's lanes only.
+        """
+        if self._memo is not None and self._memo_t == self._clock.t:
+            return self._memo[lo:hi]
+        out = self._running[lo:hi].copy()
+        if not self._ctx.noise_off:
+            if self._ranges is None:
+                self._ranges = {}
+            record = self._ranges.get((lo, hi))
+            if record is None:
+                record = self._ranges[lo, hi] = (
+                    *self._bases(lo, hi), np.zeros((self.levels, hi - lo)), [-1] * self.levels
+                )
+            bases, scales, rows, row_node = record
+            for level, node in self._clock.nodes():
+                if row_node[level] != node:
+                    rows[level] = node_laplace(bases, level, node, scales)
+                    row_node[level] = node
+                out += rows[level]
+        out.setflags(write=False)
+        return out
+
+    def _bases(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The folded key and the scale of each lane in [lo, hi) of a bank."""
+        bases, scales = [], []
+        for seed, key, ids, scale, first in self._groups:
+            a, b = max(lo, first), min(hi, first + len(ids))
+            if a < b:
+                lanes = np.asarray(ids[a - first : b - first], dtype=np.uint64)
+                bases.append(fold_lanes(fold_key(seed, key), lanes))
+                scales.append(np.full(b - a, scale))
+        return np.concatenate(bases), np.concatenate(scales)
 
     def _group_of(self, lane: int) -> tuple:
         return self._groups[bisect_right(self._groups, lane, key=lambda group: group[4]) - 1]

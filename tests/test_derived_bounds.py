@@ -105,7 +105,8 @@ class TestHeavyHitterFloor:
         inside = 0
         for eps_unit, eta in itertools.product([0.5, 8.0, 64.0, 512.0, 4096.0], [0.1, 0.25]):
             cfg = MomentConfig(p=2.0, epsilon=1.0, eta=eta, xi=0.1, T=T, n=16, copies=1)
-            state = MomentState(cfg, NoiseContext(7, noise_off=noise_off), eps_unit)
+            ctx = NoiseContext(7, noise_off=noise_off)
+            state = MomentState(cfg, ctx, eps_unit, BinaryTreeMechanism.bank(T, ctx))
             # the formula MomentState evaluated in place, then capped
             tree_scale = _levels(T) / (eps_unit / 4)
             gamma2 = 0.0 if noise_off else GAMMA2_FACTOR * tree_scale
@@ -164,7 +165,8 @@ class TestLevelRouter:
         ctx = NoiseContext(4)
         cfg = DistinctConfig(epsilon=1.0, eta=0.45, xi=0.1, n=1 << 15, T=1 << 10, copies=2)
         est = distinct_estimator(cfg, ctx)
-        block = low_freq_block(1 << 15, 3, 1 << 10, 0.25, 1.0, 0.05, ctx.child("lf"))
+        bank = BinaryTreeMechanism.bank(1 << 10, ctx)
+        block = low_freq_block(1 << 15, 3, 1 << 10, 0.25, 1.0, 0.05, ctx.child("lf"), bank)
         routes = [(copy.params, ctx.child("distinct-copy", c), copy._route, "subsample")
                   for c, copy in enumerate(est.copies)]
         routes.append((block.params, ctx.child("lf"), block._route, "lfg"))

@@ -29,6 +29,7 @@ from dpsketch.low_freq import (
     LowFreqConfig,
     LowFreqGeneral,
     LowFreqSmall,
+    SubsampleLowFreqParams,
     _median_vectors,
     low_freq_block,
     lowfreq_estimator,
@@ -290,15 +291,17 @@ class TestFusedHeads:
         cfg = MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=T, n=n, copies=copies)
         est = moment_estimator(cfg, NoiseContext(seed))
         unit = cfg.epsilon / (4 * copies)
-        refs = [MomentState(cfg, NoiseContext(seed).child("moment-copy", c), unit)
-                for c in range(copies)]
+        owners = [NoiseContext(seed).child("moment-copy", c) for c in range(copies)]
+        banks = [BinaryTreeMechanism.bank(T, owner) for owner in owners]
+        refs = [MomentState(cfg, owner, unit, bank) for owner, bank in zip(owners, banks)]
         assert len({state.shape.k for state in est.copies}) == copies
         assert [state.shape.k for state in est.copies] == [r.shape.k for r in refs]
         assert len({id(state.low_freq.counters) for state in est.copies}) == 1
         stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.2)
         for e in stream:
             est.ingest(e)
-            for ref in refs:
+            for ref, bank in zip(refs, banks):
+                bank.tick()
                 ref.ingest(e)
             for state, ref in zip(est.copies, refs):
                 assert _bits(state.low_freq.current()) == _bits(ref.low_freq.current())
@@ -309,14 +312,20 @@ class TestFusedHeads:
     @pytest.mark.parametrize("copies", [None, 2])
     def test_general_universe_level_bank(self, copies):
         # n = 2^15: the L level blocks of a LowFreqGeneral (copies=None: one
-        # block standalone; else every block of a boosted estimator) share
-        # one bank, where each level used to be its own bank on its own clock
+        # block on a bank of its own; else every block of a boosted estimator)
+        # share one bank, where each level used to be its own bank on its own
+        # clock.  A level's window read, which draws its own lanes only,
+        # equals the full read.
         n, k, T, seed, epsilon = 1 << 15, 3, 300, 9, 8.0
         if copies is None:
-            blocks = [low_freq_block(n, k, T, 0.25, epsilon, 0.05, NoiseContext(seed))]
+            bank = BinaryTreeMechanism.bank(T, NoiseContext(seed))
+            blocks = [low_freq_block(n, k, T, 0.25, epsilon, 0.05, NoiseContext(seed), bank)]
             owners = [NoiseContext(seed)]
             eps_counter = epsilon / 3 / (8 * k)
-            feed = blocks[0].ingest
+
+            def feed(e):
+                bank.tick()
+                blocks[0].ingest(e)
         else:
             cfg = LowFreqConfig(epsilon=epsilon, eta=0.25, xi=0.1, k=k, n=n, T=T, copies=copies)
             est = lowfreq_estimator(cfg, NoiseContext(seed))
@@ -338,8 +347,55 @@ class TestFusedHeads:
                 routed, hashed = block._route(e.value) if e.is_element() else (None, 0)
                 for i, ref in enumerate(levels, start=1):
                     ref.ingest(element(hashed) if i == routed else EMPTY_EVENT)
-                got = [level.current() for level in block.levels]
-                assert _bits(got) == _bits([ref.current() for ref in levels])
+                want = _bits([ref.current() for ref in levels])
+                # window reads first: a full read would leave its memo for them
+                assert _bits([level.window_outputs() for level in block.levels]) == want
+                assert _bits([level.current() for level in block.levels]) == want
+
+    def test_general_universe_reads_the_selected_window_only(self, monkeypatch):
+        # noise on, the distinct estimate above the floor: current() draws
+        # the k lanes of the selected level, not the L*k of the bank, and
+        # equals that level's full read rescaled
+        class Distinct:
+            def __init__(self):
+                self.seen = set()
+
+            def ingest(self, e):
+                if e.is_element():
+                    self.seen.add(e.value)
+
+            def current(self):
+                return float(len(self.seen))
+
+        T, k, L, floor = 256, 3, 6, 2.0
+        params = SubsampleLowFreqParams(L=L, lam=4, m=1 << 30, gamma1=0.0, selection_floor=floor)
+        ctx = NoiseContext(5)
+        bank = BinaryTreeMechanism.bank(T, ctx)
+        gen = LowFreqGeneral(params, k, T, 1.0, ctx, Distinct(), bank)
+        draw, widths = summing.node_laplace, []
+
+        def counted(base, *args):
+            widths.append(np.size(base))
+            return draw(base, *args)
+
+        selected = set()
+        for e in generate_stream("uniform", StreamConfig(T=T, n=1 << 15), seed=5):
+            bank.tick()
+            gen.ingest(e)
+            monkeypatch.setattr(summing, "node_laplace", counted)
+            got = gen.current()
+            monkeypatch.setattr(summing, "node_laplace", draw)
+            d = gen.d_hat.current()
+            deep = [i for i in range(1, L + 1) if 2**i * floor <= d]
+            if d > floor and deep:
+                i = deep[-1]
+                want = [v * 2.0**i for v in gen.levels[i - 1].current()]
+                selected.add(i)
+            else:
+                want = [0.0] * k
+            assert _bits(got) == _bits(want)
+        assert len(selected) >= 3
+        assert widths and set(widths) == {k}
 
     def test_lowfreq_estimator_copies(self):
         n, k, T, copies, seed = 64, 4, 256, 3, 12

@@ -13,6 +13,7 @@ from dpsketch.low_freq import (
 from dpsketch.experiment import _counter_mapping
 from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.randomness import NoiseContext
+from dpsketch.summing import BinaryTreeMechanism
 from dpsketch.streams import (
     EMPTY_EVENT,
     StreamConfig,
@@ -129,20 +130,22 @@ class TestLowFreqGeneral:
             L=L, lam=4, m=1 << 30, gamma1=0.0, selection_floor=floor
         )
         ctx = NoiseContext(seed, noise_off=True)
-        # the L level blocks are windows of the block's own bank at epsilon 1
-        gen = LowFreqGeneral(params, k, T, 1.0, ctx, _ExactDistinct())
-        return gen
+        # the L level blocks are windows of a bank at epsilon 1, ticked here
+        bank = BinaryTreeMechanism.bank(T, ctx)
+        return LowFreqGeneral(params, k, T, 1.0, ctx, _ExactDistinct(), bank), bank
 
     def test_zero_output_below_floor(self):
-        gen = self._build(k=2, T=16, floor=100.0)
+        gen, bank = self._build(k=2, T=16, floor=100.0)
         for x in range(10):
+            bank.tick()
             gen.ingest(element(x))
             assert gen.current() == [0.0, 0.0]
 
     def test_level_scaling_on_all_distinct(self):
-        gen = self._build(k=2, T=64, floor=2.0, seed=11)
+        gen, bank = self._build(k=2, T=64, floor=2.0, seed=11)
         out = None
         for x in range(64):
+            bank.tick()
             gen.ingest(element(x))
             out = gen.current()
         d = gen.d_hat.current()
@@ -153,10 +156,12 @@ class TestLowFreqGeneral:
     def test_ingest_leaves_the_distinct_estimate_uncombined(self):
         # ingest advances the distinct estimate's copies; only current()
         # takes their median
-        gen = low_freq_block(1 << 15, 2, 64, 0.25, 1.0, 0.1, NoiseContext(4))
+        bank = BinaryTreeMechanism.bank(64, NoiseContext(4))
+        gen = low_freq_block(1 << 15, 2, 64, 0.25, 1.0, 0.1, NoiseContext(4), bank)
         combine, calls = gen.d_hat.combiner, []
         gen.d_hat.combiner = lambda values: calls.append(values) or combine(values)
         for x in range(16):
+            bank.tick()
             gen.ingest(element(x))
         assert calls == []
         gen.current()
@@ -164,10 +169,12 @@ class TestLowFreqGeneral:
 
     def test_pairs_stream(self):
         # every element appears exactly twice: only s_2 grows
-        gen = self._build(k=2, T=64, floor=1.0, seed=3)
+        gen, bank = self._build(k=2, T=64, floor=1.0, seed=3)
         out = None
         for x in range(32):
+            bank.tick()
             gen.ingest(element(x))
+            bank.tick()
             gen.ingest(element(x))
             out = gen.current()
         assert out[0] == 0.0 or out[0] < out[1] or out[1] >= 0.0
@@ -220,12 +227,14 @@ class TestLowFreqEstimator:
 
 
 def _general_block(factory, n, k, T, ctx):
-    """The LowFreqGeneral block built by the low-frequency or moment factory."""
+    """A one-copy low-frequency or moment estimator and its LowFreqGeneral block."""
     if factory == "lowfreq":
         cfg = LowFreqConfig(epsilon=1.0, eta=0.25, xi=0.1, k=k, n=n, T=T, copies=1)
-        return lowfreq_estimator(cfg, ctx).copies[0]
+        est = lowfreq_estimator(cfg, ctx)
+        return est, est.copies[0]
     cfg = MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=T, n=n, copies=1, tau=k)
-    return moment_estimator(cfg, ctx).copies[0].low_freq
+    est = moment_estimator(cfg, ctx)
+    return est, est.copies[0].low_freq
 
 
 class TestGeneralUniverseLevels:
@@ -234,12 +243,12 @@ class TestGeneralUniverseLevels:
         # noise off, n = 2^15 > the small-universe limit: every level's counter
         # block holds the exact by-frequency counts of the ids hashed to it
         n, k, T = 1 << 15, 3, 400
-        gen = _general_block(factory, n, k, T, NoiseContext(17, noise_off=True))
+        est, gen = _general_block(factory, n, k, T, NoiseContext(17, noise_off=True))
         assert isinstance(gen, LowFreqGeneral)
         stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=17, s=1.05)
         freq = {}
         for t, e in enumerate(stream, start=1):
-            gen.ingest(e)
+            est.ingest(e)  # ticks the clock of the block's bank
             if e.is_element():
                 freq[e.value] = freq.get(e.value, 0) + 1
             if t % 50:
@@ -248,3 +257,4 @@ class TestGeneralUniverseLevels:
                 routed = [f for ident, f in freq.items() if gen._route(ident)[0] == i]
                 assert block.current() == [routed.count(j) for j in range(1, block.k + 1)]
         assert sum(block.current()[0] > 0 for block in gen.levels) >= 2
+        assert gen.levels[0].counters.t == T

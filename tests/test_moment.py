@@ -26,6 +26,7 @@ from dpsketch.moment import (
     moment_estimator,
 )
 from dpsketch.randomness import NoiseContext
+from dpsketch.summing import BinaryTreeMechanism
 from dpsketch.streams import (
     EMPTY_EVENT,
     StreamConfig,
@@ -34,6 +35,13 @@ from dpsketch.streams import (
     exact_lp_moment,
     generate_stream,
 )
+
+
+def own_copy(cfg, ctx, unit):
+    """A moment copy on a bank and clock of its own, and that bank, which the
+    caller ticks before each ingest as moment_estimator ticks its clock."""
+    bank = BinaryTreeMechanism.bank(cfg.T, ctx)
+    return MomentState(cfg, ctx, unit, bank), bank
 
 
 def moment_cfg(**over):
@@ -190,16 +198,18 @@ class TestContributing:
 
 class TestMomentState:
     def test_empty_stream_zero(self):
-        state = MomentState(moment_cfg(), NoiseContext(0, noise_off=True), 1.0)
+        state, bank = own_copy(moment_cfg(), NoiseContext(0, noise_off=True), 1.0)
+        bank.tick()
         state.ingest(EMPTY_EVENT)
         assert state.current() == 0.0
 
     def test_noise_off_p1_tracks_count(self):
         cfg = moment_cfg(p=1.0, T=256, n=32)
-        state = MomentState(cfg, NoiseContext(1, noise_off=True), 1.0)
+        state, bank = own_copy(cfg, NoiseContext(1, noise_off=True), 1.0)
         stream = generate_stream("zipf", StreamConfig(T=256, n=32), seed=6, s=1.2)
         out = 0.0
         for e in stream:
+            bank.tick()
             state.ingest(e)
             out = state.current()
         exact = float(exact_frequencies(stream).total_nonempty)
@@ -207,10 +217,11 @@ class TestMomentState:
 
     def test_noise_off_p2_tracks_moment(self):
         cfg = moment_cfg(p=2.0, T=256, n=64)
-        state = MomentState(cfg, NoiseContext(2, noise_off=True), 1.0)
+        state, bank = own_copy(cfg, NoiseContext(2, noise_off=True), 1.0)
         stream = generate_stream("zipf", StreamConfig(T=256, n=64), seed=8, s=1.4)
         out = 0.0
         for e in stream:
+            bank.tick()
             state.ingest(e)
             out = state.current()
         exact = exact_lp_moment(exact_frequencies(stream), 2.0)
@@ -219,9 +230,10 @@ class TestMomentState:
     def test_upper_bound_property_noise_off(self):
         # high-frequency estimate never exceeds (1+eta) x the true interval mass
         cfg = moment_cfg(p=2.0, T=512, n=64)
-        state = MomentState(cfg, NoiseContext(3, noise_off=True), 1.0)
+        state, bank = own_copy(cfg, NoiseContext(3, noise_off=True), 1.0)
         stream = generate_stream("zipf", StreamConfig(T=512, n=64), seed=9, s=1.3)
         for e in stream:
+            bank.tick()
             state.ingest(e)
         table = exact_frequencies(stream)
         shape = state.shape
@@ -239,9 +251,10 @@ class TestMomentState:
 
     def test_nonnegative_with_noise(self):
         cfg = moment_cfg(T=128, n=32)
-        state = MomentState(cfg, NoiseContext(4), 0.25)
+        state, bank = own_copy(cfg, NoiseContext(4), 0.25)
         stream = generate_stream("uniform", StreamConfig(T=128, n=32), seed=1)
         for e in stream:
+            bank.tick()
             state.ingest(e)
             out = state.current()
             assert out >= 0.0
@@ -281,9 +294,10 @@ class TestCurrentMatchesReferenceLoop:
         # some low-frequency counters are negative, so every branch runs
         cfg = MomentConfig(p=p, epsilon=64.0, eta=0.25, xi=0.1, T=512, n=16,
                            copies=1, tau=4.0)
-        state = MomentState(cfg, NoiseContext(3), 16.0)
+        state, bank = own_copy(cfg, NoiseContext(3), 16.0)
         reported = negative = 0
         for e in generate_stream("zipf", StreamConfig(T=512, n=16), seed=4, s=1.2):
+            bank.tick()
             state.ingest(e)
             assert state.current() == _reference_current(state)
             reported += bool(state.hh[0].candidates)
@@ -312,10 +326,11 @@ class TestPerTickWork:
         monkeypatch.setattr(heavy_hitters, "sorted", counted_sort, raising=False)
         T, n, W = 4096, 1 << 14, 512
         cfg = MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=T, n=n, copies=1)
-        state = MomentState(cfg, NoiseContext(1, noise_off=True), 1.0)
+        state, bank = own_copy(cfg, NoiseContext(1, noise_off=True), 1.0)
         per_tick, held = [], []
         for e in generate_stream("zipf", StreamConfig(T=T, n=n), seed=1, s=1.2):
             before = work[0]
+            bank.tick()
             state.ingest(e)
             state.current()
             per_tick.append(work[0] - before)
@@ -336,7 +351,7 @@ class TestLevelTupleSensitivity:
         def mapping(events):
             # S0 is the stream itself; S1..SL take each element at the level
             # the copy routes it to
-            state = MomentState(cfg, NoiseContext(5, noise_off=True), 1.0)
+            state, _ = own_copy(cfg, NoiseContext(5, noise_off=True), 1.0)
             levels = _routed_streams(
                 lambda a: (state._level(a), element(a)), range(1, state.shape.L + 1), events
             )
@@ -397,9 +412,10 @@ class TestGeneralUniverse:
         # backend's gamma and the copy's xi share, as lowfreq_estimator does
         cfg = moment_cfg(T=256, n=1 << 15, tau=4)
         ctx = NoiseContext(31).child("moment-copy", 0)
-        state = MomentState(cfg, ctx, 0.25)
+        state, bank = own_copy(cfg, ctx, 0.25)
         k = state.shape.k
-        block = low_freq_block(cfg.n, k, cfg.T, cfg.eta, 0.25, cfg.xi / 3, ctx.child("moment-lf"))
+        block = low_freq_block(cfg.n, k, cfg.T, cfg.eta, 0.25, cfg.xi / 3, ctx.child("moment-lf"),
+                               bank)
         lf_cfg = LowFreqConfig(epsilon=0.25, eta=cfg.eta, xi=cfg.xi, k=k, n=cfg.n, T=cfg.T,
                                copies=1)
         assert state.low_freq.params == block.params
@@ -416,8 +432,8 @@ class TestSharedClock:
 
         cfg = MomentConfig(p=2.0, epsilon=64.0, eta=0.25, xi=0.1, T=512, n=16,
                            copies=1, tau=4.0)
-        state = MomentState(cfg, NoiseContext(3), 16.0)
-        twin = MomentState(cfg, NoiseContext(3), 16.0)
+        state, bank = own_copy(cfg, NoiseContext(3), 16.0)
+        twin, twin_bank = own_copy(cfg, NoiseContext(3), 16.0)
         clocks = [Clock(512) for _ in state.hh]
         twin.hh = [
             HHSketch(sketch.cfg, NoiseContext(3).child("moment-hh", i), 4.0, clocks[i], key=(i,),
@@ -426,17 +442,20 @@ class TestSharedClock:
         ]
         deep = 0
         for e in generate_stream("zipf", StreamConfig(T=512, n=16), seed=4, s=1.2):
+            bank.tick()
             state.ingest(e)
             level = state._level(e.value) if e.is_element() else None
             for i, sketch in enumerate(twin.hh):
                 clocks[i].tick()
                 sketch.ingest(e if i == 0 or i == level else EMPTY_EVENT)
-            twin._bank.tick()  # the head's bank, which twin.ingest would tick
+            twin_bank.tick()  # the head's clock
             twin.low_freq.ingest(e)
-            assert [s.report() for s in state.hh] == [s.report() for s in twin.hh]
+            assert [(s.candidates, s.report()) for s in state.hh] == [
+                (s.candidates, s.report()) for s in twin.hh
+            ]
             assert state.current() == twin.current()
             deep += any(s.candidates for s in state.hh[1:])
         assert deep > 100
         assert [s.t for s in state.hh] == [512] * len(state.hh)
         with pytest.raises(StateError):
-            state.ingest(EMPTY_EVENT)
+            bank.tick()
