@@ -3,13 +3,13 @@
 Elements are routed into m = 10k^2 substreams; each substream carries one
 CountSketch that serves both the substream F2 estimate and per-element point
 queries.  A candidate is kept when its squared estimate clears a fraction of
-its substream's F2 plus a noise floor, and the report keeps the top
-((1+eta)/(1-eta))^p * k candidates by estimate.
+its substream's F2 plus a noise floor.  An :func:`hh_estimator` copy reports
+its top ((1+eta)/(1-eta))^p * k candidates, a moment level its count per bin.
 
 The per-timestamp universe scan of the written algorithm is replaced by
-incremental candidacy: only the arriving element and current candidates are
-re-tested (an element's frequency only grows on its own arrivals, so entry is
-delayed at most until its next arrival).
+incremental candidacy: an element is admitted only at its own arrival (its
+frequency only grows then, so entry is delayed at most until its next
+arrival); :class:`HHSketch` says which candidates each role retests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import statistics
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
@@ -27,9 +26,6 @@ from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily
 from .streams import StreamEvent
 from .summing import Clock, tree_levels
 from .countsketch import BUCKET_SENSITIVITY, CountSketchState
-
-REEVAL_ALL = "all"
-REEVAL_SUBSTREAM = "substream"
 
 # accuracy parameter of a substream's F2 estimate, whose additive error is
 # gamma1 = 4 * buckets * gamma2^2 / ETA_F2
@@ -52,7 +48,9 @@ class HHConfig:
     ``gamma2_factor`` scales the bucket noise scale into the additive error
     gamma2 entered in the candidacy threshold; the theory's union-bound value
     drowns every signal at realistic stream lengths, so the factor is a
-    calibration knob (gamma2 is 0 with noise off).
+    calibration knob (gamma2 is 0 with noise off).  ``report_cap`` bounds an
+    :func:`hh_estimator` copy's report; a moment level's k puts it above T,
+    and the level counts all of its candidates.
     """
 
     p: float
@@ -64,7 +62,6 @@ class HHConfig:
     n: int
     copies: int | None = None  # None: ceil(50 (ln(2T/xi) + ln n))
     gamma2_factor: float = 0.1
-    reeval: str = REEVAL_ALL
     m_override: int | None = None
 
     def __post_init__(self) -> None:
@@ -73,8 +70,6 @@ class HHConfig:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         check_accuracy(self.eta, self.epsilon)
-        if self.reeval not in (REEVAL_ALL, REEVAL_SUBSTREAM):
-            raise ValueError(f"unknown reeval policy {self.reeval!r}")
 
     @property
     def phi(self) -> float:
@@ -107,12 +102,13 @@ class HHSketch:
     """One copy of the substream heavy-hitter sketch, on its owner's ``clock``:
     the owner advances it once per event, before ``ingest``.
 
-    Under ``REEVAL_SUBSTREAM`` a candidate's estimate moves only with its own
-    substream's arrivals, so candidates are indexed by substream and the
-    ranking (key (-f_hat, id)) is kept sorted on every admit, evict and
-    re-estimate.  ``bins(f_hat)`` then names the bin a reported estimate
-    counts in (None: none), and the report is the number of reported
-    candidates per bin, kept up to date with the ranking.
+    Without ``bins`` (an :func:`hh_estimator` copy) it retests every
+    candidate each tick and reports the top ``report_cap`` by estimate.
+    With ``bins`` (a moment level) it retests the arriving substream's
+    candidates only, so a candidate keeps the estimate read at the last
+    arrival into its substream, and reports how many candidates each bin
+    ``bins(f_hat)`` holds (None: no bin): the count of its top ``report_cap``,
+    as ``bins`` requires ``report_cap >= T``, above any candidate count.
     """
 
     def __init__(
@@ -139,14 +135,11 @@ class HHSketch:
         self._sketches: dict[int, CountSketchState] = {}
         self._route_cache: dict[int, int] = {}
         self.candidates: dict[int, float] = {}
-        self._by_substream: dict[int, set[int]] | None = None
-        self._ranked: list[tuple[float, int]] | None = None
-        if cfg.reeval == REEVAL_SUBSTREAM:
-            self._by_substream, self._ranked = {}, []
-        elif bins is not None:
-            raise ValueError("report bins are kept under REEVAL_SUBSTREAM only")
+        if bins is not None and self.report_cap < cfg.T:
+            raise ValueError(f"bins need report_cap >= T={cfg.T}, got {self.report_cap}")
         self._bins = bins
-        self._report_bins: dict = {}
+        self._by_substream: dict[int, set[int]] = {}
+        self._bin_counts: dict = {}
 
     @property
     def t(self) -> int:
@@ -196,11 +189,11 @@ class HHSketch:
             raise ValueError("heavy-hitter detection requires an elements-mode stream")
         else:
             arrived = None
-        if self._ranked is not None:
+        if self._bins is not None:
             if arrived is not None:
                 held = self._by_substream.get(idx)
                 for b in (held | {arrived}) if held else (arrived,):
-                    self._rerank(b, idx, self._passes(b))
+                    self._rebin(b, idx, self._passes(b))
             return
         retest = set(self.candidates)
         if arrived is not None:
@@ -212,57 +205,37 @@ class HHSketch:
             else:
                 self.candidates[b] = f_hat
 
-    def _rerank(self, b: int, idx: int, f_new: float | None) -> None:
-        """Set b's estimate (None: not a candidate), moving it in the ranking
-        and moving the report bins of the entries that enter or leave the
-        top ``report_cap``."""
+    def _rebin(self, b: int, idx: int, f_new: float | None) -> None:
+        """Set b's estimate (None: not a candidate), moving it between bins."""
         f_old = self.candidates.get(b)
         if f_new == f_old:
             return
-        ranked, cap = self._ranked, self.report_cap
+        held = self._by_substream.setdefault(idx, set())
         if f_old is not None:
-            pos = bisect_left(ranked, (-f_old, b))
-            del ranked[pos]
-            if pos < cap:
-                self._tally(f_old, -1)
-                if len(ranked) >= cap:  # the first entry below the cap moves up
-                    self._tally(-ranked[cap - 1][0], 1)
-            if f_new is None:
-                del self.candidates[b]
-                held = self._by_substream[idx]
-                held.discard(b)
-                if not held:
-                    del self._by_substream[idx]
-                return
+            self._tally(f_old, -1)
+        if f_new is None:
+            del self.candidates[b]
+            held.discard(b)
         else:
-            self._by_substream.setdefault(idx, set()).add(b)
-        self.candidates[b] = f_new
-        pos = bisect_left(ranked, (-f_new, b))
-        ranked.insert(pos, (-f_new, b))
-        if pos < cap:
+            self.candidates[b] = f_new
+            held.add(b)
             self._tally(f_new, 1)
-            if len(ranked) > cap:  # the entry pushed below the cap leaves
-                self._tally(-ranked[cap][0], -1)
 
     def _tally(self, f_hat: float, step: int) -> None:
-        if self._bins is None:
-            return
         slot = self._bins(f_hat)
         if slot is not None:
-            count = self._report_bins.get(slot, 0) + step
+            count = self._bin_counts.get(slot, 0) + step
             if count:
-                self._report_bins[slot] = count
+                self._bin_counts[slot] = count
             else:
-                del self._report_bins[slot]
+                del self._bin_counts[slot]
 
     def report(self) -> dict:
         """Top candidates by estimate, ties favouring the smaller element id;
-        with ``bins``, how many of them each bin holds (the live count, not
-        to be changed by the caller)."""
+        with ``bins``, how many candidates each bin holds (the live count,
+        not to be changed by the caller)."""
         if self._bins is not None:
-            return self._report_bins
-        if self._ranked is not None:
-            return {b: -neg for neg, b in self._ranked[: self.report_cap]}
+            return self._bin_counts
         top = heapq.nsmallest(
             self.report_cap, self.candidates.items(), key=lambda kv: (-kv[1], kv[0])
         )

@@ -202,13 +202,16 @@ def low_freq_block(
     distinct estimate once, so each level's counter block and the distinct
     backend run at epsilon/3 (counters then divide by the 8k stream
     sensitivity).  The backend runs at failure probability ``xi`` and its
-    additive bound enters the level selection.
+    additive bound enters the level selection.  It runs at the block's eta:
+    selection compares d_hat with 2^i * floor and d_hat <= (1+eta) d + gamma,
+    so up to gamma the chosen level's expected sample count d/2^i is at least
+    floor/(1+eta).
     """
     if n <= SMALL_UNIVERSE_LIMIT:
         return LowFreqSmall(n, k, T, epsilon / (COUNTER_SENSITIVITY_PER_K * k), ctx, bank)
     eps_block = epsilon / 3
     d_cfg = DistinctConfig(
-        epsilon=eps_block, eta=0.1, xi=min(0.49, xi), n=n, T=T, variant=GROUP, copies=3
+        epsilon=eps_block, eta=eta, xi=min(0.49, xi), n=n, T=T, variant=GROUP, copies=3
     )
     d_hat = distinct_estimator(d_cfg, ctx.child("dhat"))
     params = subsample_lowfreq_params(n, T, k, eta, d_hat.copies[0].params.gamma)

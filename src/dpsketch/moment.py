@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .budget import check_accuracy, copy_count, equal_shares
 from .countsketch import BUCKET_SENSITIVITY
-from .heavy_hitters import REEVAL_SUBSTREAM, SUBSTREAM_SENSITIVITY, HHConfig, HHSketch, noise_floor
+from .heavy_hitters import SUBSTREAM_SENSITIVITY, HHConfig, HHSketch, noise_floor
 from .low_freq import low_freq_block
 from .summing import BinaryTreeMechanism, Clock
 from .randomness import (
@@ -217,11 +217,9 @@ class MomentState:
             n=cfg.n,
             copies=1,
             gamma2_factor=GAMMA2_FACTOR,
-            reeval=REEVAL_SUBSTREAM,
         )
-        # one clock for every level: an empty event retests no candidate
-        # under REEVAL_SUBSTREAM, so a level only sees its own arrivals.  Each
-        # level counts its reported candidates per interval as they change.
+        # one clock for every level: a level given bins retests only the
+        # arriving substream's candidates and counts its candidates per interval
         self.hh = [
             HHSketch(
                 hh_cfg, ctx.child("moment-hh", i), epsilon_tree, bank.clock, key=(i,),

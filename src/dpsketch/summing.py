@@ -80,10 +80,10 @@ class BinaryTreeMechanism:
     each appended by ``join`` at its own epsilon, so the owners of windows of
     lanes share one clock and one draw per stale level.  Group lane i is keyed
     ``key + (ids[i],)`` under the group's seed and draws at the group's scale.
-    A full read refills each stale level for all lanes with one array draw,
-    scaled per lane, and is memoised, read-only, for its timestamp until an
-    ``add``, ``join`` or ``restore``; a range read draws only its own lanes,
-    into rows it keeps per range.  A lane read uses the memo when it is
+    A range read refills each stale level for its lanes with one array draw,
+    scaled per lane, into rows it keeps per range.  A full read is the range
+    read of every lane, memoised, read-only, for its timestamp until an
+    ``add``, ``join`` or ``restore``.  A lane read uses the memo when it is
     current, else the lane's own record of base, scale, node and draw per
     level, built at its first lane read (Python lists: numpy indexing per
     element slowed point-query-heavy workloads by about 5%).  Array and
@@ -96,8 +96,7 @@ class BinaryTreeMechanism:
     # heavy-hitter substreams build one bank per sketch, thousands per stream
     __slots__ = (
         "T", "levels", "k", "_ctx", "_clock", "_owns_clock", "_single", "_groups", "_buffer",
-        "_running", "_rows", "_row_node", "_row_bases", "_row_scales", "_memo", "_memo_t",
-        "_lane_records", "_ranges",
+        "_running", "_memo", "_memo_t", "_lane_records", "_ranges",
     )
 
     def __init__(
@@ -117,7 +116,6 @@ class BinaryTreeMechanism:
         # (seed, key, ids, scale, first lane) per group
         self._groups: list[tuple] = []
         self._buffer = self._running = np.zeros(0)
-        self._rows = self._row_node = self._row_bases = self._row_scales = None
         self._memo = self._lane_records = self._ranges = None
         self._memo_t = 0
         self._single = epsilon is not None
@@ -155,7 +153,7 @@ class BinaryTreeMechanism:
             self._buffer[:lo] = self._running
         # a view only while the buffer has room to spare
         self._running = self._buffer if self.k == len(self._buffer) else self._buffer[: self.k]
-        self._rows = self._memo = None
+        self._memo = None
         if self._lane_records is not None:
             self._lane_records += [None] * (self.k - lo)
         return lo
@@ -191,21 +189,9 @@ class BinaryTreeMechanism:
         if self._single:
             return self.lane_current(0)
         t = self._clock.t
-        if self._memo is not None and self._memo_t == t:
-            return self._memo
-        out = self._running.copy()
-        if not self._ctx.noise_off:
-            if self._rows is None:
-                self._rows, self._row_node = np.zeros((self.levels, self.k)), [-1] * self.levels
-                self._row_bases, self._row_scales = self._bases(0, self.k)
-            for level, node in self._clock.nodes():
-                if self._row_node[level] != node:
-                    self._rows[level] = node_laplace(self._row_bases, level, node, self._row_scales)
-                    self._row_node[level] = node
-                out += self._rows[level]
-        out.setflags(write=False)
-        self._memo, self._memo_t = out, t
-        return out
+        if self._memo is None or self._memo_t != t:
+            self._memo, self._memo_t = self.range_current(0, self.k), t
+        return self._memo
 
     def range_current(self, lo: int, hi: int) -> np.ndarray:
         """Noisy prefix sums of lanes [lo, hi) alone, read-only; equals

@@ -3,15 +3,15 @@ import math
 import pytest
 
 from dpsketch.heavy_hitters import (
-    REEVAL_SUBSTREAM,
     TAU_LOG_POWER,
     HHConfig,
     HHSketch,
     hh_estimator,
     recall_threshold,
 )
+from dpsketch.moment import MomentConfig, MomentState
 from dpsketch.randomness import NoiseContext
-from dpsketch.summing import Clock
+from dpsketch.summing import BinaryTreeMechanism, Clock
 from dpsketch.streams import (
     StreamConfig,
     element,
@@ -202,58 +202,76 @@ class TestNoisySketch:
         assert recall_threshold(cfg, est.copies[0]) >= theory
 
 
-class TestReevalPolicies:
-    def test_substream_policy_tracks_all_policy_noise_off(self):
-        # with exact backends the sticky policy converges to the same final
-        # report on arrival-dense streams
-        stream = generate_stream("zipf", StreamConfig(T=256, n=16), seed=9, s=1.3)
-        reports = {}
-        for policy in ("all", REEVAL_SUBSTREAM):
-            cfg = hh_config(k=4, T=256, n=16, reeval=policy)
-            clock = Clock(cfg.T)
-            sketch = HHSketch(cfg, NoiseContext(77, noise_off=True), epsilon_tree=1.0, clock=clock)
-            for e in stream:
-                clock.tick()
-                sketch.ingest(e)
-                report = sketch.current()
-            reports[policy] = report
-        assert reports["all"] == reports[REEVAL_SUBSTREAM]
+def bin_counts(candidates: dict[int, float], bins) -> dict:
+    counts = {}
+    for f_hat in candidates.values():
+        slot = bins(f_hat)
+        if slot is not None:
+            counts[slot] = counts.get(slot, 0) + 1
+    return counts
 
-    def test_substream_ranking_and_bins_equal_a_scan_at_every_tick(self):
-        # a report cap of 2 under many candidates and few substreams, so
-        # entries cross the cap on admits, evictions and re-estimates; the
-        # reference rescans every candidate and sorts them, as ingest and
-        # report did before candidates were indexed by substream
-        cfg = hh_config(k=1, T=512, n=32, epsilon=64.0, reeval=REEVAL_SUBSTREAM, m_override=3)
+
+def bins_of_8(f_hat):
+    return None if f_hat < 8 else int(f_hat) // 8
+
+
+class TestLevelRole:
+    """A sketch given bins (a moment level) retests the arriving substream's
+    candidates only and reports how many candidates each bin holds."""
+
+    def test_binned_candidates_equal_the_plain_ones_noise_off(self):
+        # with noise off an estimate moves only with its substream's
+        # arrivals, so retesting that substream alone keeps every candidate
+        # a full retest keeps; few substreams make admits and evictions mix
+        cfg = hh_config(k=256, T=512, n=32, m_override=2)
         clock = Clock(cfg.T)
+        ctx = NoiseContext(77, noise_off=True)
+        binned = HHSketch(cfg, ctx, epsilon_tree=1.0, clock=clock, bins=bins_of_8)
+        plain = HHSketch(cfg, ctx, epsilon_tree=1.0, clock=clock)
+        evictions = 0
+        for e in generate_stream("zipf", StreamConfig(T=512, n=32), seed=9, s=1.1):
+            before = set(plain.candidates)
+            clock.tick()
+            binned.ingest(e)
+            plain.ingest(e)
+            assert binned.candidates == plain.candidates
+            assert binned.report() == bin_counts(plain.candidates, bins_of_8)
+            evictions += len(before - set(plain.candidates))
+        assert evictions > 10
 
-        def bins(f_hat):
-            return None if f_hat < 8 else int(f_hat) // 8
-
-        # the same sketch without bins reports its top candidates themselves
-        sketch = HHSketch(cfg, NoiseContext(5), epsilon_tree=16.0, clock=clock, bins=bins)
-        plain = HHSketch(cfg, NoiseContext(5), epsilon_tree=16.0, clock=clock)
-        assert sketch.report_cap == 2
-        held, crowded = {}, 0
+    def test_binned_candidates_and_bins_equal_a_substream_rescan(self):
+        # the reference rescans every candidate for the arriving substream,
+        # as ingest did before candidates were indexed by substream
+        cfg = hh_config(k=256, T=512, n=32, epsilon=64.0, m_override=3)
+        clock = Clock(cfg.T)
+        sketch = HHSketch(cfg, NoiseContext(5), epsilon_tree=16.0, clock=clock, bins=bins_of_8)
+        held, moved = {}, 0
         for e in generate_stream("zipf", StreamConfig(T=512, n=32), seed=3, s=1.1):
             clock.tick()
             sketch.ingest(e)
-            plain.ingest(e)
             idx = sketch._route(e.value)
+            before = dict(held)
             for b in {b for b in held if sketch._route(b) == idx} | {e.value}:
                 f_hat = sketch._passes(b)
                 if f_hat is None:
                     held.pop(b, None)
                 else:
                     held[b] = f_hat
-            assert sketch.candidates == held == plain.candidates
-            ranked = sorted(held.items(), key=lambda kv: (-kv[1], kv[0]))
-            want = dict(ranked[: sketch.report_cap])
-            assert plain.report() == want
-            counts = {}
-            for f_hat in want.values():
-                if bins(f_hat) is not None:
-                    counts[bins(f_hat)] = counts.get(bins(f_hat), 0) + 1
-            assert sketch.report() == counts
-            crowded += len(held) > sketch.report_cap
-        assert crowded > 100
+            assert sketch.candidates == held
+            assert sketch.report() == bin_counts(held, bins_of_8)
+            moved += bin_counts(before, bins_of_8) != bin_counts(held, bins_of_8)
+        assert moved > 100
+
+    def test_bins_need_a_report_cap_of_at_least_T(self):
+        cfg = hh_config(k=4, T=256)
+        assert cfg.report_cap < cfg.T
+        with pytest.raises(ValueError, match="report_cap"):
+            HHSketch(cfg, NoiseContext(1), epsilon_tree=1.0, clock=Clock(cfg.T), bins=bins_of_8)
+        HHSketch(cfg, NoiseContext(1), epsilon_tree=1.0, clock=Clock(cfg.T))  # plain: any cap
+        for p in (0.0, 0.5, 1.0, 2.0, 3.0):
+            for eta in (0.05, 0.25, 0.49):
+                for T in (64, 4096, 10**7):
+                    cfg = MomentConfig(p=p, epsilon=1.0, eta=eta, xi=0.1, T=T, n=T, copies=1)
+                    ctx = NoiseContext(1)
+                    state = MomentState(cfg, ctx, 0.25, BinaryTreeMechanism.bank(T, ctx))
+                    assert all(level.report_cap > T for level in state.hh)

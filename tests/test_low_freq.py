@@ -218,6 +218,19 @@ class TestLowFreqEstimator:
             values = est.feed(element(x))
         assert values == [0.0, 0.0]
 
+    @pytest.mark.parametrize("noise_off", [True, False])
+    def test_general_universe_release_within_eta_of_exact(self, noise_off):
+        # 20,731 distinct elements: d_hat at the block's eta clears its
+        # selection threshold, so the last release is the subsampling estimate
+        n = T = 1 << 15
+        cfg = LowFreqConfig(epsilon=64.0, eta=0.45, xi=0.1, k=4, n=n, T=T, copies=3)
+        est = lowfreq_estimator(cfg, NoiseContext(1, noise_off=noise_off))
+        stream = generate_stream("uniform", StreamConfig(T=T, n=n), seed=1)
+        for e in stream:
+            est.ingest(e)
+        for s_hat, exact in zip(est.current(), exact_freq_counts(stream, 4)):
+            assert (1 - cfg.eta) * exact <= s_hat <= (1 + cfg.eta) * exact
+
     def test_determinism(self):
         cfg = LowFreqConfig(epsilon=1.0, eta=0.25, xi=0.1, k=2, n=64, T=64, copies=2)
         stream = generate_stream("zipf", StreamConfig(T=64, n=64), seed=3, s=1.2)
