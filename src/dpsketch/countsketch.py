@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import check_accuracy, copy_count, equal_shares
-from .randomness import NoiseContext, PolyHashFamily, SignHash, median_boost
+from .randomness import NoiseContext, PolyHashFamily, SignHash, fold_key, fold_on, median_boost
 from .randomness import node_laplace  # noqa: F401  (traced by perfbench/run.py)
 from .streams import StreamEvent
 from .summing import BinaryTreeMechanism, Clock
@@ -40,8 +40,16 @@ class CountSketchState:
     (ceil(log2 T)+1)/epsilon_bucket.  Bucket i is the lane keyed ("cs",) +
     key + ("bucket", i) of a window the sketch joins: of its own bank, or of
     ``bank``, shared by boosted copies, whose owner ticks it and calls
-    ``observe``.
+    ``observe``.  Its hash seeds are the children ("cs",) + key + ("h",) and
+    (..., "g") of ``ctx``.  Bucket and seed keys all extend ("cs",) + key, so
+    they continue its two folds, :meth:`key_folds`; an owner of many sketches
+    whose keys share a prefix folds the prefix once and passes each sketch
+    ``folded``, the prefix's folds continued by ``fold_on`` over the rest.
     """
+
+    # heavy-hitter levels build one sketch per substream, thousands per stream
+    __slots__ = ("k", "T", "epsilon_bucket", "_ctx", "_key", "_bank", "_lo", "_hi", "h", "g",
+                 "_route_cache")
 
     def __init__(
         self,
@@ -52,6 +60,7 @@ class CountSketchState:
         key: tuple = (),
         clock: Clock | None = None,
         bank: BinaryTreeMechanism | None = None,
+        folded: tuple[int, int] | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"bucket count must be >= 1, got {k}")
@@ -60,14 +69,20 @@ class CountSketchState:
         self.epsilon_bucket = float(epsilon_bucket)
         self._ctx = ctx
         self._key = ("cs",) + tuple(key)
+        child, own = self.key_folds(ctx, key) if folded is None else folded
         self._bank = BinaryTreeMechanism.bank(self.T, ctx, clock) if bank is None else bank
-        self._lo = self._bank.join(
-            ctx.master_seed, self._key + ("bucket",), range(self.k), epsilon_bucket
-        )
+        self._lo = self._bank.join(fold_on(own, ("bucket",)), range(self.k), epsilon_bucket)
         self._hi = self._lo + self.k
-        self.h = PolyHashFamily(4, self.k, ctx.child_seed(*self._key, "h"))
-        self.g = SignHash(ctx.child_seed(*self._key, "g"))
+        self.h = PolyHashFamily(4, self.k, fold_on(child, ("h",)))
+        self.g = SignHash(fold_on(child, ("g",)))
         self._route_cache: dict[int, tuple[int, int]] = {}
+
+    @staticmethod
+    def key_folds(ctx: NoiseContext, key: tuple) -> tuple[int, int]:
+        """The folds of ("cs",) + key under ``ctx.master_seed``, as a child
+        (the hash seeds' prefix) and as itself (the buckets' prefix)."""
+        key = ("cs",) + tuple(key)
+        return ctx.child_seed(*key), fold_key(ctx.master_seed, key)
 
     @property
     def t(self) -> int:

@@ -22,7 +22,7 @@ from typing import Callable, Hashable
 
 from .budget import check_accuracy, copy_count, equal_shares
 from .distinct import BoostedEstimator
-from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily
+from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily, fold_on
 from .streams import StreamEvent
 from .summing import Clock, tree_levels
 from .countsketch import BUCKET_SENSITIVITY, CountSketchState
@@ -109,6 +109,10 @@ class HHSketch:
     arrival into its substream, and reports how many candidates each bin
     ``bins(f_hat)`` holds (None: no bin): the count of its top ``report_cap``,
     as ``bins`` requires ``report_cap >= T``, above any candidate count.
+
+    Substream idx carries the sketch keyed ``key + ("sub", idx)``; the sketch
+    keys share all but their last parts, so the first substream folds that
+    prefix once for all of them.
     """
 
     def __init__(
@@ -133,6 +137,7 @@ class HHSketch:
         self._h = PolyHashFamily(2, cfg.m, ctx.child_seed(*self._key, "route"))
         self._clock = clock
         self._sketches: dict[int, CountSketchState] = {}
+        self._prefixes: tuple[int, int] | None = None
         self._route_cache: dict[int, int] = {}
         self.candidates: dict[int, float] = {}
         if bins is not None and self.report_cap < cfg.T:
@@ -148,6 +153,9 @@ class HHSketch:
     def _substream(self, idx: int) -> CountSketchState:
         sketch = self._sketches.get(idx)
         if sketch is None:
+            if self._prefixes is None:  # folded here, so setup folds nothing
+                self._prefixes = CountSketchState.key_folds(self._ctx, self._key + ("sub",))
+            child, own = self._prefixes
             sketch = CountSketchState(
                 INNER_BUCKETS,
                 self.cfg.T,
@@ -155,6 +163,7 @@ class HHSketch:
                 self._ctx,
                 key=self._key + ("sub", idx),
                 clock=self._clock,
+                folded=(fold_on(child, (idx,)), fold_on(own, (idx,))),
             )
             self._sketches[idx] = sketch
         return sketch
@@ -166,8 +175,8 @@ class HHSketch:
             self._route_cache[ident] = idx
         return idx
 
-    def _passes(self, ident: int) -> float | None:
-        sketch = self._substream(self._route(ident))
+    def _passes(self, sketch: CountSketchState, ident: int) -> float | None:
+        """ident's estimate in its substream's ``sketch`` if it is a candidate."""
         f_hat = sketch.point_query(ident)
         floor = self._floor
         if f_hat * f_hat < floor:
@@ -184,7 +193,8 @@ class HHSketch:
         if e.is_element():
             arrived = e.value
             idx = self._route(arrived)
-            self._substream(idx).observe(e)
+            sketch = self._substream(idx)
+            sketch.observe(e)
         elif e.is_integer():
             raise ValueError("heavy-hitter detection requires an elements-mode stream")
         else:
@@ -193,13 +203,13 @@ class HHSketch:
             if arrived is not None:
                 held = self._by_substream.get(idx)
                 for b in (held | {arrived}) if held else (arrived,):
-                    self._rebin(b, idx, self._passes(b))
+                    self._rebin(b, idx, self._passes(sketch, b))
             return
         retest = set(self.candidates)
         if arrived is not None:
             retest.add(arrived)
         for b in retest:
-            f_hat = self._passes(b)
+            f_hat = self._passes(self._substream(self._route(b)), b)
             if f_hat is None:
                 self.candidates.pop(b, None)
             else:

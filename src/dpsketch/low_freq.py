@@ -22,6 +22,7 @@ from .randomness import (
     LevelRouter,
     NoiseContext,
     even_independence,
+    fold_key,
     median_boost,
     subsample_depth,
 )
@@ -61,7 +62,7 @@ class LowFreqSmall:
         self._owns_bank = bank is None
         self.counters = BinaryTreeMechanism.bank(T, ctx) if bank is None else bank
         self._lo = self.counters.join(
-            ctx.master_seed, ("tree", "lfs"), range(1, k + 1), epsilon_counter
+            fold_key(ctx.master_seed, ("tree", "lfs")), range(1, k + 1), epsilon_counter
         )
         self.freq: dict[int, int] = {}
 

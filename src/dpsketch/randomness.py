@@ -42,13 +42,19 @@ def _word(part: str) -> int:
     return int.from_bytes(part.encode()[:8].ljust(8, b"\0"), "little")
 
 
-def _fold_key(seed: int, key: tuple) -> int:
-    h = _mix64(seed ^ _GOLDEN)
+def fold_on(folded: int, key: tuple) -> int:
+    """Continue a fold over more key parts: fold_on(fold_key(seed, a), b)
+    equals fold_key(seed, a + b), so keys that share a prefix fold it once."""
+    h = folded
     for part in key:
         if isinstance(part, str):
             part = _word(part)
         h = _mix64(h ^ ((int(part) * _GOLDEN) & _MASK64))
     return h
+
+
+def _fold_key(seed: int, key: tuple) -> int:
+    return fold_on(_mix64(seed ^ _GOLDEN), key)
 
 
 _NODE_A = 0xD2B74407B1CE6E93
@@ -74,8 +80,8 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
-    """fold_key(seed, key + (lane,)) for each uint64 lane id, given
-    base = fold_key(seed, key)."""
+    """fold_on(base, (lane,)) for each uint64 lane id: fold_key(seed, key +
+    (lane,)) when base = fold_key(seed, key)."""
     return _mix64_array(np.uint64(base) ^ (lanes * np.uint64(_GOLDEN)))
 
 
@@ -168,6 +174,9 @@ class PolyHashFamily:
     range m (bias at most k*m/prime).
     """
 
+    # substream sketches build two families each, thousands per stream
+    __slots__ = ("k", "m", "prime", "coefficients")
+
     def __init__(self, k: int, m: int, seed: int) -> None:
         if k < 1:
             raise ValueError(f"independence k must be >= 1, got {k}")
@@ -201,6 +210,8 @@ class PolyHashFamily:
 
 class SignHash:
     """4-wise independent mapping to {-1, +1} with Pr[+1] = 1/2."""
+
+    __slots__ = ("_base",)
 
     def __init__(self, seed: int) -> None:
         self._base = PolyHashFamily(4, 2, seed)

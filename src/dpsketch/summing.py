@@ -15,7 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .randomness import NoiseContext, fold_key, fold_lanes, node_laplace
+from .randomness import NoiseContext, fold_key, fold_lanes, fold_on, node_laplace
 
 
 class StateError(RuntimeError):
@@ -76,10 +76,12 @@ class BinaryTreeMechanism:
     the nodes tiling [1, t] equals the classic per-node construction.
 
     Built with ``epsilon`` it is one counter keyed ``("tree",) + key``.
-    Built by :meth:`bank` it is a bank of lane groups ``(seed, key, ids)``,
-    each appended by ``join`` at its own epsilon, so the owners of windows of
-    lanes share one clock and one draw per stale level.  Group lane i is keyed
-    ``key + (ids[i],)`` under the group's seed and draws at the group's scale.
+    Built by :meth:`bank` it is a bank of lane groups ``(base, ids)``, each
+    appended by ``join`` at its own epsilon, so the owners of windows of lanes
+    share one clock and one draw per stale level.  A group's base is its
+    folded key, ``fold_key(seed, key)``; group lane i is keyed ``key +
+    (ids[i],)``, one fold round on from the base, and draws at the group's
+    scale.
     A range read refills each stale level for its lanes with one array draw,
     scaled per lane, into rows it keeps per range.  A full read is the range
     read of every lane, memoised, read-only, for its timestamp until an
@@ -113,14 +115,14 @@ class BinaryTreeMechanism:
         self._clock = clock if clock is not None else Clock(self.T)
         self._owns_clock = clock is None
         self.k = 0
-        # (seed, key, ids, scale, first lane) per group
+        # (base, ids, scale, first lane) per group
         self._groups: list[tuple] = []
         self._buffer = self._running = np.zeros(0)
         self._memo = self._lane_records = self._ranges = None
         self._memo_t = 0
         self._single = epsilon is not None
         if self._single:
-            self.join(ctx.master_seed, ("tree",) + tuple(key), None, epsilon)
+            self.join(fold_key(ctx.master_seed, ("tree",) + tuple(key)), None, epsilon)
 
     @classmethod
     def bank(cls, T: int, ctx: NoiseContext, clock: Clock | None = None) -> BinaryTreeMechanism:
@@ -140,14 +142,15 @@ class BinaryTreeMechanism:
         """Exact running sum of each lane (private state, not a release)."""
         return self._running
 
-    def join(self, seed: int, key: tuple, ids, epsilon: float) -> int:
-        """Append a lane group at its own epsilon; returns its first lane.
-        Its lanes start at 0 and draw from the next read on."""
+    def join(self, base: int, ids, epsilon: float) -> int:
+        """Append a lane group, folded key ``base``, at its own epsilon;
+        returns its first lane.  Its lanes start at 0 and draw from the next
+        read on."""
         if epsilon is None or epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
         lo = self.k
         self.k = lo + (1 if ids is None else len(ids))
-        self._groups.append((seed, tuple(key), ids, self.levels / float(epsilon), lo))
+        self._groups.append((base, ids, self.levels / float(epsilon), lo))
         if self.k > len(self._buffer):  # grow by doubling, so joins cost O(k) in all
             self._buffer = np.zeros(max(self.k, 2 * lo))
             self._buffer[:lo] = self._running
@@ -224,16 +227,16 @@ class BinaryTreeMechanism:
     def _bases(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The folded key and the scale of each lane in [lo, hi) of a bank."""
         bases, scales = [], []
-        for seed, key, ids, scale, first in self._groups:
+        for base, ids, scale, first in self._groups:
             a, b = max(lo, first), min(hi, first + len(ids))
             if a < b:
                 lanes = np.asarray(ids[a - first : b - first], dtype=np.uint64)
-                bases.append(fold_lanes(fold_key(seed, key), lanes))
+                bases.append(fold_lanes(base, lanes))
                 scales.append(np.full(b - a, scale))
         return np.concatenate(bases), np.concatenate(scales)
 
     def _group_of(self, lane: int) -> tuple:
-        return self._groups[bisect_right(self._groups, lane, key=lambda group: group[4]) - 1]
+        return self._groups[bisect_right(self._groups, lane, key=lambda group: group[3]) - 1]
 
     def lane_current(self, j: int) -> float:
         """Noisy prefix sum of lane j alone; equals ``current()[j]``."""
@@ -246,11 +249,10 @@ class BinaryTreeMechanism:
             self._lane_records = [None] * self.k
         record = self._lane_records[j]
         if record is None:
-            seed, key, ids, scale, lo = self._group_of(j)
-            key = key if ids is None else key + (ids[j - lo],)
-            record = self._lane_records[j] = (
-                fold_key(seed, key), scale, [-1] * self.levels, [0.0] * self.levels
-            )
+            base, ids, scale, lo = self._group_of(j)
+            if ids is not None:
+                base = fold_on(base, (ids[j - lo],))
+            record = self._lane_records[j] = (base, scale, [-1] * self.levels, [0.0] * self.levels)
         base, scale, lane_node, draw = record
         for level, node in self._clock.nodes():
             if lane_node[level] != node:
@@ -271,7 +273,7 @@ class BinaryTreeMechanism:
             raise ValueError(f"xi must be in (0, 1), got {xi}")
         if self._ctx.noise_off:
             return 0.0
-        return self.levels * self._group_of(lane)[3] * math.log(2 * self.T / xi)
+        return self.levels * self._group_of(lane)[2] * math.log(2 * self.T / xi)
 
 
 class GroupingMechanism:

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from dpsketch.countsketch import CountSketchState
 from dpsketch.heavy_hitters import (
+    INNER_BUCKETS,
     TAU_LOG_POWER,
     HHConfig,
     HHSketch,
@@ -10,7 +12,7 @@ from dpsketch.heavy_hitters import (
     recall_threshold,
 )
 from dpsketch.moment import MomentConfig, MomentState
-from dpsketch.randomness import NoiseContext
+from dpsketch.randomness import NoiseContext, PolyHashFamily
 from dpsketch.summing import BinaryTreeMechanism, Clock
 from dpsketch.streams import (
     StreamConfig,
@@ -252,7 +254,7 @@ class TestLevelRole:
             idx = sketch._route(e.value)
             before = dict(held)
             for b in {b for b in held if sketch._route(b) == idx} | {e.value}:
-                f_hat = sketch._passes(b)
+                f_hat = sketch._passes(sketch._substream(idx), b)
                 if f_hat is None:
                     held.pop(b, None)
                 else:
@@ -275,3 +277,64 @@ class TestLevelRole:
                     ctx = NoiseContext(1)
                     state = MomentState(cfg, ctx, 0.25, BinaryTreeMechanism.bank(T, ctx))
                     assert all(level.report_cap > T for level in state.hh)
+
+
+class TestSubstreamKeys:
+    """A sketch's substreams take their keys from prefixes it folds once; each
+    substream sketch must equal the one built from its full key."""
+
+    def check(self, levels, advance, receivers, T, n):
+        # references on a clock of their own, each built from the full key
+        # and fed the arrivals routed to its substream
+        clock = Clock(T)
+        refs = [{} for _ in levels]
+        members = [{} for _ in levels]
+        for e in generate_stream("zipf", StreamConfig(T=T, n=n), seed=2, s=1.2):
+            clock.tick()
+            advance(e)
+            for i in receivers(e) if e.is_element() else ():
+                level = levels[i]
+                idx = level._route(e.value)
+                ref = refs[i].get(idx)
+                if ref is None:
+                    ref = refs[i][idx] = CountSketchState(
+                        INNER_BUCKETS, T, level.epsilon_tree, level._ctx,
+                        key=level._key + ("sub", idx), clock=clock,
+                    )
+                    seeds = [level._ctx.child_seed(*ref._key, part) for part in ("h", "g")]
+                    assert ref.h.coefficients == PolyHashFamily(4, INNER_BUCKETS, seeds[0]).coefficients
+                    assert ref.g._base.coefficients == PolyHashFamily(4, 2, seeds[1]).coefficients
+                ref.observe(e)
+                members[i].setdefault(idx, set()).add(e.value)
+            for level, ref_of, member_of in zip(levels, refs, members):
+                assert level._sketches.keys() == ref_of.keys()
+                for idx, sketch in level._sketches.items():
+                    ref, ids = ref_of[idx], sorted(member_of[idx])
+                    assert sketch.h.coefficients == ref.h.coefficients
+                    assert sketch.g._base.coefficients == ref.g._base.coefficients
+                    assert [sketch.point_query(b) for b in ids] == [ref.point_query(b) for b in ids]
+        return sum(len(ref_of) for ref_of in refs)
+
+    def test_moment_level_sketches_equal_full_key_sketches(self):
+        T, n = 256, 64
+        cfg = MomentConfig(p=2.0, epsilon=64.0, eta=0.25, xi=0.1, T=T, n=n, copies=1, tau=4.0)
+        ctx = NoiseContext(3).child("moment-copy", 0)
+        bank = BinaryTreeMechanism.bank(T, ctx)
+        state = MomentState(cfg, ctx, 16.0, bank)
+
+        def advance(e):
+            bank.tick()
+            state.ingest(e)
+
+        def receivers(e):
+            level = state._level(e.value)
+            return (0,) if level is None else (0, level)
+
+        assert self.check(state.hh, advance, receivers, T, n) > 60
+
+    def test_hh_estimator_copy_sketches_equal_full_key_sketches(self):
+        T, n = 256, 64
+        cfg = hh_config(k=4, T=T, n=n, copies=2, epsilon=4.0)
+        est = hh_estimator(cfg, NoiseContext(8))
+        built = self.check(est.copies, est.ingest, lambda e: range(len(est.copies)), T, n)
+        assert built > 40

@@ -35,7 +35,7 @@ from dpsketch.low_freq import (
     lowfreq_estimator,
 )
 from dpsketch.moment import MomentConfig, MomentState, moment_estimator
-from dpsketch.randomness import NoiseContext, median_boost
+from dpsketch.randomness import NoiseContext, fold_key, median_boost
 from dpsketch.streamio import write_stream_file
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
 from dpsketch.summing import BinaryTreeMechanism, Clock, StateError
@@ -115,7 +115,7 @@ class TestMemo:
         lanes = [(11, ("tree", "m", 0), range(4)), (12, ("tree", "m", 1), range(4))]
         bank = BinaryTreeMechanism.bank(16, NoiseContext(3), clock)
         for seed, key, ids in lanes:
-            bank.join(seed, key, ids, 1.0)
+            bank.join(fold_key(seed, key), ids, 1.0)
         return bank
 
     def singles(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsketch import heavy_hitters, moment
+from dpsketch import heavy_hitters, moment, randomness
 from dpsketch.experiment import _routed_streams
 from dpsketch.low_freq import (
     LowFreqConfig,
@@ -338,6 +338,35 @@ class TestPerTickWork:
         assert held[-1] >= 3 * held[W - 1]
         early, late = sum(per_tick[:W]) / W, sum(per_tick[-W:]) / W
         assert late <= 1.5 * early
+
+
+class TestPerArrivalWork:
+    def test_new_substream_sketches_fold_no_keys(self, monkeypatch):
+        # every fresh element builds a substream sketch at level 0 of each
+        # copy, and at its own level; a sketch takes its hash seeds and bucket
+        # bases from two prefixes its level folds once, at its first
+        # substream, so full key folds do not grow with the sketches built
+        # (three per sketch when each sketch folded its own keys)
+        N = 512
+        cfg = MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=N, n=1 << 14, copies=3)
+        est = moment_estimator(cfg, NoiseContext(7))
+        folds = [0]
+        fold = randomness._fold_key
+
+        def counted(seed, key):
+            folds[0] += 1
+            return fold(seed, key)
+
+        monkeypatch.setattr(randomness, "_fold_key", counted)
+        for a in range(N):
+            est.ingest(element(a))
+        levels = [level for copy in est.copies for level in copy.hh]
+        built = sum(len(level._sketches) for level in levels)
+        assert built > N * len(est.copies)
+        assert folds[0] == 2 * sum(bool(level._sketches) for level in levels)
+        sketch = next(iter(levels[0]._sketches.values()))
+        for obj in (sketch, sketch.h, sketch.g):
+            assert not hasattr(obj, "__dict__")
 
 
 class TestLevelTupleSensitivity:

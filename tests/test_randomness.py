@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpsketch import randomness
 from dpsketch.countsketch import CountSketchState
@@ -14,6 +16,7 @@ from dpsketch.randomness import (
     even_independence,
     fold_key,
     fold_lanes,
+    fold_on,
     median_boost,
     node_laplace,
 )
@@ -267,6 +270,17 @@ class TestKeyedDerivation:
                     ("", "é", "lfs", 1 << 40)):
             for _ in range(2):  # the second pass reads the memoised words
                 assert fold_key(77, key) == reference(77, key)
+
+    _parts = st.lists(st.one_of(st.text(max_size=12), st.integers(0, _MASK64)), max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, _MASK64), prefix=_parts, suffix=_parts)
+    @example(seed=3, prefix=[], suffix=["child", "cs", 7])
+    @example(seed=3, prefix=["cs", "hh", 0, "sub"], suffix=[])
+    @example(seed=3, prefix=[], suffix=[])
+    def test_fold_continues_over_a_suffix(self, seed, prefix, suffix):
+        prefix, suffix = tuple(prefix), tuple(suffix)
+        assert fold_on(fold_key(seed, prefix), suffix) == fold_key(seed, prefix + suffix)
 
     def test_no_numpy_generator_is_built(self, monkeypatch):
         def refuse(*args, **kwargs):

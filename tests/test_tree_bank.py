@@ -161,7 +161,7 @@ class TestTreeMechanism:
     def test_bank_lanes_equal_single_counters(self):
         T, lanes = 100, [3, 9, 27]
         bank = BinaryTreeMechanism.bank(T, NoiseContext(8))
-        bank.join(8, ("tree", "b"), lanes, 1.0)
+        bank.join(fold_key(8, ("tree", "b")), lanes, 1.0)
         singles = [
             BinaryTreeMechanism(T, 1.0, NoiseContext(8), key=("b", lane)) for lane in lanes
         ]
@@ -189,14 +189,14 @@ class TestJoinedGroups:
         bank = BinaryTreeMechanism.bank(T, NoiseContext(1))
         singles, los = [], []
         for seed, key, ids, eps in spec[:2]:
-            los.append(bank.join(seed, key, ids, eps))
+            los.append(bank.join(fold_key(seed, key), ids, eps))
             singles += [BinaryTreeMechanism(T, eps, NoiseContext(seed), key=(key[1], i))
                         for i in ids]
         assert los == [0, 3]
         for t in range(1, T + 1):
             if t == 50:
                 seed, key, ids, eps = spec[2]
-                assert bank.join(seed, key, ids, eps) == 4
+                assert bank.join(fold_key(seed, key), ids, eps) == 4
                 for i in ids:  # counters that start at 0 now
                     singles.append(BinaryTreeMechanism(T, eps, NoiseContext(seed), key=(key[1], i)))
                     singles[-1].restore(t - 1, [0.0])
@@ -223,7 +223,7 @@ class TestJoinedGroups:
         singles = []
         for seed, key, ids, eps in [(5, ("tree", "a"), [1, 2, 3], 0.5), (6, ("tree", "b"), [4], 2.0),
                                     (7, ("tree", "a"), [1, 2], 0.125)]:
-            bank.join(seed, key, ids, eps)
+            bank.join(fold_key(seed, key), ids, eps)
             singles += [BinaryTreeMechanism(T, eps, NoiseContext(seed), key=(key[1], i))
                         for i in ids]
         for t in range(1, T + 1):
@@ -248,7 +248,7 @@ class TestJoinedGroups:
     def test_credit_before_the_first_tick_is_refused(self):
         # no dyadic node covers [1, 0], so a credit there would read exact
         bank = BinaryTreeMechanism.bank(8, NoiseContext(1))
-        bank.join(1, ("tree",), [0, 1], 1.0)
+        bank.join(fold_key(1, ("tree",)), [0, 1], 1.0)
         with pytest.raises(StateError):
             bank.add(1.0, 0)
         bank.tick()
@@ -259,7 +259,7 @@ class TestJoinedGroups:
         bank = BinaryTreeMechanism.bank(8, NoiseContext(1))
         for eps in (None, 0.0, -1.0):
             with pytest.raises(ValueError):
-                bank.join(1, ("tree",), [0], eps)
+                bank.join(fold_key(1, ("tree",)), [0], eps)
 
 
 class TestLowFreqSmall:
