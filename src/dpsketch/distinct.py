@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 from .budget import MechanismBudget, check_accuracy, copy_count, equal_shares
 from .randomness import (
+    HASH_RANGE_CAP,
     LevelRouter,
     NoiseContext,
     even_independence,
@@ -96,7 +97,7 @@ def subsample_params(
     L = subsample_depth(n, T)
     lam = even_independence(2 * math.log2(1000 * L))
     threshold = max(gamma / eta, 32 * alpha * lam / eta**2)
-    m = math.ceil(100 * L * (16 * alpha * threshold) ** 2)
+    m = min(math.ceil(100 * L * (16 * alpha * threshold) ** 2), HASH_RANGE_CAP)
     return SubsampleParams(L=L, lam=lam, m=m, alpha=alpha, gamma=gamma, threshold=threshold)
 
 

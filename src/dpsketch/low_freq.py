@@ -86,11 +86,6 @@ class LowFreqSmall:
         """Every counter's output, read-only, from the bank's memoised full read."""
         return self.counters.current()[self._lo : self._lo + self.k]
 
-    def window_outputs(self) -> np.ndarray:
-        """``outputs()`` drawing this block's lanes only, for a block read
-        alone among the windows of its bank."""
-        return self.counters.range_current(self._lo, self._lo + self.k)
-
     def current(self) -> list[float]:
         return self.outputs().tolist()
 
@@ -121,7 +116,8 @@ class LowFreqGeneral:
     still clears the selection floor; level counts are rescaled by 2^i*.
     Outputs all zeros while the distinct estimate is below
     max(3*gamma1, floor).  The L level blocks are windows of ``bank``, whose
-    owner ticks it; a read draws the selected level's window only.
+    owner ticks it; a read slices the selected level from the bank's
+    memoised full read.
     """
 
     def __init__(
@@ -158,7 +154,7 @@ class LowFreqGeneral:
         if d_val > max(3 * self.params.gamma1, floor):
             for i in range(self.params.L, 0, -1):
                 if 2**i * floor <= d_val:
-                    return self.levels[i - 1].window_outputs() * 2.0**i
+                    return self.levels[i - 1].outputs() * 2.0**i
         return np.zeros(self.k)
 
     def current(self) -> list[float]:

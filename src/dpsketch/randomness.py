@@ -73,10 +73,17 @@ _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # _mix64 over uint64 lanes; numpy uint64 arithmetic wraps modulo 2^64
-    z = (z ^ (z >> _U30)) * _M1
-    z = (z ^ (z >> _U27)) * _M2
-    return z ^ (z >> _U31)
+    # _mix64 over uint64 lanes, in place on z with one scratch array; numpy
+    # uint64 arithmetic wraps modulo 2^64
+    t = z >> _U30
+    z ^= t
+    z *= _M1
+    np.right_shift(z, _U27, out=t)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, _U31, out=t)
+    z ^= t
+    return z
 
 
 def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
@@ -109,9 +116,17 @@ def node_laplace(base, a: int, b: int, scale: float):
         # it by -scale * sign(q); rounding to nearest is symmetric, so
         # |scale * log| given the sign of d is the same float (copysign reads
         # only the magnitude, so no negated copy of a scale array is made).
-        m = np.maximum(_mix64_array(base ^ np.uint64(offset)) >> _U11, np.uint64(1))
-        d = m.view(np.int64) - (1 << 52)
-        return np.copysign(np.log1p(np.abs(d) * -(2.0**-52)) * scale, d)
+        # Steps run in place: a bank of some 25,000 lanes page-faulted on
+        # each of a dozen fresh temporaries of its width.
+        m = _mix64_array(base ^ np.uint64(offset))
+        m >>= _U11
+        np.maximum(m, np.uint64(1), out=m)
+        d = m.view(np.int64)
+        d -= 1 << 52
+        u = np.abs(d) * -(2.0**-52)
+        np.log1p(u, out=u)
+        u *= scale
+        return np.copysign(u, d, out=u)
     # _mix64 and the inverse CDF, inlined: lane reads draw here once per
     # stale node.  The log comes from np.log1p, as in the array form, which
     # runs one kernel for 0-d and 1-d input, so the two agree bit for bit;

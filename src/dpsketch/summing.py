@@ -1,7 +1,8 @@
 """Continual-release summing: the binary-tree mechanism and the grouping
 mechanism (better additive error for non-negative streams).
 
-Both follow the uniform contract "feed one value, read one running estimate".
+Callers read the running estimate from ``current()``: ``feed`` returns the
+noisy prefix sum on a tree mechanism but the released increment on grouping.
 A tree mechanism may be a bank of counters on one clock (CountSketch buckets,
 low-frequency counters), and banks may share a clock, so that a sketch of
 many buckets advances time once per event.
@@ -82,15 +83,16 @@ class BinaryTreeMechanism:
     folded key, ``fold_key(seed, key)``; group lane i is keyed ``key +
     (ids[i],)``, one fold round on from the base, and draws at the group's
     scale.
-    A range read refills each stale level for its lanes with one array draw,
-    scaled per lane, into rows it keeps per range.  A full read is the range
-    read of every lane, memoised, read-only, for its timestamp until an
-    ``add``, ``join`` or ``restore``.  A lane read uses the memo when it is
-    current, else the lane's own record of base, scale, node and draw per
-    level, built at its first lane read (Python lists: numpy indexing per
-    element slowed point-query-heavy workloads by about 5%).  Array and
-    scalar draws are bit for bit equal, so a record's draw is the row's, and
-    both reads add noise from the highest level down.
+    A full read refills each stale level for every lane with one array draw,
+    scaled per lane, into one row per level that the bank keeps until a
+    ``join``.  Its result is memoised, read-only, for its timestamp until an
+    ``add``, ``join`` or ``restore``; an owner of a window reads its slice.
+    A lane read uses the memo when it is current, else the lane's own record
+    of base, scale, node and draw per level, built at its first lane read
+    (Python lists: numpy indexing per element slowed point-query-heavy
+    workloads by about 5%).  Array and scalar draws are bit for bit equal, so
+    a record's draw is the row's, and both reads add noise from the highest
+    level down.
     """
 
     alpha = 1.0  # the guarantee is purely additive: (1, error_bound(xi))
@@ -98,7 +100,7 @@ class BinaryTreeMechanism:
     # heavy-hitter substreams build one bank per sketch, thousands per stream
     __slots__ = (
         "T", "levels", "k", "_ctx", "_clock", "_owns_clock", "_single", "_groups", "_buffer",
-        "_running", "_memo", "_memo_t", "_lane_records", "_ranges",
+        "_running", "_memo", "_memo_t", "_lane_records", "_rows",
     )
 
     def __init__(
@@ -118,7 +120,7 @@ class BinaryTreeMechanism:
         # (base, ids, scale, first lane) per group
         self._groups: list[tuple] = []
         self._buffer = self._running = np.zeros(0)
-        self._memo = self._lane_records = self._ranges = None
+        self._memo = self._lane_records = self._rows = None
         self._memo_t = 0
         self._single = epsilon is not None
         if self._single:
@@ -156,7 +158,7 @@ class BinaryTreeMechanism:
             self._buffer[:lo] = self._running
         # a view only while the buffer has room to spare
         self._running = self._buffer if self.k == len(self._buffer) else self._buffer[: self.k]
-        self._memo = None
+        self._memo = self._rows = None
         if self._lane_records is not None:
             self._lane_records += [None] * (self.k - lo)
         return lo
@@ -192,47 +194,28 @@ class BinaryTreeMechanism:
         if self._single:
             return self.lane_current(0)
         t = self._clock.t
-        if self._memo is None or self._memo_t != t:
-            self._memo, self._memo_t = self.range_current(0, self.k), t
-        return self._memo
-
-    def range_current(self, lo: int, hi: int) -> np.ndarray:
-        """Noisy prefix sums of lanes [lo, hi) alone, read-only; equals
-        ``current()[lo:hi]``.
-
-        Uses the memo when it is current.  Otherwise the range keeps rows of
-        its own, refilled per stale level, so an owner that reads one of many
-        windows of a bank per timestamp draws that window's lanes only.
-        """
-        if self._memo is not None and self._memo_t == self._clock.t:
-            return self._memo[lo:hi]
-        out = self._running[lo:hi].copy()
+        if self._memo is not None and self._memo_t == t:
+            return self._memo
+        out = self._running.copy()
         if not self._ctx.noise_off:
-            if self._ranges is None:
-                self._ranges = {}
-            record = self._ranges.get((lo, hi))
-            if record is None:
-                record = self._ranges[lo, hi] = (
-                    *self._bases(lo, hi), np.zeros((self.levels, hi - lo)), [-1] * self.levels
-                )
-            bases, scales, rows, row_node = record
+            if self._rows is None:
+                self._rows = (*self._bases(), np.zeros((self.levels, self.k)), [-1] * self.levels)
+            bases, scales, rows, row_node = self._rows
             for level, node in self._clock.nodes():
                 if row_node[level] != node:
                     rows[level] = node_laplace(bases, level, node, scales)
                     row_node[level] = node
                 out += rows[level]
         out.setflags(write=False)
+        self._memo, self._memo_t = out, t
         return out
 
-    def _bases(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The folded key and the scale of each lane in [lo, hi) of a bank."""
+    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The folded key and the scale of every lane of a bank."""
         bases, scales = [], []
-        for base, ids, scale, first in self._groups:
-            a, b = max(lo, first), min(hi, first + len(ids))
-            if a < b:
-                lanes = np.asarray(ids[a - first : b - first], dtype=np.uint64)
-                bases.append(fold_lanes(base, lanes))
-                scales.append(np.full(b - a, scale))
+        for base, ids, scale, _ in self._groups:
+            bases.append(fold_lanes(base, np.asarray(ids, dtype=np.uint64)))
+            scales.append(np.full(len(ids), scale))
         return np.concatenate(bases), np.concatenate(scales)
 
     def _group_of(self, lane: int) -> tuple:

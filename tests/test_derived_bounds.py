@@ -34,6 +34,7 @@ from dpsketch.moment import (
     moment_estimator,
 )
 from dpsketch.randomness import (
+    HASH_RANGE_CAP,
     GeometricLevelHash,
     LevelRouter,
     NoiseContext,
@@ -185,6 +186,7 @@ class TestSummingGuarantee:
             (1 << 15, 1 << 10, 0.45, 1.0, 3),
             (64, 512, 0.1, 64.0, 2),
             (1 << 20, 1 << 12, 0.25, 8.0, None),
+            (64, 512, 0.1, 1.0, None),  # m above the hash field before the cap
         ]:
             cfg = DistinctConfig(epsilon=epsilon, eta=eta, xi=0.1, n=n, T=T,
                                  variant=variant, copies=copies)
@@ -204,7 +206,7 @@ class TestSummingGuarantee:
                 alpha, gamma = 1.0 + eta, probe.error_bound(xi_inner)
             lam = even_independence(2 * math.log2(1000 * L))
             threshold = max(gamma / eta, 32 * alpha * lam / eta**2)
-            m = math.ceil(100 * L * (16 * alpha * threshold) ** 2)
+            m = min(math.ceil(100 * L * (16 * alpha * threshold) ** 2), HASH_RANGE_CAP)
             expected = SubsampleParams(L=L, lam=lam, m=m, alpha=alpha, gamma=gamma,
                                        threshold=threshold)
             est = distinct_estimator(cfg, NoiseContext(9, noise_off=noise_off))

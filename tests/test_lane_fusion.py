@@ -314,8 +314,7 @@ class TestFusedHeads:
         # n = 2^15: the L level blocks of a LowFreqGeneral (copies=None: one
         # block on a bank of its own; else every block of a boosted estimator)
         # share one bank, where each level used to be its own bank on its own
-        # clock.  A level's window read, which draws its own lanes only,
-        # equals the full read.
+        # clock.
         n, k, T, seed, epsilon = 1 << 15, 3, 300, 9, 8.0
         if copies is None:
             bank = BinaryTreeMechanism.bank(T, NoiseContext(seed))
@@ -348,14 +347,13 @@ class TestFusedHeads:
                 for i, ref in enumerate(levels, start=1):
                     ref.ingest(element(hashed) if i == routed else EMPTY_EVENT)
                 want = _bits([ref.current() for ref in levels])
-                # window reads first: a full read would leave its memo for them
-                assert _bits([level.window_outputs() for level in block.levels]) == want
                 assert _bits([level.current() for level in block.levels]) == want
 
-    def test_general_universe_reads_the_selected_window_only(self, monkeypatch):
-        # noise on, the distinct estimate above the floor: current() draws
-        # the k lanes of the selected level, not the L*k of the bank, and
-        # equals that level's full read rescaled
+    def test_general_universe_blocks_share_one_draw_per_stale_level(self, monkeypatch):
+        # noise on, the distinct estimate above the floor: with 1, 2 or 4
+        # blocks on one bank, a tick's reads make the same node draws, each
+        # over every lane of the bank, and each block releases its selected
+        # level's slice of the bank's full read, rescaled
         class Distinct:
             def __init__(self):
                 self.seen = set()
@@ -369,33 +367,48 @@ class TestFusedHeads:
 
         T, k, L, floor = 256, 3, 6, 2.0
         params = SubsampleLowFreqParams(L=L, lam=4, m=1 << 30, gamma1=0.0, selection_floor=floor)
-        ctx = NoiseContext(5)
-        bank = BinaryTreeMechanism.bank(T, ctx)
-        gen = LowFreqGeneral(params, k, T, 1.0, ctx, Distinct(), bank)
+        stream = list(generate_stream("uniform", StreamConfig(T=T, n=1 << 15), seed=5))
         draw, widths = summing.node_laplace, []
 
         def counted(base, *args):
             widths.append(np.size(base))
             return draw(base, *args)
 
-        selected = set()
-        for e in generate_stream("uniform", StreamConfig(T=T, n=1 << 15), seed=5):
-            bank.tick()
-            gen.ingest(e)
-            monkeypatch.setattr(summing, "node_laplace", counted)
-            got = gen.current()
-            monkeypatch.setattr(summing, "node_laplace", draw)
-            d = gen.d_hat.current()
-            deep = [i for i in range(1, L + 1) if 2**i * floor <= d]
-            if d > floor and deep:
-                i = deep[-1]
-                want = [v * 2.0**i for v in gen.levels[i - 1].current()]
-                selected.add(i)
-            else:
-                want = [0.0] * k
-            assert _bits(got) == _bits(want)
-        assert len(selected) >= 3
-        assert widths and set(widths) == {k}
+        draws_per_tick = {}
+        for count in (1, 2, 4):
+            ctx = NoiseContext(5)
+            bank = BinaryTreeMechanism.bank(T, ctx)
+            blocks = [
+                LowFreqGeneral(params, k, T, 1.0, ctx.child("block", b), Distinct(), bank)
+                for b in range(count)
+            ]
+            draws, selected = [], set()
+            for e in stream:
+                bank.tick()
+                for block in blocks:
+                    block.ingest(e)
+                widths.clear()
+                monkeypatch.setattr(summing, "node_laplace", counted)
+                got = [block.current() for block in blocks]
+                monkeypatch.setattr(summing, "node_laplace", draw)
+                draws.append(len(widths))
+                assert set(widths) <= {L * k * count}
+                d = blocks[0].d_hat.current()
+                deep = [i for i in range(1, L + 1) if 2**i * floor <= d]
+                for block, out in zip(blocks, got):
+                    if d > floor and deep:
+                        i = deep[-1]
+                        lo = block.levels[i - 1]._lo
+                        want = bank.current()[lo : lo + k] * 2.0**i
+                        selected.add(i)
+                    else:
+                        want = np.zeros(k)
+                    assert _bits(out) == _bits(want)
+            assert len(selected) >= 3
+            draws_per_tick[count] = draws
+        assert sum(draws_per_tick[1]) > 0
+        assert draws_per_tick[2] == draws_per_tick[1]
+        assert draws_per_tick[4] == draws_per_tick[1]
 
     def test_lowfreq_estimator_copies(self):
         n, k, T, copies, seed = 64, 4, 256, 3, 12

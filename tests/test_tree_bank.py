@@ -214,37 +214,6 @@ class TestJoinedGroups:
         for lane in (0, 3, 4):
             assert bank.error_bound(0.1, lane) == singles[lane].error_bound(0.1)
 
-    def test_range_reads_equal_single_counters(self):
-        # ranges within one group, across groups and of a group joined late,
-        # read alone (each with its own rows) or after a full read (from its
-        # memo), and across a restore, against one counter per lane
-        T, ranges = 150, [(0, 3), (3, 4), (1, 5), (4, 6)]
-        bank = BinaryTreeMechanism.bank(T, NoiseContext(1))
-        singles = []
-        for seed, key, ids, eps in [(5, ("tree", "a"), [1, 2, 3], 0.5), (6, ("tree", "b"), [4], 2.0),
-                                    (7, ("tree", "a"), [1, 2], 0.125)]:
-            bank.join(fold_key(seed, key), ids, eps)
-            singles += [BinaryTreeMechanism(T, eps, NoiseContext(seed), key=(key[1], i))
-                        for i in ids]
-        for t in range(1, T + 1):
-            if t == 100:
-                running = np.arange(6.0)
-                bank.restore(37, running)
-                for j, single in enumerate(singles):
-                    single.restore(37, [running[j]])
-            bank.tick()
-            for j, single in enumerate(singles):
-                single.tick()
-                bank.add(j % 3 - 1, j)
-                single.add(j % 3 - 1)
-            want = _bits([single.current() for single in singles])
-            if t % 3 == 0:
-                bank.current()
-            for lo, hi in ranges:
-                got = bank.range_current(lo, hi)
-                assert not got.flags.writeable
-                assert _bits(got).tolist() == want[lo:hi].tolist()
-
     def test_credit_before_the_first_tick_is_refused(self):
         # no dyadic node covers [1, 0], so a credit there would read exact
         bank = BinaryTreeMechanism.bank(8, NoiseContext(1))
