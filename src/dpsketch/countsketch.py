@@ -44,12 +44,12 @@ class CountSketchState:
     (..., "g") of ``ctx``.  Bucket and seed keys all extend ("cs",) + key, so
     they continue its two folds, :meth:`key_folds`; an owner of many sketches
     whose keys share a prefix folds the prefix once and passes each sketch
-    ``folded``, the prefix's folds continued by ``fold_on`` over the rest.
+    ``folded``, the prefix's folds continued by ``fold_on`` over the rest, in
+    place of ``key``.
     """
 
     # heavy-hitter levels build one sketch per substream, thousands per stream
-    __slots__ = ("k", "T", "epsilon_bucket", "_ctx", "_key", "_bank", "_lo", "_hi", "h", "g",
-                 "_route_cache")
+    __slots__ = ("k", "epsilon_bucket", "_bank", "_lo", "_hi", "h", "g", "_route_cache")
 
     def __init__(
         self,
@@ -65,12 +65,9 @@ class CountSketchState:
         if k < 1:
             raise ValueError(f"bucket count must be >= 1, got {k}")
         self.k = int(k)
-        self.T = int(T)
         self.epsilon_bucket = float(epsilon_bucket)
-        self._ctx = ctx
-        self._key = ("cs",) + tuple(key)
         child, own = self.key_folds(ctx, key) if folded is None else folded
-        self._bank = BinaryTreeMechanism.bank(self.T, ctx, clock) if bank is None else bank
+        self._bank = BinaryTreeMechanism.bank(int(T), ctx, clock) if bank is None else bank
         self._lo = self._bank.join(fold_on(own, ("bucket",)), range(self.k), epsilon_bucket)
         self._hi = self._lo + self.k
         self.h = PolyHashFamily(4, self.k, fold_on(child, ("h",)))
@@ -111,10 +108,6 @@ class CountSketchState:
     def feed(self, e: StreamEvent) -> None:
         self._bank.tick()
         self.observe(e)
-
-    def restore(self, t: int, running) -> None:
-        """Set the clock and bucket counts of a standalone sketch from a snapshot."""
-        self._bank.restore(t, running)
 
     def bucket_output(self, i: int) -> float:
         return self._bank.lane_current(self._lo + i)
@@ -163,10 +156,13 @@ class L2Estimator:
     """Boosted frequency and F2 estimator: per-timestamp medians over copies.
     The copies are windows of one bank on one clock, each keyed as a standalone
     sketch under ``ctx.child("l2-copy", c)``: a tick draws a stale level once
-    for all copies, and one memoised full read serves every copy's f2."""
+    for all copies, and one memoised full read serves every copy's f2.  Its
+    state is ``cfg``, ``ctx``, ``t`` and ``running``: hashes and noise are keyed
+    draws under ``ctx``, so a new estimator ``restore``d to them reads the same."""
 
     def __init__(self, cfg: L2Config, ctx: NoiseContext) -> None:
         self.cfg = cfg
+        self.ctx = ctx
         copies = copy_count(cfg.copies, cfg.T, cfg.xi, cfg.n)
         k = cfg.buckets if cfg.buckets is not None else default_l2_buckets(cfg.eta)
         eps_bucket = cfg.epsilon / (BUCKET_SENSITIVITY * copies)
@@ -183,6 +179,22 @@ class L2Estimator:
         self._bank.tick()
         for sketch in self.copies:
             sketch.observe(e)
+
+    @property
+    def t(self) -> int:
+        return self._bank.t
+
+    @property
+    def running(self) -> np.ndarray:
+        """Exact bucket counts, copy after copy (private state, not a release)."""
+        return self._bank.running
+
+    def restore(self, t: int, running) -> None:
+        """Set the clock and the bucket counts, as ``t`` and ``running`` read them."""
+        if not 0 <= t <= self.cfg.T or len(running) != len(self.running):
+            raise ValueError(f"t={t} and {len(running)} counts: want t in [0, {self.cfg.T}] "
+                             f"and {len(self.running)} counts")
+        self._bank.restore(t, running)
 
     def point_query(self, ident: int) -> float:
         return median_boost([s.point_query(ident) for s in self.copies])

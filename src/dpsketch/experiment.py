@@ -263,7 +263,7 @@ class ExperimentSpec:
     relative), or ``sum-tree``, ``sum-group``, ``distinct-small``, which fix
     ``--mechanism`` or ``--universe small --variant group``.  Grid keys are
     that subcommand's flag names (``epsilon`` defaults to 1); ``T`` and ``n``
-    also shape the generated stream.
+    also shape the generated stream.  Any other grid key is refused.
     """
 
     mechanism: str
@@ -284,11 +284,20 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.grid:
             raise ValueError("parameter grid must be non-empty")
+        from .cli import STREAMING  # cli imports this module
+
+        name = EXPERIMENT_MECHANISMS[self.mechanism][0]
+        known = {"T", "n"} | {f.lstrip("-").replace("-", "_") for f, _ in STREAMING[name].params}
+        if not known.issuperset(self.grid):
+            raise ValueError(f"grid keys {sorted(set(self.grid) - known)} are no flags of {name}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentSpec":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a missing or unknown key
+            raise ValueError(f"experiment spec {path}: {exc}") from None
 
 
 @dataclass
@@ -361,7 +370,7 @@ def _point_slug(grid_point: dict) -> str:
 
 
 def _write_records(spec: ExperimentSpec, records: list[RunRecord]) -> None:
-    from .cli import STREAMING
+    from .cli import STREAMING, _csv_line
 
     header = "trial," + STREAMING[EXPERIMENT_MECHANISMS[spec.mechanism][0]].header
     out = Path(spec.output_dir)
@@ -373,8 +382,7 @@ def _write_records(spec: ExperimentSpec, records: list[RunRecord]) -> None:
         path = out / f"{spec.mechanism}__{slug}.csv"
         lines = [header]
         for rec in sorted(recs, key=lambda r: r.trial):
-            for t, est, exact, err in rec.rows:
-                lines.append(f"{rec.trial},{t},{est:.10g},{exact:.10g},{err:.10g}")
+            lines += [_csv_line((rec.trial, *row)) for row in rec.rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         summary_path = out / f"{spec.mechanism}__{slug}__summary.json"
         # wall time is kept in memory only so written artifacts are

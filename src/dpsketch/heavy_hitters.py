@@ -91,6 +91,11 @@ class HHConfig:
         return copy_count(self.copies, self.T, self.xi, self.n)
 
 
+def tree_epsilon(epsilon: float) -> float:
+    """The trees' epsilon in a heavy-hitter sketch at ``epsilon``."""
+    return epsilon / (SUBSTREAM_SENSITIVITY * BUCKET_SENSITIVITY)
+
+
 def noise_floor(T: int, epsilon_tree: float, eta: float, factor: float, noise_off: bool):
     """(gamma2, floor): a substream bucket's additive error factor * levels/epsilon_tree
     (0 with noise off) and the candidacy floor 512 gamma2^2/eta^2."""
@@ -112,7 +117,7 @@ class HHSketch:
 
     Substream idx carries the sketch keyed ``key + ("sub", idx)``; the sketch
     keys share all but their last parts, so the first substream folds that
-    prefix once for all of them.
+    prefix once for all of them, and each sketch is built from its folds alone.
     """
 
     def __init__(
@@ -161,7 +166,6 @@ class HHSketch:
                 self.cfg.T,
                 self.epsilon_tree,
                 self._ctx,
-                key=self._key + ("sub", idx),
                 clock=self._clock,
                 folded=(fold_on(child, (idx,)), fold_on(own, (idx,))),
             )
@@ -271,7 +275,7 @@ def hh_estimator(cfg: HHConfig, ctx: NoiseContext) -> BoostedEstimator:
     :func:`union_median`.  A copy's trees run at epsilon/copies over the
     substream and bucket sensitivities."""
     copies = cfg.n_copies()
-    epsilon_tree = cfg.epsilon / (SUBSTREAM_SENSITIVITY * BUCKET_SENSITIVITY * copies)
+    epsilon_tree = tree_epsilon(cfg.epsilon / copies)
     clock = Clock(cfg.T)
     sketches = [
         HHSketch(cfg, ctx.child("hh-copy", c), epsilon_tree, clock, key=(c,))

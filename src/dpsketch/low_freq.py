@@ -181,6 +181,11 @@ def _median_vectors(vectors: Sequence[Sequence[float]]) -> list[float]:
     return [median_boost([v[j] for v in vectors]) for j in range(len(vectors[0]))]
 
 
+def dhat_xi(xi: float, copies: int) -> float:
+    """The xi of d_hat in each of ``copies`` boosted blocks: a third of its share."""
+    return xi / (3 * copies)
+
+
 def low_freq_block(
     n: int,
     k: int,
@@ -222,7 +227,7 @@ def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator
     windows of one bank on the estimator's clock."""
     copies = copy_count(cfg.copies, cfg.T, cfg.xi, c=3)
     eps_copy = cfg.epsilon / copies
-    xi_dhat = cfg.xi / (3 * copies)
+    xi_dhat = dhat_xi(cfg.xi, copies)
     clock = Clock(cfg.T)
     bank = BinaryTreeMechanism.bank(cfg.T, ctx, clock)
     instances = [

@@ -15,9 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .budget import check_accuracy, copy_count, equal_shares
-from .countsketch import BUCKET_SENSITIVITY
-from .heavy_hitters import SUBSTREAM_SENSITIVITY, HHConfig, HHSketch, noise_floor
-from .low_freq import low_freq_block
+from .heavy_hitters import HHConfig, HHSketch, noise_floor, tree_epsilon
+from .low_freq import dhat_xi, low_freq_block
 from .summing import BinaryTreeMechanism, Clock
 from .randomness import (
     GeometricLevelHash,
@@ -198,8 +197,7 @@ class MomentState:
     ) -> None:
         self.cfg = cfg
         beta = beta_sample(ctx, cfg.eta, cfg.T)
-        # the levels' trees: one unit over the substream and bucket sensitivities
-        epsilon_tree = epsilon_unit / (SUBSTREAM_SENSITIVITY * BUCKET_SENSITIVITY)
+        epsilon_tree = tree_epsilon(epsilon_unit)  # the levels' trees: one unit
         tau = cfg.tau
         if tau is None:  # from the candidacy floor of the levels' sketches
             _, floor = noise_floor(cfg.T, epsilon_tree, cfg.eta, GAMMA2_FACTOR, ctx.noise_off)
@@ -231,7 +229,7 @@ class MomentState:
         # the head block: one lowfreq_estimator copy at this copy's budget unit
         self.low_freq = low_freq_block(
             cfg.n, shape.k, cfg.T, cfg.eta, epsilon_unit,
-            cfg.xi / (3 * cfg.n_copies()), ctx.child("moment-lf"), bank,
+            dhat_xi(cfg.xi, cfg.n_copies()), ctx.child("moment-lf"), bank,
         )
         # the weights current() applies every tick: boundary^p per interval
         # q = q1 .. q2 and l^p per low frequency

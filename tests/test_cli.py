@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from dpsketch.cli import SNAPSHOT_MAGIC, STREAMING, command_params, drive, main
+from dpsketch.cli import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, STREAMING, command_params, drive, main
 from dpsketch.randomness import NoiseContext
 from dpsketch.sliding import SmoothnessParams, default_max_live, relative_shift
 from dpsketch.streamio import parse_stream_file, write_stream_file
@@ -277,19 +277,59 @@ class TestSnapshotRoundTrip:
             want = f"{element_id},{live.est.point_query(element_id):.10g}"
             assert pq.read_text().splitlines()[1] == want
 
-    def test_version_1_snapshot_is_refused(self, tmp_path, capsys):
-        # a version-1 snapshot rebuilds h and g from an earlier derivation;
-        # reading it would answer from the wrong buckets, so it is refused
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_snapshot_version_is_refused(self, version, tmp_path, capsys):
+        # version 1 rebuilds h and g from an earlier derivation, version 2 holds
+        # each copy's internal keys; neither is read, so neither answers from
+        # buckets other than its counts were taken in
         k, key_json = 4, json.dumps(["cs", 0]).encode()
-        blob = SNAPSHOT_MAGIC + struct.pack("<HI", 1, 1)
+        blob = SNAPSHOT_MAGIC + struct.pack("<HI", version, 1)
         blob += struct.pack("<IQQBdQI", k, 64, 64, 0, 0.5, 5, len(key_json)) + key_json
         blob += struct.pack(f"<{k}d", 3.0, -1.0, 0.0, 2.0)
-        snap = tmp_path / "v1.dpcs"
+        snap = tmp_path / f"v{version}.dpcs"
         snap.write_bytes(blob)
         code = run(["point-query", "--element", "0", "--snapshot", str(snap),
                     "--output", str(tmp_path / "pq.csv")])
         assert code == 2
-        assert "snapshot version 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"snapshot version {version}" in err and "re-run f2 --snapshot-out" in err
+
+    @pytest.fixture
+    def snapshot(self, stream_file, tmp_path):
+        snap = tmp_path / "sketch.dpcs"
+        code = run(["f2", "--epsilon", "1", "--T", "64", "--n", "16", "--copies", "3",
+                    "--buckets", "32", "--seed", "5", "--input", stream_file,
+                    "--output", str(tmp_path / "f2.csv"), "--snapshot-out", str(snap)])
+        assert code == 0
+        return snap.read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob[:40],  # a truncated file, cut inside the header
+            lambda blob: blob[:11] + b"{" * (len(blob) - 11),  # a header that does not parse
+            lambda blob: blob[:-8],  # one bucket count short
+            lambda blob: blob + bytes(8),  # one bucket count over
+            lambda blob: blob[:8],  # cut inside the header length
+        ],
+        ids=["truncated", "unparsable-header", "short-counts", "long-counts", "no-header"],
+    )
+    def test_damaged_snapshot_is_a_config_error(self, damage, snapshot, tmp_path, capsys):
+        snap = tmp_path / "damaged.dpcs"
+        snap.write_bytes(damage(snapshot))
+        code = run(["point-query", "--element", "0", "--snapshot", str(snap),
+                    "--output", str(tmp_path / "pq.csv")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_snapshot_holds_the_estimator_state(self, snapshot):
+        # magic, version, header length, header, then copies * buckets counts
+        version, size = struct.unpack_from("<HI", snapshot, 5)
+        head = json.loads(snapshot[11 : 11 + size])
+        assert version == SNAPSHOT_VERSION == 3
+        assert head["config"] == dict(epsilon=1.0, eta=0.2, xi=0.1, n=16, T=64, copies=3, buckets=32)
+        assert (head["seed"], head["noise_off"], head["t"]) == (5, False, 64)
+        assert len(snapshot) == 11 + size + 3 * 32 * 8
 
 
 class TestSlidingShift:

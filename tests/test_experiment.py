@@ -224,3 +224,48 @@ class TestRunExperiment:
                 generator={"kind": "uniform"},
                 trials=0,
             )
+
+
+class TestSpecErrors:
+    """A spec the runner cannot honour exits as a configuration error (2)."""
+
+    SPEC = {
+        "mechanism": "sum",
+        "grid": {"epsilon": [64.0], "T": [32]},
+        "generator": {"kind": "uniform", "n": 4},
+        "trials": 1,
+        "seed_base": 0,
+    }
+
+    def run(self, tmp_path, capsys, **over):
+        spec = {k: v for k, v in {**self.SPEC, **over}.items() if v is not None}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["experiment", "--spec", str(path)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "over, named",
+        [({"trails": 2}, "trails"), ({"grid": None}, "grid"), ({"generator": None}, "generator")],
+        ids=["unknown-key", "missing-grid", "missing-generator"],
+    )
+    def test_unknown_or_missing_spec_key(self, over, named, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, **over)
+        assert code == 2
+        assert "config error" in out.err and named in out.err
+
+    def test_grid_key_that_is_no_flag_is_refused(self, tmp_path, capsys):
+        # a misspelt epsilon would otherwise run silently at the default epsilon 1
+        code, out = self.run(tmp_path, capsys, grid={"epsilno": [64.0], "T": [32]})
+        assert code == 2
+        assert "epsilno" in out.err and out.out == ""
+
+    @pytest.mark.parametrize(
+        "mechanism, grid",
+        [("sum", {"n": [4]}), ("moment", {"p": [2.0]}), ("distinct-small", {"variant": ["tree"]}),
+         ("f2", {"buckets": [4]})],
+    )
+    def test_flags_and_stream_shape_are_grid_keys(self, mechanism, grid):
+        ExperimentSpec(mechanism=mechanism, grid=grid, generator={"kind": "uniform"})
+        with pytest.raises(ValueError, match="'k'"):
+            ExperimentSpec(mechanism=mechanism, grid={**grid, "k": [2]}, generator={"kind": "uniform"})

@@ -297,11 +297,11 @@ class TestSubstreamKeys:
                 idx = level._route(e.value)
                 ref = refs[i].get(idx)
                 if ref is None:
+                    key = level._key + ("sub", idx)
                     ref = refs[i][idx] = CountSketchState(
-                        INNER_BUCKETS, T, level.epsilon_tree, level._ctx,
-                        key=level._key + ("sub", idx), clock=clock,
+                        INNER_BUCKETS, T, level.epsilon_tree, level._ctx, key=key, clock=clock
                     )
-                    seeds = [level._ctx.child_seed(*ref._key, part) for part in ("h", "g")]
+                    seeds = [level._ctx.child_seed("cs", *key, part) for part in ("h", "g")]
                     assert ref.h.coefficients == PolyHashFamily(4, INNER_BUCKETS, seeds[0]).coefficients
                     assert ref.g._base.coefficients == PolyHashFamily(4, 2, seeds[1]).coefficients
                 ref.observe(e)

@@ -267,15 +267,19 @@ class TestSnapshot:
         assert code == 0
         blob = snap.read_bytes()
         assert blob[:5] == SNAPSHOT_MAGIC and blob[5:7] == SNAPSHOT_VERSION.to_bytes(2, "little")
-        assert SNAPSHOT_VERSION == 2
+        assert SNAPSHOT_VERSION == 3
         params = command_params("f2", epsilon=1.0, T=T, n=n, copies=3, buckets=16)
-        live, _ = drive("f2", params, stream, NoiseContext(8))
+        live = drive("f2", params, stream, NoiseContext(8))[0].est
         loaded = _snapshot_load(str(snap))
-        for live_copy, copy in zip(live.est.copies, loaded):
+        assert isinstance(loaded, L2Estimator)
+        assert loaded.cfg == live.cfg
+        assert loaded.t == live.t == T
+        assert loaded.running.tolist() == live.running.tolist()
+        assert any(loaded.running)
+        for live_copy, copy in zip(live.copies, loaded.copies, strict=True):
             assert copy.outputs().tolist() == live_copy.outputs().tolist()
-        for ident in range(n):
-            got = median_boost([s.point_query(ident) for s in loaded])
-            assert got == live.est.point_query(ident)
+        assert [loaded.point_query(i) for i in range(n)] == [live.point_query(i) for i in range(n)]
+        assert loaded.f2() == live.f2()
 
 
 def _bits(values):

@@ -138,7 +138,7 @@ class TestClock:
             if t <= 5:
                 restored.feed(e)
                 restored.outputs()  # the clock's cache now holds t = 5
-        restored.restore(live.t, live.running)
+        restored._bank.restore(live.t, live.running)
         assert restored._bank._clock.nodes() == _dyadic_nodes(T)
         assert restored.outputs().tolist() == live.outputs().tolist()
         assert [restored.bucket_output(i) for i in range(k)] == live.outputs().tolist()
