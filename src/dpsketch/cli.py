@@ -1,8 +1,10 @@
 """Command-line front door.
 
 Each streaming subcommand is one row of :data:`STREAMING`; the parsers are
-generated from the rows and :func:`drive` is the one continual-release loop
-(the experiment runner drives it too).
+generated from the rows and :func:`drive` is the one continual-release loop.
+The experiment runner (:class:`ExperimentSpec`, :func:`run_experiment`)
+drives it too, over a parameter grid of one subcommand's flags; the
+sensitivity checker lives in :mod:`dpsketch.sensitivity`.
 
 Exit codes: 0 success, 2 configuration error, 3 IO error, 4 enumeration
 budget exceeded.  All randomness derives from --seed (or DPSKETCH_SEED);
@@ -12,11 +14,14 @@ identical invocations produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass, fields
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -32,14 +37,21 @@ from .distinct import (
     distinct_estimator,
     make_summing_backend,
 )
-from .experiment import ExperimentSpec, run_experiment, sensitivity_check, sensitivity_mappings
 from .heavy_hitters import HHConfig, hh_estimator
 from .low_freq import LowFreqConfig, lowfreq_estimator
 from .moment import MomentConfig, moment_estimator
 from .randomness import NoiseContext
+from .sensitivity import sensitivity_check, sensitivity_mappings
 from .sliding import SlidingBudget, SmoothnessParams, default_max_live, window_estimator
 from .streamio import StreamParseError, parse_stream_file
-from .streams import IncrementalOracle, ResourceBudgetError, StreamEvent, event_count
+from .streams import (
+    IncrementalOracle,
+    ResourceBudgetError,
+    StreamConfig,
+    StreamEvent,
+    event_count,
+    generate_stream,
+)
 from .summing import GroupingMechanism
 
 SNAPSHOT_MAGIC = b"DPCS1"
@@ -344,6 +356,149 @@ def drive(name: str, params, events, ctx: NoiseContext):
         exact.add(e)
         rows.extend(cmd.rows(t, est.feed(e), exact, params))
     return est, rows
+
+
+# ---------------------------------------------------------------------------
+# experiment runner: drive over a parameter grid and repeated trials
+# ---------------------------------------------------------------------------
+
+
+# the streaming subcommands whose rows are (t, estimate, exact, error)
+EXPERIMENT_MECHANISMS = ("sum", "distinct", "f2", "moment")
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One mechanism swept over a parameter grid and repeated trials.
+
+    ``mechanism`` is one of :data:`EXPERIMENT_MECHANISMS` (``moment``'s error
+    is relative).  Grid keys are that subcommand's flag names (``epsilon``
+    defaults to 1), each with a non-empty list of values; ``T`` and ``n``
+    also shape the generated stream.  Any other grid key is refused.
+    ``generator`` names a :func:`~dpsketch.streams.generate_stream` ``kind``
+    and its parameters, with the stream's ``T`` and ``n`` when the grid
+    leaves them out.
+    """
+
+    mechanism: str
+    grid: dict[str, list]
+    generator: dict
+    trials: int = 1
+    seed_base: int = 0
+    noise_off: bool = False
+    output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.mechanism not in EXPERIMENT_MECHANISMS:
+            raise ValueError(
+                f"unknown experiment mechanism {self.mechanism!r}; "
+                f"known: {list(EXPERIMENT_MECHANISMS)}"
+            )
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not isinstance(self.seed_base, int):
+            raise ValueError(f"seed_base must be an integer, got {self.seed_base!r}")
+        if not isinstance(self.grid, dict) or not self.grid:
+            raise ValueError("parameter grid must be a non-empty object")
+        flags = {f.lstrip("-").replace("-", "_") for f, _ in STREAMING[self.mechanism].params}
+        unknown = set(self.grid) - flags - {"T", "n"}
+        if unknown:
+            raise ValueError(f"grid keys {sorted(unknown)} are no flags of {self.mechanism}")
+        not_lists = [k for k, v in self.grid.items() if not isinstance(v, list) or not v]
+        if not_lists:
+            raise ValueError(f"grid values of {not_lists} must be non-empty lists")
+        if not isinstance(self.generator, dict) or "kind" not in self.generator:
+            raise ValueError(f"generator must be an object with a 'kind', got {self.generator!r}")
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "ExperimentSpec":
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a missing or unknown key
+            raise ValueError(f"experiment spec {path}: {exc}") from None
+
+
+@dataclass
+class RunRecord:
+    mechanism: str
+    grid_point: dict
+    trial: int
+    rows: list[tuple[int, float, float, float]]
+    summary: dict = field(default_factory=dict)
+
+    def summarize(self, wall_time: float) -> None:
+        errors = np.array([r[3] for r in self.rows]) if self.rows else np.zeros(1)
+        self.summary = {
+            "max_error": float(errors.max()),
+            "q50_error": float(np.quantile(errors, 0.5)),
+            "q90_error": float(np.quantile(errors, 0.9)),
+            "q99_error": float(np.quantile(errors, 0.99)),
+            "wall_time_s": wall_time,
+            "rows": len(self.rows),
+        }
+
+
+def _run_one(spec: ExperimentSpec, grid_point: dict, trial: int) -> RunRecord:
+    gen = dict(spec.generator)
+    kind = gen.pop("kind")
+    cfg = StreamConfig(
+        T=int(grid_point.get("T", gen.pop("T", 1024))),
+        n=int(grid_point.get("n", gen.pop("n", 64))),
+    )
+    seed = NoiseContext(spec.seed_base).child_seed("trial", trial)
+    stream = generate_stream(kind, cfg, seed, **gen)
+    params = command_params(
+        spec.mechanism, **{"epsilon": 1.0, **grid_point, "T": cfg.T, "n": cfg.n}
+    )
+
+    start = time.perf_counter()
+    _, rows = drive(spec.mechanism, params, stream, NoiseContext(seed, noise_off=spec.noise_off))
+    record = RunRecord(spec.mechanism, grid_point, trial, rows)
+    record.summarize(time.perf_counter() - start)
+    return record
+
+
+def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[RunRecord]:
+    """Run every (grid point, trial) pair; deterministic for a fixed seed base."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    keys = sorted(spec.grid)
+    combos = itertools.product(*(spec.grid[k] for k in keys))
+    tasks = [(spec, dict(zip(keys, c)), trial) for c in combos for trial in range(spec.trials)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            records = list(pool.map(_run_one, *zip(*tasks)))
+    else:
+        records = [_run_one(*task) for task in tasks]
+    if spec.output_dir:
+        _write_records(spec, records)
+    return records
+
+
+def _write_records(spec: ExperimentSpec, records: list[RunRecord]) -> None:
+    """One CSV and one summary per grid point, its trials in order."""
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    by_point: dict[str, list[RunRecord]] = {}
+    for rec in records:
+        slug = "_".join(f"{k}={rec.grid_point[k]}" for k in sorted(rec.grid_point))
+        by_point.setdefault(slug, []).append(rec)
+    header = "trial," + STREAMING[spec.mechanism].header
+    for slug, recs in by_point.items():
+        stem = f"{spec.mechanism}__{slug}"
+        lines = [header] + [_csv_line((rec.trial, *row)) for rec in recs for row in rec.rows]
+        (out / f"{stem}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # wall time is kept in memory only so written artifacts are
+        # byte-reproducible across runs
+        stable = {
+            str(r.trial): {k: v for k, v in r.summary.items() if k != "wall_time_s"} for r in recs
+        }
+        (out / f"{stem}__summary.json").write_text(
+            json.dumps(stable, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 def _cmd_stream(args) -> int:

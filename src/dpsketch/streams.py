@@ -332,14 +332,26 @@ def mapping_sensitivity(
     return worst
 
 
+# generator kind -> the params it takes
+_GENERATOR_PARAMS = {
+    "uniform": (), "zipf": ("s",), "planted_heavy": ("frac",), "all_distinct": (), "bursty": ()
+}
+
+
 def generate_stream(
     kind: str, cfg: StreamConfig, seed: int, **params: float
 ) -> list[StreamEvent]:
     """Synthetic stream generators, deterministic for a fixed seed.
 
     Kinds: ``uniform``, ``zipf`` (param ``s``), ``planted_heavy`` (param
-    ``frac``), ``all_distinct``, ``bursty``.
+    ``frac``), ``all_distinct``, ``bursty``.  A param the kind does not take
+    is refused.
     """
+    if kind not in _GENERATOR_PARAMS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    unknown = set(params).difference(_GENERATOR_PARAMS[kind])
+    if unknown:
+        raise ValueError(f"generator {kind!r} takes no params {sorted(unknown)}")
     rng = np.random.default_rng(seed)
     T, n = cfg.T, cfg.n
     if kind == "uniform":
@@ -365,13 +377,11 @@ def generate_stream(
         if n < T:
             raise ValueError(f"all_distinct needs n >= T, got n={n} T={T}")
         return [element(t) for t in range(T)]
-    if kind == "bursty":
-        out: list[StreamEvent] = []
-        while len(out) < T:
-            if rng.random() < 0.15:
-                out.extend([EMPTY_EVENT] * int(rng.integers(1, 4)))
-            else:
-                e = element(int(rng.integers(0, n)))
-                out.extend([e] * int(rng.geometric(0.25)))
-        return out[:T]
-    raise ValueError(f"unknown generator kind {kind!r}")
+    out: list[StreamEvent] = []  # bursty
+    while len(out) < T:
+        if rng.random() < 0.15:
+            out.extend([EMPTY_EVENT] * int(rng.integers(1, 4)))
+        else:
+            e = element(int(rng.integers(0, n)))
+            out.extend([e] * int(rng.geometric(0.25)))
+    return out[:T]

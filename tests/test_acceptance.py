@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dpsketch.distinct import SmallUniverseDistinct
-from dpsketch.experiment import sensitivity_check
+from dpsketch.sensitivity import sensitivity_check
 from dpsketch.countsketch import CountSketchState
 from dpsketch.heavy_hitters import HHConfig, hh_estimator
 from dpsketch.low_freq import LowFreqSmall

@@ -167,8 +167,8 @@ class TestSubcommands:
         spec.write_text(
             json.dumps(
                 {
-                    "mechanism": "sum-tree",
-                    "grid": {"epsilon": [1.0], "T": [16]},
+                    "mechanism": "sum",
+                    "grid": {"mechanism": ["tree"], "epsilon": [1.0], "T": [16]},
                     "generator": {"kind": "uniform", "n": 4},
                     "trials": 1,
                     "seed_base": 0,

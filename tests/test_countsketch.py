@@ -8,7 +8,7 @@ from dpsketch.countsketch import (
     L2Estimator,
     default_l2_buckets,
 )
-from dpsketch.experiment import _bucket_mapping
+from dpsketch.sensitivity import _bucket_mapping
 from dpsketch.randomness import NoiseContext
 from dpsketch.streams import (
     EMPTY_EVENT,
@@ -122,7 +122,7 @@ class TestCountSketchState:
     def test_derived_bucket_streams(self):
         # the sensitivity checker's bucket streams: the arrival's sign in its
         # own bucket, zero everywhere else
-        streams = _bucket_mapping(n=3, T=4, k=4, seed=0)([element(2), EMPTY_EVENT])
+        streams = _bucket_mapping([element(2), EMPTY_EVENT], n=3, T=4, seed=0, params={"k": 4})
         b, sign = CountSketchState(4, 4, 1.0, NoiseContext(0, noise_off=True))._route(2)
         assert [[x.value for x in s] for s in streams] == [
             [sign if i == b else 0, 0] for i in range(4)

@@ -15,7 +15,7 @@ from dpsketch.distinct import (
     make_summing_backend,
     subsample_params,
 )
-from dpsketch.experiment import _indicator_mapping, _level_mapping
+from dpsketch.sensitivity import _indicator_mapping, _level_mapping
 from dpsketch.randomness import GeometricLevelHash, NoiseContext, PolyHashFamily
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream, integer
 from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism
@@ -74,8 +74,8 @@ class TestSmallUniverse:
 
     def test_indicator_stream_recorded(self):
         # the sensitivity checker's indicator stream: 1 on a fresh element
-        mapping = _indicator_mapping(n=4, T=4, seed=0)
-        (stream,) = mapping([element(1), element(1), EMPTY_EVENT, element(2)])
+        events = [element(1), element(1), EMPTY_EVENT, element(2)]
+        (stream,) = _indicator_mapping(events, n=4, T=4, seed=0, params={})
         assert [x.value for x in stream] == [1, 0, 0, 1]
 
 
@@ -125,8 +125,8 @@ class TestSubsampled:
         g = GeometricLevelHash(2, 4, NoiseContext(1).child_seed("subsample-g"))
         dropped = next(x for x in range(64) if g.level(x) is None)
         kept = next(x for x in range(64) if g.level(x) is not None)
-        streams = _level_mapping(n=64, T=8, L=2, seed=1)(
-            [EMPTY_EVENT, element(dropped), element(kept)]
+        streams = _level_mapping(
+            [EMPTY_EVENT, element(dropped), element(kept)], n=64, T=8, seed=1, params={"L": 2}
         )
         assert all(s[:2] == [EMPTY_EVENT, EMPTY_EVENT] for s in streams)
         assert [s[2] != EMPTY_EVENT for s in streams] == [g.level(kept) == i for i in (1, 2)]

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from dpsketch import countsketch, distinct, heavy_hitters, low_freq
-from dpsketch.cli import main
-from dpsketch.experiment import (
-    ExperimentSpec,
-    run_experiment,
-    sensitivity_check,
-    sensitivity_mappings,
-)
+from dpsketch.cli import ExperimentSpec, main, run_experiment
 from dpsketch.randomness import NoiseContext
+from dpsketch.sensitivity import sensitivity_check, sensitivity_mappings
 from dpsketch.streamio import write_stream_file
 from dpsketch.streams import StreamConfig, generate_stream
 from dpsketch.summing import BinaryTreeMechanism
@@ -82,6 +77,11 @@ class TestSensitivityChecks:
         with pytest.raises(ValueError):
             sensitivity_check("nope", n=2, T=3)
 
+    def test_no_seeds_is_refused(self):
+        # a check over no hash seeds would observe 0 and pass whatever the claim
+        with pytest.raises(ValueError, match="seed"):
+            sensitivity_check("distinct-indicator", n=2, T=3, seeds=())
+
     def test_registry_contents(self):
         assert set(sensitivity_mappings()) == {
             "identity",
@@ -96,8 +96,8 @@ class TestSensitivityChecks:
 class TestRunExperiment:
     def spec(self, tmp_path=None, **over):
         base = dict(
-            mechanism="sum-tree",
-            grid={"epsilon": [1.0], "T": [64]},
+            mechanism="sum",
+            grid={"mechanism": ["tree"], "epsilon": [1.0], "T": [64]},
             generator={"kind": "uniform", "n": 8},
             trials=2,
             seed_base=7,
@@ -126,7 +126,7 @@ class TestRunExperiment:
     def test_summary_quantiles_match_rows(self, tmp_path):
         spec = self.spec(
             None,
-            mechanism="sum-group",
+            mechanism="sum",
             noise_off=False,
             trials=10,
             grid={"epsilon": [1.0], "eta": [0.1], "xi": [0.1], "T": [128]},
@@ -145,25 +145,29 @@ class TestRunExperiment:
         parallel = run_experiment(spec, jobs=2)
         assert [r.rows for r in serial] == [r.rows for r in parallel]
 
+    # ``case`` only labels the run: the spec runs the CLI's subcommand, cli_args[0]
     @pytest.mark.parametrize(
-        "mechanism,grid,cli_args",
+        "case,grid,cli_args",
         [
             # the indicator stream runs at epsilon/5, as in the CLI
             ("distinct-small", {"epsilon": [400.0], "eta": [0.4], "xi": [0.4]},
              ["distinct", "--universe", "small", "--variant", "group",
               "--epsilon", "400", "--eta", "0.4", "--xi", "0.4"]),
-            ("sum-tree", {"epsilon": [1.0]},
+            ("sum-tree", {"mechanism": ["tree"], "epsilon": [1.0]},
              ["sum", "--mechanism", "tree", "--epsilon", "1"]),
             ("f2", {"epsilon": [1.0], "copies": [2], "buckets": [16]},
              ["f2", "--epsilon", "1", "--copies", "2", "--buckets", "16"]),
             ("moment", {"p": [2.0], "copies": [1]},
              ["moment", "--p", "2", "--epsilon", "1", "--copies", "1"]),
+            # a grid value is never overridden by the mechanism's defaults
+            ("distinct-tree", {"variant": ["tree"], "epsilon": [1.0]},
+             ["distinct", "--variant", "tree", "--epsilon", "1"]),
         ],
     )
-    def test_noise_on_rows_match_cli(self, mechanism, grid, cli_args, tmp_path):
+    def test_noise_on_rows_match_cli(self, case, grid, cli_args, tmp_path):
         T, n, trial = 96, 24, 1
         spec = ExperimentSpec(
-            mechanism=mechanism,
+            mechanism=cli_args[0],
             grid={**grid, "T": [T], "n": [n]},
             generator={"kind": "uniform"},
             trials=2,
@@ -192,15 +196,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown experiment mechanism"):
             self.spec(mechanism="heavy-hitters")
         with pytest.raises(ValueError, match="p"):
-            run_experiment(self.spec(mechanism="moment"))
+            run_experiment(self.spec(mechanism="moment", grid={"epsilon": [1.0], "T": [64]}))
 
     def test_spec_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(
             json.dumps(
                 {
-                    "mechanism": "sum-tree",
-                    "grid": {"epsilon": [1.0], "T": [16]},
+                    "mechanism": "sum",
+                    "grid": {"mechanism": ["tree"], "epsilon": [1.0], "T": [16]},
                     "generator": {"kind": "uniform", "n": 4},
                     "trials": 1,
                     "seed_base": 0,
@@ -215,11 +219,11 @@ class TestRunExperiment:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentSpec(
-                mechanism="sum-tree", grid={}, generator={"kind": "uniform"}, trials=1
+                mechanism="sum", grid={}, generator={"kind": "uniform"}, trials=1
             )
         with pytest.raises(ValueError):
             ExperimentSpec(
-                mechanism="sum-tree",
+                mechanism="sum",
                 grid={"T": [4]},
                 generator={"kind": "uniform"},
                 trials=0,
@@ -236,23 +240,46 @@ class TestSpecErrors:
         "trials": 1,
         "seed_base": 0,
     }
+    MECHANISMS = "['sum', 'distinct', 'f2', 'moment']"
 
-    def run(self, tmp_path, capsys, **over):
+    def run(self, tmp_path, capsys, argv=(), **over):
         spec = {k: v for k, v in {**self.SPEC, **over}.items() if v is not None}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        code = main(["experiment", "--spec", str(path)])
+        code = main(["experiment", "--spec", str(path), *argv])
         return code, capsys.readouterr()
 
     @pytest.mark.parametrize(
         "over, named",
-        [({"trails": 2}, "trails"), ({"grid": None}, "grid"), ({"generator": None}, "generator")],
-        ids=["unknown-key", "missing-grid", "missing-generator"],
+        [
+            ({"trails": 2}, "trails"),
+            ({"grid": None}, "grid"),
+            ({"generator": None}, "generator"),
+            # each below once ran with a default, or exited 1 with a traceback
+            ({"grid": {"epsilon": 2.0}}, "epsilon"),
+            ({"grid": {"epsilon": []}}, "epsilon"),
+            ({"generator": {"n": 4}}, "kind"),
+            ({"generator": {"kind": "uniform", "n": 4, "zz": 1}}, "zz"),
+            ({"generator": {"kind": "zipf", "n": 4, "ss": 1.2}}, "ss"),
+            ({"generator": {"kind": "planted_heavy", "n": 4, "fraq": 0.5}}, "fraq"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"trials": "2"}, "trials"),
+            ({"argv": ["--jobs", "0"]}, "jobs"),
+            # sum-tree is sum with grid "mechanism": ["tree"]; sum-group and
+            # distinct-small are sum and distinct at their defaults
+            ({"mechanism": "sum-tree"}, MECHANISMS),
+            ({"mechanism": "sum-group"}, MECHANISMS),
+            ({"mechanism": "distinct-small"}, MECHANISMS),
+        ],
+        ids=["unknown-key", "missing-grid", "missing-generator", "grid-value-not-a-list",
+             "grid-value-empty", "generator-without-kind", "unknown-generator-key", "misspelt-s",
+             "misspelt-frac", "output-dir-not-a-path", "trials-not-an-int", "no-jobs",
+             "old-alias-sum-tree", "old-alias-sum-group", "old-alias-distinct-small"],
     )
     def test_unknown_or_missing_spec_key(self, over, named, tmp_path, capsys):
         code, out = self.run(tmp_path, capsys, **over)
         assert code == 2
-        assert "config error" in out.err and named in out.err
+        assert "config error" in out.err and named in out.err and out.out == ""
 
     def test_grid_key_that_is_no_flag_is_refused(self, tmp_path, capsys):
         # a misspelt epsilon would otherwise run silently at the default epsilon 1
@@ -262,7 +289,7 @@ class TestSpecErrors:
 
     @pytest.mark.parametrize(
         "mechanism, grid",
-        [("sum", {"n": [4]}), ("moment", {"p": [2.0]}), ("distinct-small", {"variant": ["tree"]}),
+        [("sum", {"n": [4]}), ("moment", {"p": [2.0]}), ("distinct", {"variant": ["tree"]}),
          ("f2", {"buckets": [4]})],
     )
     def test_flags_and_stream_shape_are_grid_keys(self, mechanism, grid):

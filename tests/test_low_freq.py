@@ -10,7 +10,7 @@ from dpsketch.low_freq import (
     lowfreq_estimator,
     subsample_lowfreq_params,
 )
-from dpsketch.experiment import _counter_mapping
+from dpsketch.sensitivity import _counter_mapping
 from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.randomness import NoiseContext
 from dpsketch.summing import BinaryTreeMechanism
@@ -105,7 +105,7 @@ class TestLowFreqSmall:
     def test_derived_streams(self):
         # the sensitivity checker's counter streams for one element arriving
         # three times: +1 into its new frequency, -1 out of its old one
-        streams = _counter_mapping(n=4, T=3, k=2, seed=0)([element(0)] * 3)
+        streams = _counter_mapping([element(0)] * 3, n=4, T=3, seed=0, params={"k": 2})
         assert [x.value for x in streams[0]] == [1, -1, 0]
         assert [x.value for x in streams[1]] == [0, 1, -1]
 

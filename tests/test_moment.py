@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpsketch import heavy_hitters, moment, randomness
-from dpsketch.experiment import _routed_streams
+from dpsketch.sensitivity import _routed_streams
 from dpsketch.low_freq import (
     LowFreqConfig,
     LowFreqGeneral,
