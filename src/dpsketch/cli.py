@@ -82,7 +82,8 @@ def _write_csv(path: str | None, header: str, rows: list[str]) -> None:
 
 
 def _load_events(args) -> list[StreamEvent]:
-    events, header = parse_stream_file(args.input, mode=getattr(args, "mode", None))
+    mode = getattr(args, "mode", None)
+    events, header = parse_stream_file(args.input, mode=mode)
     T = getattr(args, "T", None)
     if T is not None and len(events) > T:
         raise ConfigError(f"stream has {len(events)} events but --T is {T}")
@@ -96,6 +97,8 @@ def _load_events(args) -> list[StreamEvent]:
             raise ConfigError(f"header T={header.T} disagrees with --T {T}")
         if n is not None and header.n != n:
             raise ConfigError(f"header n={header.n} disagrees with --n {n}")
+        if mode is not None and header.mode != mode:
+            raise ConfigError(f"header mode={header.mode} disagrees with --mode {mode}")
     return events
 
 
@@ -367,6 +370,21 @@ def drive(name: str, params, events, ctx: NoiseContext):
 EXPERIMENT_MECHANISMS = ("sum", "distinct", "f2", "moment")
 
 
+def _takes(kw: dict, value) -> bool:
+    """Whether a flag takes a grid value as it is: one of its choices, else an
+    instance of its type (an int passes for a float), or None where that is
+    the default of a flag that is not required.  A bool is never taken, and
+    nothing is coerced: int(2.5) would silently truncate T."""
+    if value is None:
+        return kw.get("default") is None and not kw.get("required")
+    if isinstance(value, bool):
+        return False
+    if "choices" in kw:
+        return value in kw["choices"]
+    kind = kw.get("type", str)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One mechanism swept over a parameter grid and repeated trials.
@@ -400,13 +418,19 @@ class ExperimentSpec:
             raise ValueError(f"seed_base must be an integer, got {self.seed_base!r}")
         if not isinstance(self.grid, dict) or not self.grid:
             raise ValueError("parameter grid must be a non-empty object")
-        flags = {f.lstrip("-").replace("-", "_") for f, _ in STREAMING[self.mechanism].params}
-        unknown = set(self.grid) - flags - {"T", "n"}
+        flags = {f.lstrip("-").replace("-", "_"): kw for f, kw in STREAMING[self.mechanism].params}
+        flags = {"T": _T[1], "n": _N[1], **flags}
+        unknown = set(self.grid) - set(flags)
         if unknown:
             raise ValueError(f"grid keys {sorted(unknown)} are no flags of {self.mechanism}")
         not_lists = [k for k, v in self.grid.items() if not isinstance(v, list) or not v]
         if not_lists:
             raise ValueError(f"grid values of {not_lists} must be non-empty lists")
+        misfits = [f"{k}={v!r}" for k, vs in self.grid.items() for v in vs
+                   if not _takes(flags[k], v)]
+        if misfits:
+            raise ValueError(f"grid values {', '.join(misfits)} do not fit the choices or "
+                             f"types of their {self.mechanism} flags")
         if not isinstance(self.generator, dict) or "kind" not in self.generator:
             raise ValueError(f"generator must be an object with a 'kind', got {self.generator!r}")
         if not isinstance(self.output_dir, (str, type(None))):

@@ -1,10 +1,18 @@
 """Stream file format: UTF-8 text, one token per line.
 
-A non-negative decimal integer is an element id, "_" is the empty symbol, a
-signed decimal is an integer event.  The optional first line
-"#T=<int> n=<int> mode=<elements|integers>" declares the stream shape; when
+A token is a line stripped of surrounding whitespace; blank lines are skipped.
+The grammar is ASCII only:
+
+    element id     [0-9]+          an element of the universe
+    empty symbol   _               a timestamp with no element
+    integer event  [+-]?[0-9]+     an integers-mode value
+
+The optional first line "#T=<int> n=<int> mode=<elements|integers>", each
+<int> [0-9]+, declares the stream shape: at most T events and, in elements
+mode, ids below n.  When
 no mode is declared, a file containing any signed token is read in integers
-mode (element and integer events never mix in one stream).
+mode (element and integer events never mix in one stream).  Equal lines parse
+to one shared (immutable) event object.
 """
 
 from __future__ import annotations
@@ -24,8 +32,9 @@ from .streams import (
 )
 
 _HEADER_RE = re.compile(
-    r"^#\s*T=(?P<T>\d+)\s+n=(?P<n>\d+)\s+mode=(?P<mode>elements|integers)\s*$"
+    r"^#\s*T=(?P<T>[0-9]+)\s+n=(?P<n>[0-9]+)\s+mode=(?P<mode>elements|integers)\s*$"
 )
+_TOKEN_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class StreamParseError(ValueError):
@@ -56,47 +65,54 @@ def parse_stream_file(
         header = StreamConfig(T=int(m["T"]), n=int(m["n"]), mode=m["mode"])
         start = 1
 
-    tokens: list[tuple[int, str]] = []
-    for i, line in enumerate(lines[start:], start=start + 1):
-        token = line.strip()
-        if token:
-            tokens.append((i, token))
-
-    declared = header.mode if header else mode
-    effective = declared
+    effective = header.mode if header else mode
     if effective is None:
-        signed = any(t[0] in "+-" for _, t in tokens)
+        signed = any(line.lstrip()[:1] in ("+", "-") for line in lines)
         effective = INTEGERS_MODE if signed else ELEMENTS_MODE
 
-    events: list[StreamEvent] = []
-    for i, token in tokens:
+    def parse(i: int, token: str) -> StreamEvent | None:
+        if not token:
+            return None
         if token == "_":
             if effective == INTEGERS_MODE:
                 raise StreamParseError(
                     path, i, "empty symbol is not valid in an integers-mode stream"
                 )
-            events.append(EMPTY_EVENT)
-            continue
+            return EMPTY_EVENT
         try:
+            if not _TOKEN_RE.fullmatch(token):
+                raise ValueError(token)
             value = int(token, 10)
         except ValueError:
             raise StreamParseError(path, i, f"unrecognized token {token!r}") from None
         if effective == INTEGERS_MODE:
-            events.append(integer(value))
-        else:
-            if token[0] in "+-":
-                raise StreamParseError(
-                    path, i, f"signed token {token!r} in an elements-mode stream"
-                )
-            if header is not None and value >= header.n:
-                raise StreamParseError(
-                    path, i, f"element id {value} outside universe size {header.n}"
-                )
-            events.append(element(value))
-    if header is not None and len(events) > header.T:
-        raise StreamParseError(
-            path, len(lines), f"{len(events)} events exceed declared T={header.T}"
-        )
+            return integer(value)
+        if token[0] in "+-":
+            raise StreamParseError(
+                path, i, f"signed token {token!r} in an elements-mode stream"
+            )
+        if header is not None and value >= header.n:
+            raise StreamParseError(
+                path, i, f"element id {value} outside universe size {header.n}"
+            )
+        return element(value)
+
+    # equal lines share one immutable event: a line is parsed at its first
+    # occurrence, and every later copy of it is one dict lookup
+    memo: dict[str, StreamEvent | None] = {}
+    events: list[StreamEvent] = []
+    for i, line in enumerate(lines[start:], start=start + 1):
+        try:
+            event = memo[line]
+        except KeyError:
+            event = memo[line] = parse(i, line.strip())
+        if event is None:
+            continue
+        if header is not None and len(events) == header.T:
+            raise StreamParseError(
+                path, i, f"{header.T + 1} events exceed declared T={header.T}"
+            )
+        events.append(event)
     return events, header
 
 

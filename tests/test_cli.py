@@ -418,6 +418,19 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_mode_header_mismatch(self, tmp_path, capsys):
+        # once read as elements, releasing one count per element where the
+        # flag asked for integer values summing to 6
+        path = tmp_path / "elements.txt"
+        path.write_text("#T=3 n=4 mode=elements\n1\n2\n3\n")
+        code = run(
+            ["sum", "--T", "3", "--mode", "integers", "--epsilon", "1", "--mechanism", "tree",
+             "--noise", "off", "--input", str(path)]
+        )
+        out = capsys.readouterr()
+        assert code == 2
+        assert "mode=elements disagrees with --mode integers" in out.err and out.out == ""
+
     def test_resource_error(self, capsys):
         code = run(
             ["sensitivity-check", "--mapping", "identity", "--n", "3", "--T", "6",

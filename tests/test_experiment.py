@@ -270,11 +270,27 @@ class TestSpecErrors:
             ({"mechanism": "sum-tree"}, MECHANISMS),
             ({"mechanism": "sum-group"}, MECHANISMS),
             ({"mechanism": "distinct-small"}, MECHANISMS),
+            # a grid value its flag does not take: once run with another value
+            # or a crash mid-run (nothing is coerced; int(2.5) truncates T)
+            ({"mechanism": "distinct", "grid": {"universe": ["tiny"]}}, "universe='tiny'"),
+            ({"grid": {"epsilon": ["x"]}}, "epsilon='x'"),
+            ({"grid": {"epsilon": [1.0, True]}}, "epsilon=True"),
+            ({"grid": {"epsilon": [None]}}, "epsilon=None"),
+            ({"grid": {"T": [32.0]}}, "T=32.0"),
+            ({"grid": {"T": [2.5]}}, "T=2.5"),
+            ({"grid": {"T": ["32"]}}, "T='32'"),
+            ({"grid": {"n": [4.0]}}, "n=4.0"),
+            ({"grid": {"mechanism": ["TREE"]}}, "mechanism='TREE'"),
+            ({"mechanism": "f2", "grid": {"buckets": [1.5]}}, "buckets=1.5"),
+            ({"mechanism": "moment", "grid": {"p": ["2"]}}, "p='2'"),
         ],
         ids=["unknown-key", "missing-grid", "missing-generator", "grid-value-not-a-list",
              "grid-value-empty", "generator-without-kind", "unknown-generator-key", "misspelt-s",
              "misspelt-frac", "output-dir-not-a-path", "trials-not-an-int", "no-jobs",
-             "old-alias-sum-tree", "old-alias-sum-group", "old-alias-distinct-small"],
+             "old-alias-sum-tree", "old-alias-sum-group", "old-alias-distinct-small",
+             "choice-not-a-choice", "float-flag-string", "float-flag-bool", "float-flag-null",
+             "int-T-float", "int-T-fraction", "int-T-string", "int-n-float",
+             "choice-wrong-case", "int-flag-fraction", "float-flag-numeric-string"],
     )
     def test_unknown_or_missing_spec_key(self, over, named, tmp_path, capsys):
         code, out = self.run(tmp_path, capsys, **over)
@@ -296,3 +312,19 @@ class TestSpecErrors:
         ExperimentSpec(mechanism=mechanism, grid=grid, generator={"kind": "uniform"})
         with pytest.raises(ValueError, match="'k'"):
             ExperimentSpec(mechanism=mechanism, grid={**grid, "k": [2]}, generator={"kind": "uniform"})
+
+    def test_grid_values_of_their_flags_type_are_taken(self):
+        # an int passes for a float flag; an int or a choice passes as it is
+        grid = {"epsilon": [1, 2.5], "eta": [0.1], "T": [16], "n": [4],
+                "variant": ["tree", "group"], "universe": ["general"], "copies": [2]}
+        ExperimentSpec(mechanism="distinct", grid=grid, generator={"kind": "uniform"})
+
+    def test_null_sweeps_the_default_of_an_optional_flag(self):
+        # None is the default of --copies, --buckets, --tau and sum's --mode
+        for mechanism, grid in [("distinct", {"copies": [None, 2]}),
+                                ("f2", {"buckets": [None, 4]}),
+                                ("moment", {"tau": [None, 0.5], "p": [2.0]}),
+                                ("sum", {"mode": [None, "elements"]})]:
+            spec = ExperimentSpec(mechanism=mechanism, grid={**grid, "T": [8]},
+                                  generator={"kind": "uniform", "n": 4}, noise_off=True)
+            assert len(run_experiment(spec)) == 2
