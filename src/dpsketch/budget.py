@@ -72,9 +72,12 @@ class MechanismBudget:
 
 
 def copy_count(copies: int | None, T: int, xi: float, n: int = 1, c: int = 2) -> int:
-    """``copies``, or by default the median trick's ceil(50 (ln(c T / xi) + ln n)),
-    a union bound over c*T*n events at total failure probability xi."""
+    """``copies`` (at least 1), or by default the median trick's
+    ceil(50 (ln(c T / xi) + ln n)), a union bound over c*T*n events at total
+    failure probability xi."""
     if copies is not None:
+        if copies < 1:
+            raise ValueError(f"copies must be >= 1, got {copies}")
         return copies
     return math.ceil(50 * (math.log(c * T / xi) + math.log(n)))
 

@@ -7,8 +7,9 @@ drives it too, over a parameter grid of one subcommand's flags; the
 sensitivity checker lives in :mod:`dpsketch.sensitivity`.
 
 Exit codes: 0 success, 2 configuration error, 3 IO error, 4 enumeration
-budget exceeded.  All randomness derives from --seed (or DPSKETCH_SEED);
-identical invocations produce byte-identical CSV output.
+budget exceeded, 5 a sensitivity check observed more than its claim.  All
+randomness derives from --seed (or DPSKETCH_SEED); identical invocations
+produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -433,6 +434,10 @@ class ExperimentSpec:
                              f"types of their {self.mechanism} flags")
         if not isinstance(self.generator, dict) or "kind" not in self.generator:
             raise ValueError(f"generator must be an object with a 'kind', got {self.generator!r}")
+        misfits = [f"{k}={self.generator[k]!r}" for k in ("T", "n")
+                   if k in self.generator and not _takes(flags[k], self.generator[k])]
+        if misfits:
+            raise ValueError(f"generator values {', '.join(misfits)} must be integers")
         if not isinstance(self.output_dir, (str, type(None))):
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
 
@@ -469,8 +474,8 @@ def _run_one(spec: ExperimentSpec, grid_point: dict, trial: int) -> RunRecord:
     gen = dict(spec.generator)
     kind = gen.pop("kind")
     cfg = StreamConfig(
-        T=int(grid_point.get("T", gen.pop("T", 1024))),
-        n=int(grid_point.get("n", gen.pop("n", 64))),
+        T=grid_point.get("T", gen.pop("T", 1024)),
+        n=grid_point.get("n", gen.pop("n", 64)),
     )
     seed = NoiseContext(spec.seed_base).child_seed("trial", trial)
     stream = generate_stream(kind, cfg, seed, **gen)
@@ -566,7 +571,10 @@ def _snapshot_load(path: str) -> L2Estimator:
 
 
 def _cmd_point_query(args) -> int:
-    estimate = _snapshot_load(args.snapshot).point_query(args.element)
+    est = _snapshot_load(args.snapshot)
+    if not 0 <= args.element < est.cfg.n:
+        raise ConfigError(f"element {args.element} outside the snapshot's [0, n={est.cfg.n})")
+    estimate = est.point_query(args.element)
     _write_csv(args.output, "element,f_hat", [f"{args.element},{_fmt(estimate)}"])
     return 0
 
@@ -585,7 +593,7 @@ def _cmd_sensitivity_check(args) -> int:
     if args.output and args.output != "-":
         Path(args.output).write_text(line + "\n", encoding="utf-8")
     sys.stdout.write(line + "\n")
-    return 0
+    return 0 if report.passed else 5
 
 
 def _cmd_experiment(args) -> int:

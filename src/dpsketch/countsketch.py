@@ -32,20 +32,18 @@ class F2Estimate:
 
 
 class CountSketchState:
-    """One CountSketch: k signed buckets over a shared time axis.
+    """One CountSketch: k signed buckets, a window of ``bank``.
 
     Each non-empty event adds its sign to exactly one bucket; every bucket's
     output is its running sum plus the noise of the dyadic nodes tiling
     [1, t], each node carrying an independent Laplace draw of scale
-    (ceil(log2 T)+1)/epsilon_bucket.  Bucket i is the lane keyed ("cs",) +
-    key + ("bucket", i) of a window the sketch joins: of its own bank, or of
-    ``bank``, shared by boosted copies, whose owner ticks it and calls
-    ``observe``.  Its hash seeds are the children ("cs",) + key + ("h",) and
-    (..., "g") of ``ctx``.  Bucket and seed keys all extend ("cs",) + key, so
-    they continue its two folds, :meth:`key_folds`; an owner of many sketches
-    whose keys share a prefix folds the prefix once and passes each sketch
-    ``folded``, the prefix's folds continued by ``fold_on`` over the rest, in
-    place of ``key``.
+    (ceil(log2 T)+1)/epsilon_bucket.  The owner of the bank's clock ticks it
+    and then calls ``observe``.  A sketch keyed ``key`` under ``ctx`` takes
+    ``folded = key_folds(ctx, key)``: bucket i is the lane keyed ("cs",) + key
+    + ("bucket", i), and the hash seeds are the children ("cs",) + key + ("h",)
+    and (..., "g") of ``ctx``.  An owner of many sketches whose keys share a
+    prefix folds the prefix once and continues its folds by ``fold_on`` over
+    the rest of each key.
     """
 
     # heavy-hitter levels build one sketch per substream, thousands per stream
@@ -54,21 +52,17 @@ class CountSketchState:
     def __init__(
         self,
         k: int,
-        T: int,
         epsilon_bucket: float,
-        ctx: NoiseContext,
-        key: tuple = (),
-        clock: Clock | None = None,
-        bank: BinaryTreeMechanism | None = None,
-        folded: tuple[int, int] | None = None,
+        bank: BinaryTreeMechanism,
+        folded: tuple[int, int],
     ) -> None:
         if k < 1:
             raise ValueError(f"bucket count must be >= 1, got {k}")
         self.k = int(k)
         self.epsilon_bucket = float(epsilon_bucket)
-        child, own = self.key_folds(ctx, key) if folded is None else folded
-        self._bank = BinaryTreeMechanism.bank(int(T), ctx, clock) if bank is None else bank
-        self._lo = self._bank.join(fold_on(own, ("bucket",)), range(self.k), epsilon_bucket)
+        child, own = folded
+        self._bank = bank
+        self._lo = bank.join(fold_on(own, ("bucket",)), range(self.k), epsilon_bucket)
         self._hi = self._lo + self.k
         self.h = PolyHashFamily(4, self.k, fold_on(child, ("h",)))
         self.g = SignHash(fold_on(child, ("g",)))
@@ -104,10 +98,6 @@ class CountSketchState:
             self._bank.add(sign, self._lo + bucket)
         elif e.is_integer():
             raise ValueError("CountSketch requires an elements-mode stream")
-
-    def feed(self, e: StreamEvent) -> None:
-        self._bank.tick()
-        self.observe(e)
 
     def bucket_output(self, i: int) -> float:
         return self._bank.lane_current(self._lo + i)
@@ -166,17 +156,18 @@ class L2Estimator:
         copies = copy_count(cfg.copies, cfg.T, cfg.xi, cfg.n)
         k = cfg.buckets if cfg.buckets is not None else default_l2_buckets(cfg.eta)
         eps_bucket = cfg.epsilon / (BUCKET_SENSITIVITY * copies)
-        self._bank = BinaryTreeMechanism.bank(cfg.T, ctx)
+        self._clock = Clock(cfg.T)
+        self._bank = BinaryTreeMechanism.bank(cfg.T, ctx, self._clock)
         self.copies = [
             CountSketchState(
-                k, cfg.T, eps_bucket, ctx.child("l2-copy", c), key=(c,), bank=self._bank
+                k, eps_bucket, self._bank, CountSketchState.key_folds(ctx.child("l2-copy", c), (c,))
             )
             for c in range(copies)
         ]
         self.budget = equal_shares(cfg.epsilon, cfg.xi, copies)
 
     def feed(self, e: StreamEvent) -> None:
-        self._bank.tick()
+        self._clock.tick()
         for sketch in self.copies:
             sketch.observe(e)
 

@@ -24,7 +24,7 @@ from .budget import check_accuracy, copy_count, equal_shares
 from .distinct import BoostedEstimator
 from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily, fold_on
 from .streams import StreamEvent
-from .summing import Clock, tree_levels
+from .summing import BinaryTreeMechanism, Clock, tree_levels
 from .countsketch import BUCKET_SENSITIVITY, CountSketchState
 
 # accuracy parameter of a substream's F2 estimate, whose additive error is
@@ -69,7 +69,7 @@ class HHConfig:
             raise ValueError(f"p must be >= 0, got {self.p}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        check_accuracy(self.eta, self.epsilon)
+        check_accuracy(self.eta, self.epsilon, self.xi)
 
     @property
     def phi(self) -> float:
@@ -163,11 +163,9 @@ class HHSketch:
             child, own = self._prefixes
             sketch = CountSketchState(
                 INNER_BUCKETS,
-                self.cfg.T,
                 self.epsilon_tree,
-                self._ctx,
-                clock=self._clock,
-                folded=(fold_on(child, (idx,)), fold_on(own, (idx,))),
+                BinaryTreeMechanism.bank(self.cfg.T, self._ctx, self._clock),
+                (fold_on(child, (idx,)), fold_on(own, (idx,))),
             )
             self._sketches[idx] = sketch
         return sketch

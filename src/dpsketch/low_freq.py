@@ -42,25 +42,22 @@ class LowFreqSmall:
     With noise off, counter i's total equals |{a : f_a = i}| at every
     timestamp.  Counters hold +-1 inputs, so they are tree-backed: a window
     of k lanes, counter i keyed ``("lfs", i)``, that the block joins at
-    ``epsilon_counter`` in ``bank``, whose owner ticks it.  Without a bank
-    the block holds its own, and ``ingest`` ticks it.
+    ``epsilon_counter`` in ``bank``, whose clock's owner ticks it.
     """
 
     def __init__(
         self,
         m: int,
         k: int,
-        T: int,
         epsilon_counter: float,
         ctx: NoiseContext,
-        bank: BinaryTreeMechanism | None = None,
+        bank: BinaryTreeMechanism,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.m = int(m)
         self.k = int(k)
-        self._owns_bank = bank is None
-        self.counters = BinaryTreeMechanism.bank(T, ctx) if bank is None else bank
+        self.counters = bank
         self._lo = self.counters.join(
             fold_key(ctx.master_seed, ("tree", "lfs")), range(1, k + 1), epsilon_counter
         )
@@ -68,8 +65,6 @@ class LowFreqSmall:
 
     def ingest(self, e: StreamEvent) -> None:
         """Take the current timestamp's event without computing the counter outputs."""
-        if self._owns_bank:
-            self.counters.tick()
         if e.is_element():
             if e.value >= self.m:
                 raise ValueError(f"element id {e.value} outside universe [0, {self.m})")
@@ -116,7 +111,7 @@ class LowFreqGeneral:
     still clears the selection floor; level counts are rescaled by 2^i*.
     Outputs all zeros while the distinct estimate is below
     max(3*gamma1, floor).  The L level blocks are windows of ``bank``, whose
-    owner ticks it; a read slices the selected level from the bank's
+    clock's owner ticks it; a read slices the selected level from the bank's
     memoised full read.
     """
 
@@ -124,7 +119,6 @@ class LowFreqGeneral:
         self,
         params: SubsampleLowFreqParams,
         k: int,
-        T: int,
         epsilon_counter: float,
         ctx: NoiseContext,
         distinct_backend,
@@ -134,7 +128,7 @@ class LowFreqGeneral:
         self.k = int(k)
         self._route = LevelRouter(params.L, params.lam, params.m, ctx, "lfg")
         self.levels = [
-            LowFreqSmall(params.m, k, T, epsilon_counter, ctx.child("level", i), bank)
+            LowFreqSmall(params.m, k, epsilon_counter, ctx.child("level", i), bank)
             for i in range(1, params.L + 1)
         ]
         self.d_hat = distinct_backend
@@ -210,7 +204,7 @@ def low_freq_block(
     floor/(1+eta).
     """
     if n <= SMALL_UNIVERSE_LIMIT:
-        return LowFreqSmall(n, k, T, epsilon / (COUNTER_SENSITIVITY_PER_K * k), ctx, bank)
+        return LowFreqSmall(n, k, epsilon / (COUNTER_SENSITIVITY_PER_K * k), ctx, bank)
     eps_block = epsilon / 3
     d_cfg = DistinctConfig(
         epsilon=eps_block, eta=eta, xi=min(0.49, xi), n=n, T=T, variant=GROUP, copies=3
@@ -218,7 +212,7 @@ def low_freq_block(
     d_hat = distinct_estimator(d_cfg, ctx.child("dhat"))
     params = subsample_lowfreq_params(n, T, k, eta, d_hat.copies[0].params.gamma)
     eps_counter = eps_block / (COUNTER_SENSITIVITY_PER_K * k)
-    return LowFreqGeneral(params, k, T, eps_counter, ctx, d_hat, bank)
+    return LowFreqGeneral(params, k, eps_counter, ctx, d_hat, bank)
 
 
 def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator:

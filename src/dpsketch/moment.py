@@ -81,7 +81,7 @@ class MomentConfig:
     def __post_init__(self) -> None:
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
-        check_accuracy(self.eta, self.epsilon)
+        check_accuracy(self.eta, self.epsilon, self.xi)
 
     def n_copies(self) -> int:
         return copy_count(self.copies, self.T, self.xi, c=3)

@@ -54,15 +54,17 @@ class SensitivityReport:
         )
 
 
-def _counter_streams(feed, read, events: Sequence[StreamEvent]) -> tuple:
+def _counter_streams(feed, read, events: Sequence[StreamEvent], clock=None) -> tuple:
     """The integer streams a bank of counters sums, one per counter.
 
     With noise off every counter output is its exact running sum, so the
     stream at each tick is the first difference of ``read()`` after
-    ``feed(e)``.
+    ``feed(e)``, which follows a tick of the bank's ``clock`` when given.
     """
     rows, prev = [], 0.0
     for e in events:
+        if clock is not None:
+            clock.tick()
         feed(e)
         out = np.atleast_1d(read())
         rows.append(out - prev)
@@ -92,13 +94,16 @@ def _indicator_mapping(events, n, T, seed, params):
 
 
 def _counter_mapping(events, n, T, seed, params):
-    lfs = LowFreqSmall(n, params["k"], T, 1.0, NoiseContext(seed, noise_off=True))
-    return _counter_streams(lfs.ingest, lfs.current, events)
+    ctx, clock = NoiseContext(seed, noise_off=True), Clock(T)
+    lfs = LowFreqSmall(n, params["k"], 1.0, ctx, BinaryTreeMechanism.bank(T, ctx, clock))
+    return _counter_streams(lfs.ingest, lfs.current, events, clock)
 
 
 def _bucket_mapping(events, n, T, seed, params):
-    cs = CountSketchState(params["k"], T, 1.0, NoiseContext(seed, noise_off=True))
-    return _counter_streams(cs.feed, cs.outputs, events)
+    ctx, clock = NoiseContext(seed, noise_off=True), Clock(T)
+    bank = BinaryTreeMechanism.bank(T, ctx, clock)
+    cs = CountSketchState(params["k"], 1.0, bank, CountSketchState.key_folds(ctx, ()))
+    return _counter_streams(cs.observe, cs.outputs, events, clock)
 
 
 def _substream_mapping(events, n, T, seed, params):

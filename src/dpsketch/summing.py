@@ -3,9 +3,9 @@ mechanism (better additive error for non-negative streams).
 
 Callers read the running estimate from ``current()``: ``feed`` returns the
 noisy prefix sum on a tree mechanism but the released increment on grouping.
-A tree mechanism may be a bank of counters on one clock (CountSketch buckets,
-low-frequency counters), and banks may share a clock, so that a sketch of
-many buckets advances time once per event.
+A tree mechanism is one counter on its own clock, or a bank of counters
+(CountSketch buckets, low-frequency counters) on a given clock, which the code
+that built it ticks once per event, however many banks share it.
 Instances are single-owner mutable and independent across threads.
 """
 
@@ -20,7 +20,7 @@ from .randomness import NoiseContext, fold_key, fold_lanes, fold_on, node_laplac
 
 
 class StateError(RuntimeError):
-    """Mechanism driven past its declared horizon."""
+    """Mechanism driven out of turn: past its horizon, before its first tick, or fed as a bank."""
 
 
 def tree_levels(T: int) -> int:
@@ -76,13 +76,13 @@ class BinaryTreeMechanism:
     so replay is order-independent.  The running exact sum plus the noise of
     the nodes tiling [1, t] equals the classic per-node construction.
 
-    Built with ``epsilon`` it is one counter keyed ``("tree",) + key``.
-    Built by :meth:`bank` it is a bank of lane groups ``(base, ids)``, each
-    appended by ``join`` at its own epsilon, so the owners of windows of lanes
-    share one clock and one draw per stale level.  A group's base is its
-    folded key, ``fold_key(seed, key)``; group lane i is keyed ``key +
-    (ids[i],)``, one fold round on from the base, and draws at the group's
-    scale.
+    Built with ``epsilon`` it is one counter keyed ``("tree",) + key`` on its
+    own clock, which only ``feed`` advances.  Built by :meth:`bank` on a given
+    clock it is a bank of lane groups ``(base, ids)``, each appended by
+    ``join`` at its own epsilon, so the owners of windows of lanes share one
+    clock and one draw per stale level.  A group's base is its folded key,
+    ``fold_key(seed, key)``; group lane i is keyed ``key + (ids[i],)``, one
+    fold round on from the base, and draws at the group's scale.
     A full read refills each stale level for every lane with one array draw,
     scaled per lane, into one row per level that the bank keeps until a
     ``join``.  Its result is memoised, read-only, for its timestamp until an
@@ -99,7 +99,7 @@ class BinaryTreeMechanism:
 
     # heavy-hitter substreams build one bank per sketch, thousands per stream
     __slots__ = (
-        "T", "levels", "k", "_ctx", "_clock", "_owns_clock", "_single", "_groups", "_buffer",
+        "T", "levels", "k", "_ctx", "_clock", "_single", "_groups", "_buffer",
         "_running", "_memo", "_memo_t", "_lane_records", "_rows",
     )
 
@@ -114,21 +114,20 @@ class BinaryTreeMechanism:
         self.T = int(T)
         self.levels = tree_levels(self.T)
         self._ctx = ctx
-        self._clock = clock if clock is not None else Clock(self.T)
-        self._owns_clock = clock is None
+        self._single = clock is None
+        self._clock = Clock(self.T) if self._single else clock
         self.k = 0
         # (base, ids, scale, first lane) per group
         self._groups: list[tuple] = []
         self._buffer = self._running = np.zeros(0)
         self._memo = self._lane_records = self._rows = None
         self._memo_t = 0
-        self._single = epsilon is not None
         if self._single:
             self.join(fold_key(ctx.master_seed, ("tree",) + tuple(key)), None, epsilon)
 
     @classmethod
-    def bank(cls, T: int, ctx: NoiseContext, clock: Clock | None = None) -> BinaryTreeMechanism:
-        """An empty bank on ``clock`` (None: its own) that owners ``join``."""
+    def bank(cls, T: int, ctx: NoiseContext, clock: Clock) -> BinaryTreeMechanism:
+        """An empty bank on ``clock``, ticked by whoever built it, that owners ``join``."""
         return cls(T, None, ctx, clock=clock)
 
     @property
@@ -163,12 +162,6 @@ class BinaryTreeMechanism:
             self._lane_records += [None] * (self.k - lo)
         return lo
 
-    def tick(self) -> None:
-        """Advance the mechanism's own clock one timestamp."""
-        if not self._owns_clock:
-            raise StateError("shared-clock counter is advanced by its owner")
-        self._clock.tick()
-
     def add(self, x: float, lane: int = 0) -> None:
         """Credit x to a lane at the current timestamp without advancing the clock."""
         if self._clock.t == 0:  # no node covers [1, 0]: the credit would read exact
@@ -183,8 +176,10 @@ class BinaryTreeMechanism:
         self._memo = None
 
     def feed(self, x: float) -> float:
-        """Advance one timestamp, ingest x, return the noisy prefix sum."""
-        self.tick()
+        """Advance a single counter one timestamp, ingest x, return the noisy prefix sum."""
+        if not self._single:
+            raise StateError("a bank is advanced by the builder of its clock")
+        self._clock.tick()
         self._running[0] += x
         return self.current()
 

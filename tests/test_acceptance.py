@@ -16,9 +16,7 @@ import pytest
 
 from dpsketch.distinct import SmallUniverseDistinct
 from dpsketch.sensitivity import sensitivity_check
-from dpsketch.countsketch import CountSketchState
 from dpsketch.heavy_hitters import HHConfig, hh_estimator
-from dpsketch.low_freq import LowFreqSmall
 from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.randomness import NoiseContext
 from dpsketch.sliding import SmoothHistogram, SmoothnessParams
@@ -32,6 +30,8 @@ from dpsketch.streams import (
     generate_stream,
 )
 from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism
+
+from standalone import standalone_lowfreq, standalone_sketch
 
 
 def report(num: int, name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -66,7 +66,7 @@ def test_criterion_1_noise_off_exactness():
         ctx = NoiseContext(0, noise_off=True)
         tree = BinaryTreeMechanism(T, 1.0, ctx)
         distinct = SmallUniverseDistinct(n, BinaryTreeMechanism(T, 1.0, ctx))
-        lowfreq = LowFreqSmall(n, k, T, 1.0, ctx)
+        lowfreq = standalone_lowfreq(n, k, T, 1.0, ctx)
         exact_sum = 0
         seen: set[int] = set()
         freq: dict[int, int] = {}
@@ -237,7 +237,7 @@ def test_criterion_5_countsketch_accuracy():
         stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.1)
         ctx = NoiseContext(500_000 + seed, noise_off=True)
         sketches = [
-            CountSketchState(k, T, 1.0, ctx.child("copy", c), key=(c,))
+            standalone_sketch(k, T, 1.0, ctx.child("copy", c), key=(c,))
             for c in range(copies)
         ]
         for e in stream:

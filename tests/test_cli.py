@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+from dpsketch import countsketch
 from dpsketch.cli import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, STREAMING, command_params, drive, main
 from dpsketch.randomness import NoiseContext
 from dpsketch.sliding import SmoothnessParams, default_max_live, relative_shift
@@ -387,6 +388,53 @@ class TestIntegerStreamRefused:
         assert "requires an elements-mode stream" in capsys.readouterr().err
 
 
+def _with(args, flag, value):
+    """``args`` with ``flag`` set to ``value``."""
+    args = list(args)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    return args
+
+
+class TestRefusedValues:
+    """Values a subcommand cannot honour exit as a configuration error (2)."""
+
+    @pytest.mark.parametrize("copies", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "name", ["distinct-general", "f2", "heavy-hitters", "low-freq", "moment"]
+    )
+    def test_copies_below_one(self, name, copies, stream_file, capsys):
+        # --copies 0 once exited 1 with a ZeroDivisionError traceback
+        code = run(_with(STREAMING_ARGS[name], "--copies", copies) + ["--input", stream_file])
+        assert code == 2
+        assert f"copies must be >= 1, got {copies}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("xi", ["0", "0.5", "0.9"])
+    @pytest.mark.parametrize("name", ["heavy-hitters", "moment"])
+    def test_xi_outside_the_open_half_unit(self, name, xi, stream_file, capsys):
+        # --xi 0 once exited 1 with a ZeroDivisionError traceback, --xi 0.9 ran
+        code = run(_with(STREAMING_ARGS[name], "--xi", xi) + ["--input", stream_file])
+        assert code == 2
+        assert f"xi must be in (0, 0.5), got {float(xi)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("element", ["99", "4", "-1"])
+    def test_point_query_outside_the_snapshot_universe(self, element, tmp_path, capsys):
+        # an element outside [0, n) once printed an estimate and exited 0
+        cfg = StreamConfig(T=8, n=4)
+        path, snap = tmp_path / "stream.txt", tmp_path / "sketch.dpcs"
+        write_stream_file(path, generate_stream("uniform", cfg, seed=1), cfg)
+        code = run(["f2", "--epsilon", "1", "--T", "8", "--n", "4", "--copies", "1",
+                    "--buckets", "4", "--input", str(path), "--output", str(tmp_path / "f2.csv"),
+                    "--snapshot-out", str(snap)])
+        assert code == 0
+        assert run(["point-query", "--element", element, "--snapshot", str(snap)]) == 2
+        out = capsys.readouterr()
+        assert f"element {element} outside" in out.err and out.out == ""
+        assert run(["point-query", "--element", "3", "--snapshot", str(snap)]) == 0
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         code = run(
@@ -437,3 +485,11 @@ class TestExitCodes:
              "--budget", "5"]
         )
         assert code == 4
+
+    def test_sensitivity_above_the_claim(self, monkeypatch, capsys):
+        # a check that observed more than its claim once printed FAIL and exited 0
+        monkeypatch.setattr(countsketch, "BUCKET_SENSITIVITY", 1)
+        code = run(["sensitivity-check", "--mapping", "countsketch-buckets", "--n", "3",
+                    "--T", "4", "--k", "2"])
+        assert code == 5
+        assert capsys.readouterr().out.rstrip().endswith("FAIL")

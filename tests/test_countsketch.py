@@ -3,7 +3,6 @@ import pytest
 
 from dpsketch.budget import copy_count
 from dpsketch.countsketch import (
-    CountSketchState,
     L2Config,
     L2Estimator,
     default_l2_buckets,
@@ -19,9 +18,11 @@ from dpsketch.streams import (
     generate_stream,
 )
 
+from standalone import standalone_sketch
+
 
 def noiseless_sketch(k, T, seed=0):
-    return CountSketchState(k, T, 1.0, NoiseContext(seed, noise_off=True))
+    return standalone_sketch(k, T, 1.0, NoiseContext(seed, noise_off=True))
 
 
 def seed_with_distinct_buckets(k, T, ids):
@@ -98,7 +99,7 @@ class TestCountSketchState:
         for seed in range(trials):
             stream = generate_stream("uniform", cfg, seed=seed)
             ctx = NoiseContext(60_000 + seed)
-            s = CountSketchState(k, T, 1.0, ctx)
+            s = standalone_sketch(k, T, 1.0, ctx)
             bound = s.error_bound(0.1)
             exact = np.zeros(k)
             good = True
@@ -114,7 +115,7 @@ class TestCountSketchState:
         assert ok >= 0.9 * trials
 
     def test_f2_nonnegative_with_noise(self):
-        s = CountSketchState(8, 64, 0.5, NoiseContext(1))
+        s = standalone_sketch(8, 64, 0.5, NoiseContext(1))
         for x in range(64):
             s.feed(element(x % 5))
         assert s.f2().value >= 0.0
@@ -123,7 +124,7 @@ class TestCountSketchState:
         # the sensitivity checker's bucket streams: the arrival's sign in its
         # own bucket, zero everywhere else
         streams = _bucket_mapping([element(2), EMPTY_EVENT], n=3, T=4, seed=0, params={"k": 4})
-        b, sign = CountSketchState(4, 4, 1.0, NoiseContext(0, noise_off=True))._route(2)
+        b, sign = standalone_sketch(4, 4, 1.0, NoiseContext(0, noise_off=True))._route(2)
         assert [[x.value for x in s] for s in streams] == [
             [sign if i == b else 0, 0] for i in range(4)
         ]
@@ -131,7 +132,7 @@ class TestCountSketchState:
     def test_noise_replay(self):
         outs = []
         for _ in range(2):
-            s = CountSketchState(4, 32, 1.0, NoiseContext(44))
+            s = standalone_sketch(4, 32, 1.0, NoiseContext(44))
             vals = []
             for x in range(32):
                 s.feed(element(x % 3))
@@ -148,7 +149,7 @@ class TestCountSketchState:
         for eps in (1.0, 0.5):
             errors = []
             for seed in range(300):
-                s = CountSketchState(8, T, eps, NoiseContext(90_000 + seed))
+                s = standalone_sketch(8, T, eps, NoiseContext(90_000 + seed))
                 exact = {}
                 for e in stream:
                     s.feed(e)

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from dpsketch.countsketch import CountSketchState, L2Config, L2Estimator
+from dpsketch.countsketch import L2Config, L2Estimator
 from dpsketch.distinct import DistinctConfig, SubsampleParams, distinct_estimator
 from dpsketch.budget import copy_count
 from dpsketch.heavy_hitters import (
@@ -43,6 +43,8 @@ from dpsketch.randomness import (
     subsample_depth,
 )
 from dpsketch.summing import BinaryTreeMechanism, Clock, GroupingMechanism, tree_levels
+
+from standalone import bank_on_clock, standalone_sketch
 
 HORIZONS = [1, 2, 1024, 1 << 17]
 NOISE = [False, True]
@@ -107,7 +109,7 @@ class TestHeavyHitterFloor:
         for eps_unit, eta in itertools.product([0.5, 8.0, 64.0, 512.0, 4096.0], [0.1, 0.25]):
             cfg = MomentConfig(p=2.0, epsilon=1.0, eta=eta, xi=0.1, T=T, n=16, copies=1)
             ctx = NoiseContext(7, noise_off=noise_off)
-            state = MomentState(cfg, ctx, eps_unit, BinaryTreeMechanism.bank(T, ctx))
+            state = MomentState(cfg, ctx, eps_unit, bank_on_clock(T, ctx))
             # the formula MomentState evaluated in place, then capped
             tree_scale = _levels(T) / (eps_unit / 4)
             gamma2 = 0.0 if noise_off else GAMMA2_FACTOR * tree_scale
@@ -166,7 +168,7 @@ class TestLevelRouter:
         ctx = NoiseContext(4)
         cfg = DistinctConfig(epsilon=1.0, eta=0.45, xi=0.1, n=1 << 15, T=1 << 10, copies=2)
         est = distinct_estimator(cfg, ctx)
-        bank = BinaryTreeMechanism.bank(1 << 10, ctx)
+        bank = bank_on_clock(1 << 10, ctx)
         block = low_freq_block(1 << 15, 3, 1 << 10, 0.25, 1.0, 0.05, ctx.child("lf"), bank)
         routes = [(copy.params, ctx.child("distinct-copy", c), copy._route, "subsample")
                   for c, copy in enumerate(est.copies)]
@@ -216,7 +218,7 @@ class TestSummingGuarantee:
     def test_countsketch_bound_within_one_ulp(self, noise_off):
         for k, T, eps, xi in itertools.product([1, 8, 512], [1, 64, 1 << 17],
                                                [0.01, 1.0], [1e-6, 0.1, 0.9]):
-            sketch = CountSketchState(k, T, eps, NoiseContext(2, noise_off=noise_off))
+            sketch = standalone_sketch(k, T, eps, NoiseContext(2, noise_off=noise_off))
             levels = _levels(T)
             expected = 0.0 if noise_off else (
                 levels * (levels / eps) * math.log(2 * T * k / xi)

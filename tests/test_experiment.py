@@ -283,6 +283,12 @@ class TestSpecErrors:
             ({"grid": {"mechanism": ["TREE"]}}, "mechanism='TREE'"),
             ({"mechanism": "f2", "grid": {"buckets": [1.5]}}, "buckets=1.5"),
             ({"mechanism": "moment", "grid": {"p": ["2"]}}, "p='2'"),
+            # the generator's stream shape, once run at int(T): T = 16.9 ran T = 16
+            ({"grid": {"epsilon": [64.0]}, "generator": {"kind": "uniform", "n": 4, "T": 16.9}},
+             "T=16.9"),
+            ({"generator": {"kind": "uniform", "n": 4, "T": "16"}}, "T='16'"),
+            ({"generator": {"kind": "uniform", "n": 4.0}}, "n=4.0"),
+            ({"generator": {"kind": "uniform", "n": True}}, "n=True"),
         ],
         ids=["unknown-key", "missing-grid", "missing-generator", "grid-value-not-a-list",
              "grid-value-empty", "generator-without-kind", "unknown-generator-key", "misspelt-s",
@@ -290,7 +296,9 @@ class TestSpecErrors:
              "old-alias-sum-tree", "old-alias-sum-group", "old-alias-distinct-small",
              "choice-not-a-choice", "float-flag-string", "float-flag-bool", "float-flag-null",
              "int-T-float", "int-T-fraction", "int-T-string", "int-n-float",
-             "choice-wrong-case", "int-flag-fraction", "float-flag-numeric-string"],
+             "choice-wrong-case", "int-flag-fraction", "float-flag-numeric-string",
+             "generator-T-fraction", "generator-T-string", "generator-n-float",
+             "generator-n-bool"],
     )
     def test_unknown_or_missing_spec_key(self, over, named, tmp_path, capsys):
         code, out = self.run(tmp_path, capsys, **over)

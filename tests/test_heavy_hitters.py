@@ -22,6 +22,8 @@ from dpsketch.streams import (
     generate_stream,
 )
 
+from standalone import bank_on_clock
+
 
 def hh_config(**over):
     base = dict(p=2.0, k=4, eta=0.2, epsilon=1.0, xi=0.1, T=256, n=1 << 16, copies=1)
@@ -275,7 +277,7 @@ class TestLevelRole:
                 for T in (64, 4096, 10**7):
                     cfg = MomentConfig(p=p, epsilon=1.0, eta=eta, xi=0.1, T=T, n=T, copies=1)
                     ctx = NoiseContext(1)
-                    state = MomentState(cfg, ctx, 0.25, BinaryTreeMechanism.bank(T, ctx))
+                    state = MomentState(cfg, ctx, 0.25, bank_on_clock(T, ctx))
                     assert all(level.report_cap > T for level in state.hh)
 
 
@@ -299,7 +301,10 @@ class TestSubstreamKeys:
                 if ref is None:
                     key = level._key + ("sub", idx)
                     ref = refs[i][idx] = CountSketchState(
-                        INNER_BUCKETS, T, level.epsilon_tree, level._ctx, key=key, clock=clock
+                        INNER_BUCKETS,
+                        level.epsilon_tree,
+                        BinaryTreeMechanism.bank(T, level._ctx, clock),
+                        CountSketchState.key_folds(level._ctx, key),
                     )
                     seeds = [level._ctx.child_seed("cs", *key, part) for part in ("h", "g")]
                     assert ref.h.coefficients == PolyHashFamily(4, INNER_BUCKETS, seeds[0]).coefficients
@@ -319,11 +324,11 @@ class TestSubstreamKeys:
         T, n = 256, 64
         cfg = MomentConfig(p=2.0, epsilon=64.0, eta=0.25, xi=0.1, T=T, n=n, copies=1, tau=4.0)
         ctx = NoiseContext(3).child("moment-copy", 0)
-        bank = BinaryTreeMechanism.bank(T, ctx)
+        bank = bank_on_clock(T, ctx)
         state = MomentState(cfg, ctx, 16.0, bank)
 
         def advance(e):
-            bank.tick()
+            bank.clock.tick()
             state.ingest(e)
 
         def receivers(e):

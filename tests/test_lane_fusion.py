@@ -28,7 +28,6 @@ from dpsketch.heavy_hitters import HHConfig, HHSketch, hh_estimator
 from dpsketch.low_freq import (
     LowFreqConfig,
     LowFreqGeneral,
-    LowFreqSmall,
     SubsampleLowFreqParams,
     _median_vectors,
     low_freq_block,
@@ -40,11 +39,13 @@ from dpsketch.streamio import write_stream_file
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
 from dpsketch.summing import BinaryTreeMechanism, Clock, StateError
 
+from standalone import bank_on_clock, standalone_lowfreq, standalone_sketch
+
 
 def _reference_copies(est, cfg, seed):
     eps = cfg.epsilon / (2 * len(est.copies))
     return [
-        CountSketchState(s.k, cfg.T, eps, NoiseContext(seed).child("l2-copy", c), key=(c,))
+        standalone_sketch(s.k, cfg.T, eps, NoiseContext(seed).child("l2-copy", c), key=(c,))
         for c, s in enumerate(est.copies)
     ]
 
@@ -113,6 +114,7 @@ class TestFusedL2:
 class TestMemo:
     def bank(self, clock=None):
         lanes = [(11, ("tree", "m", 0), range(4)), (12, ("tree", "m", 1), range(4))]
+        clock = Clock(16) if clock is None else clock
         bank = BinaryTreeMechanism.bank(16, NoiseContext(3), clock)
         for seed, key, ids in lanes:
             bank.join(fold_key(seed, key), ids, 1.0)
@@ -127,7 +129,7 @@ class TestMemo:
 
     def test_full_read_is_memoised_and_read_only(self):
         bank = self.bank()
-        bank.tick()
+        bank.clock.tick()
         bank.add(2.0, 5)
         first = bank.current()
         assert bank.current() is first
@@ -143,16 +145,16 @@ class TestMemo:
             assert bank.current().tolist() == want
             assert [bank.lane_current(j) for j in range(8)] == want
 
-        bank.tick()
+        bank.clock.tick()
         for s in singles:
-            s.tick()
+            s.feed(0.0)
         agree()
         bank.add(3.0, 6)  # an add at the memo's timestamp
         singles[6].add(3.0)
         agree()
-        bank.tick()  # a tick with no add
+        bank.clock.tick()  # a tick with no add
         for s in singles:
-            s.tick()
+            s.feed(0.0)
         agree()
         bank.restore(9, np.arange(8.0))  # a restore
         for j, s in enumerate(singles):
@@ -202,7 +204,8 @@ class TestLaneReadMemory:
             before, _ = tracemalloc.get_traced_memory()
             sketches = []
             for i in range(count):
-                sketch = CountSketchState(k, T, 0.5, ctx, key=("sub", i), clock=clock)
+                bank = BinaryTreeMechanism.bank(T, ctx, clock)
+                sketch = CountSketchState(k, 0.5, bank, CountSketchState.key_folds(ctx, ("sub", i)))
                 sketch.observe(element(i))
                 sketch.point_query(i)
                 sketches.append(sketch)
@@ -296,7 +299,7 @@ class TestFusedHeads:
         est = moment_estimator(cfg, NoiseContext(seed))
         unit = cfg.epsilon / (4 * copies)
         owners = [NoiseContext(seed).child("moment-copy", c) for c in range(copies)]
-        banks = [BinaryTreeMechanism.bank(T, owner) for owner in owners]
+        banks = [bank_on_clock(T, owner) for owner in owners]
         refs = [MomentState(cfg, owner, unit, bank) for owner, bank in zip(owners, banks)]
         assert len({state.shape.k for state in est.copies}) == copies
         assert [state.shape.k for state in est.copies] == [r.shape.k for r in refs]
@@ -305,7 +308,7 @@ class TestFusedHeads:
         for e in stream:
             est.ingest(e)
             for ref, bank in zip(refs, banks):
-                bank.tick()
+                bank.clock.tick()
                 ref.ingest(e)
             for state, ref in zip(est.copies, refs):
                 assert _bits(state.low_freq.current()) == _bits(ref.low_freq.current())
@@ -321,13 +324,13 @@ class TestFusedHeads:
         # clock.
         n, k, T, seed, epsilon = 1 << 15, 3, 300, 9, 8.0
         if copies is None:
-            bank = BinaryTreeMechanism.bank(T, NoiseContext(seed))
+            bank = bank_on_clock(T, NoiseContext(seed))
             blocks = [low_freq_block(n, k, T, 0.25, epsilon, 0.05, NoiseContext(seed), bank)]
             owners = [NoiseContext(seed)]
             eps_counter = epsilon / 3 / (8 * k)
 
             def feed(e):
-                bank.tick()
+                bank.clock.tick()
                 blocks[0].ingest(e)
         else:
             cfg = LowFreqConfig(epsilon=epsilon, eta=0.25, xi=0.1, k=k, n=n, T=T, copies=copies)
@@ -339,7 +342,7 @@ class TestFusedHeads:
         assert all(isinstance(block, LowFreqGeneral) for block in blocks)
         assert len({id(level.counters) for block in blocks for level in block.levels}) == 1
         refs = [
-            [LowFreqSmall(block.params.m, k, T, eps_counter, owner.child("level", i))
+            [standalone_lowfreq(block.params.m, k, T, eps_counter, owner.child("level", i))
              for i in range(1, block.params.L + 1)]
             for block, owner in zip(blocks, owners)
         ]
@@ -381,14 +384,14 @@ class TestFusedHeads:
         draws_per_tick = {}
         for count in (1, 2, 4):
             ctx = NoiseContext(5)
-            bank = BinaryTreeMechanism.bank(T, ctx)
+            bank = bank_on_clock(T, ctx)
             blocks = [
-                LowFreqGeneral(params, k, T, 1.0, ctx.child("block", b), Distinct(), bank)
+                LowFreqGeneral(params, k, 1.0, ctx.child("block", b), Distinct(), bank)
                 for b in range(count)
             ]
             draws, selected = [], set()
             for e in stream:
-                bank.tick()
+                bank.clock.tick()
                 for block in blocks:
                     block.ingest(e)
                 widths.clear()
@@ -420,8 +423,8 @@ class TestFusedHeads:
         est = lowfreq_estimator(cfg, NoiseContext(seed))
         assert len({id(block.counters) for block in est.copies}) == 1
         refs = [
-            LowFreqSmall(n, k, T, cfg.epsilon / copies / (8 * k),
-                         NoiseContext(seed).child("lowfreq-copy", c))
+            standalone_lowfreq(n, k, T, cfg.epsilon / copies / (8 * k),
+                               NoiseContext(seed).child("lowfreq-copy", c))
             for c in range(copies)
         ]
         for e in generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.2):

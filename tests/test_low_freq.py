@@ -4,7 +4,6 @@ from dpsketch.budget import copy_count
 from dpsketch.low_freq import (
     LowFreqConfig,
     LowFreqGeneral,
-    LowFreqSmall,
     SubsampleLowFreqParams,
     low_freq_block,
     lowfreq_estimator,
@@ -13,7 +12,6 @@ from dpsketch.low_freq import (
 from dpsketch.sensitivity import _counter_mapping
 from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.randomness import NoiseContext
-from dpsketch.summing import BinaryTreeMechanism
 from dpsketch.streams import (
     EMPTY_EVENT,
     StreamConfig,
@@ -22,8 +20,10 @@ from dpsketch.streams import (
     generate_stream,
 )
 
+from standalone import bank_on_clock, standalone_lowfreq
+
 def lfs(m, k, T, seed=0, noise_off=True, epsilon=1.0):
-    return LowFreqSmall(m, k, T, epsilon, NoiseContext(seed, noise_off=noise_off))
+    return standalone_lowfreq(m, k, T, epsilon, NoiseContext(seed, noise_off=noise_off))
 
 
 def exact_freq_counts(stream, k):
@@ -79,7 +79,7 @@ class TestLowFreqSmall:
         trials, ok = 40, 0
         for seed in range(trials):
             stream = generate_stream("uniform", StreamConfig(T=T, n=n), seed=seed)
-            d = LowFreqSmall(n, k, T, eps / (8 * k), NoiseContext(3000 + seed))
+            d = standalone_lowfreq(n, k, T, eps / (8 * k), NoiseContext(3000 + seed))
             bound = d.counters.error_bound(0.1 / k)
             good = True
             for t, e in enumerate(stream, start=1):
@@ -94,7 +94,7 @@ class TestLowFreqSmall:
 
     def test_negative_estimates_are_reported(self):
         # no clamping: with noise the counters can dip below zero
-        d = LowFreqSmall(8, 2, 64, 0.01, NoiseContext(12))
+        d = standalone_lowfreq(8, 2, 64, 0.01, NoiseContext(12))
         saw_negative = False
         for x in range(64):
             d.ingest(element(x % 8))
@@ -131,13 +131,13 @@ class TestLowFreqGeneral:
         )
         ctx = NoiseContext(seed, noise_off=True)
         # the L level blocks are windows of a bank at epsilon 1, ticked here
-        bank = BinaryTreeMechanism.bank(T, ctx)
-        return LowFreqGeneral(params, k, T, 1.0, ctx, _ExactDistinct(), bank), bank
+        bank = bank_on_clock(T, ctx)
+        return LowFreqGeneral(params, k, 1.0, ctx, _ExactDistinct(), bank), bank
 
     def test_zero_output_below_floor(self):
         gen, bank = self._build(k=2, T=16, floor=100.0)
         for x in range(10):
-            bank.tick()
+            bank.clock.tick()
             gen.ingest(element(x))
             assert gen.current() == [0.0, 0.0]
 
@@ -145,7 +145,7 @@ class TestLowFreqGeneral:
         gen, bank = self._build(k=2, T=64, floor=2.0, seed=11)
         out = None
         for x in range(64):
-            bank.tick()
+            bank.clock.tick()
             gen.ingest(element(x))
             out = gen.current()
         d = gen.d_hat.current()
@@ -156,12 +156,12 @@ class TestLowFreqGeneral:
     def test_ingest_leaves_the_distinct_estimate_uncombined(self):
         # ingest advances the distinct estimate's copies; only current()
         # takes their median
-        bank = BinaryTreeMechanism.bank(64, NoiseContext(4))
+        bank = bank_on_clock(64, NoiseContext(4))
         gen = low_freq_block(1 << 15, 2, 64, 0.25, 1.0, 0.1, NoiseContext(4), bank)
         combine, calls = gen.d_hat.combiner, []
         gen.d_hat.combiner = lambda values: calls.append(values) or combine(values)
         for x in range(16):
-            bank.tick()
+            bank.clock.tick()
             gen.ingest(element(x))
         assert calls == []
         gen.current()
@@ -172,9 +172,9 @@ class TestLowFreqGeneral:
         gen, bank = self._build(k=2, T=64, floor=1.0, seed=3)
         out = None
         for x in range(32):
-            bank.tick()
+            bank.clock.tick()
             gen.ingest(element(x))
-            bank.tick()
+            bank.clock.tick()
             gen.ingest(element(x))
             out = gen.current()
         assert out[0] == 0.0 or out[0] < out[1] or out[1] >= 0.0

@@ -26,7 +26,6 @@ from dpsketch.moment import (
     moment_estimator,
 )
 from dpsketch.randomness import NoiseContext
-from dpsketch.summing import BinaryTreeMechanism
 from dpsketch.streams import (
     EMPTY_EVENT,
     StreamConfig,
@@ -36,11 +35,13 @@ from dpsketch.streams import (
     generate_stream,
 )
 
+from standalone import bank_on_clock
+
 
 def own_copy(cfg, ctx, unit):
-    """A moment copy on a bank and clock of its own, and that bank, which the
-    caller ticks before each ingest as moment_estimator ticks its clock."""
-    bank = BinaryTreeMechanism.bank(cfg.T, ctx)
+    """A moment copy on a bank and clock of its own, and that bank, whose clock
+    the caller ticks before each ingest as moment_estimator ticks its clock."""
+    bank = bank_on_clock(cfg.T, ctx)
     return MomentState(cfg, ctx, unit, bank), bank
 
 
@@ -199,7 +200,7 @@ class TestContributing:
 class TestMomentState:
     def test_empty_stream_zero(self):
         state, bank = own_copy(moment_cfg(), NoiseContext(0, noise_off=True), 1.0)
-        bank.tick()
+        bank.clock.tick()
         state.ingest(EMPTY_EVENT)
         assert state.current() == 0.0
 
@@ -209,7 +210,7 @@ class TestMomentState:
         stream = generate_stream("zipf", StreamConfig(T=256, n=32), seed=6, s=1.2)
         out = 0.0
         for e in stream:
-            bank.tick()
+            bank.clock.tick()
             state.ingest(e)
             out = state.current()
         exact = float(exact_frequencies(stream).total_nonempty)
@@ -221,7 +222,7 @@ class TestMomentState:
         stream = generate_stream("zipf", StreamConfig(T=256, n=64), seed=8, s=1.4)
         out = 0.0
         for e in stream:
-            bank.tick()
+            bank.clock.tick()
             state.ingest(e)
             out = state.current()
         exact = exact_lp_moment(exact_frequencies(stream), 2.0)
@@ -233,7 +234,7 @@ class TestMomentState:
         state, bank = own_copy(cfg, NoiseContext(3, noise_off=True), 1.0)
         stream = generate_stream("zipf", StreamConfig(T=512, n=64), seed=9, s=1.3)
         for e in stream:
-            bank.tick()
+            bank.clock.tick()
             state.ingest(e)
         table = exact_frequencies(stream)
         shape = state.shape
@@ -254,7 +255,7 @@ class TestMomentState:
         state, bank = own_copy(cfg, NoiseContext(4), 0.25)
         stream = generate_stream("uniform", StreamConfig(T=128, n=32), seed=1)
         for e in stream:
-            bank.tick()
+            bank.clock.tick()
             state.ingest(e)
             out = state.current()
             assert out >= 0.0
@@ -297,7 +298,7 @@ class TestCurrentMatchesReferenceLoop:
         state, bank = own_copy(cfg, NoiseContext(3), 16.0)
         reported = negative = 0
         for e in generate_stream("zipf", StreamConfig(T=512, n=16), seed=4, s=1.2):
-            bank.tick()
+            bank.clock.tick()
             state.ingest(e)
             assert state.current() == _reference_current(state)
             reported += bool(state.hh[0].candidates)
@@ -330,7 +331,7 @@ class TestPerTickWork:
         per_tick, held = [], []
         for e in generate_stream("zipf", StreamConfig(T=T, n=n), seed=1, s=1.2):
             before = work[0]
-            bank.tick()
+            bank.clock.tick()
             state.ingest(e)
             state.current()
             per_tick.append(work[0] - before)
@@ -471,13 +472,13 @@ class TestSharedClock:
         ]
         deep = 0
         for e in generate_stream("zipf", StreamConfig(T=512, n=16), seed=4, s=1.2):
-            bank.tick()
+            bank.clock.tick()
             state.ingest(e)
             level = state._level(e.value) if e.is_element() else None
             for i, sketch in enumerate(twin.hh):
                 clocks[i].tick()
                 sketch.ingest(e if i == 0 or i == level else EMPTY_EVENT)
-            twin_bank.tick()  # the head's clock
+            twin_bank.clock.tick()  # the head's clock
             twin.low_freq.ingest(e)
             assert [(s.candidates, s.report()) for s in state.hh] == [
                 (s.candidates, s.report()) for s in twin.hh
@@ -487,4 +488,4 @@ class TestSharedClock:
         assert deep > 100
         assert [s.t for s in state.hh] == [512] * len(state.hh)
         with pytest.raises(StateError):
-            bank.tick()
+            bank.clock.tick()

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpsketch import randomness
-from dpsketch.countsketch import CountSketchState
 from dpsketch.randomness import (
     MERSENNE_PRIME,
     GeometricLevelHash,
@@ -20,6 +19,8 @@ from dpsketch.randomness import (
     median_boost,
     node_laplace,
 )
+
+from standalone import standalone_sketch
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -295,5 +296,5 @@ class TestKeyedDerivation:
         assert 0 <= PolyHashFamily(4, 10, 3)(12345) < 10
         assert SignHash(8)(1) in (-1, 1)
         GeometricLevelHash(8, 6, 9).level(4)
-        sketch = CountSketchState(8, 64, 1.0, ctx, key=("hh", 0, "sub", 5))
+        sketch = standalone_sketch(8, 64, 1.0, ctx, key=("hh", 0, "sub", 5))
         sketch.point_query(3)

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from dpsketch.countsketch import CountSketchState
-from dpsketch.low_freq import LowFreqSmall
 from dpsketch.randomness import NoiseContext, fold_key, fold_lanes, node_laplace
 from dpsketch.randomness import _NODE_A, _NODE_B
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
 from dpsketch.summing import BinaryTreeMechanism, Clock, StateError
+
+from standalone import bank_on_clock, standalone_lowfreq, standalone_sketch
 
 
 def _dyadic_nodes(t):
@@ -131,8 +132,8 @@ class TestClock:
     def test_nodes_follow_a_restored_timestamp(self):
         T, k, eps = 512, 16, 0.5
         stream = generate_stream("zipf", StreamConfig(T=T, n=64), seed=6, s=1.2)
-        live = CountSketchState(k, T, eps, NoiseContext(6), key=(1,))
-        restored = CountSketchState(k, T, eps, NoiseContext(6), key=(1,))
+        live = standalone_sketch(k, T, eps, NoiseContext(6), key=(1,))
+        restored = standalone_sketch(k, T, eps, NoiseContext(6), key=(1,))
         for t, e in enumerate(stream, start=1):
             live.feed(e)
             if t <= 5:
@@ -160,13 +161,13 @@ class TestTreeMechanism:
 
     def test_bank_lanes_equal_single_counters(self):
         T, lanes = 100, [3, 9, 27]
-        bank = BinaryTreeMechanism.bank(T, NoiseContext(8))
+        bank = bank_on_clock(T, NoiseContext(8))
         bank.join(fold_key(8, ("tree", "b")), lanes, 1.0)
         singles = [
             BinaryTreeMechanism(T, 1.0, NoiseContext(8), key=("b", lane)) for lane in lanes
         ]
         for t in range(1, T + 1):
-            bank.tick()
+            bank.clock.tick()
             for j, single in enumerate(singles):
                 bank.add(j - 1, j)
                 single.feed(j - 1)
@@ -186,7 +187,7 @@ class TestJoinedGroups:
         T = 200
         spec = [(5, ("tree", "a"), [1, 2, 3], 0.5), (6, ("tree", "b"), [4], 2.0),
                 (7, ("tree", "a"), [1, 2], 0.125)]
-        bank = BinaryTreeMechanism.bank(T, NoiseContext(1))
+        bank = bank_on_clock(T, NoiseContext(1))
         singles, los = [], []
         for seed, key, ids, eps in spec[:2]:
             los.append(bank.join(fold_key(seed, key), ids, eps))
@@ -200,11 +201,10 @@ class TestJoinedGroups:
                 for i in ids:  # counters that start at 0 now
                     singles.append(BinaryTreeMechanism(T, eps, NoiseContext(seed), key=(key[1], i)))
                     singles[-1].restore(t - 1, [0.0])
-            bank.tick()
+            bank.clock.tick()
             for j, single in enumerate(singles):
-                single.tick()
                 bank.add(j % 3 - 1, j)
-                single.add(j % 3 - 1)
+                single.feed(j % 3 - 1)
             want = [single.current() for single in singles]
             if t % 2:
                 assert np.array_equal(_bits(bank.current()), _bits(want))
@@ -216,16 +216,32 @@ class TestJoinedGroups:
 
     def test_credit_before_the_first_tick_is_refused(self):
         # no dyadic node covers [1, 0], so a credit there would read exact
-        bank = BinaryTreeMechanism.bank(8, NoiseContext(1))
+        bank = bank_on_clock(8, NoiseContext(1))
         bank.join(fold_key(1, ("tree",)), [0, 1], 1.0)
         with pytest.raises(StateError):
             bank.add(1.0, 0)
-        bank.tick()
+        bank.clock.tick()
         bank.add(1.0, 0)
         assert bank.running.tolist() == [1.0, 0.0]
 
+    def test_a_bank_is_advanced_by_its_clock_alone(self):
+        # a bank is built on a given clock, which its builder ticks: the bank
+        # has no tick of its own, and feed, the single counter's tick, refuses
+        with pytest.raises(TypeError):
+            BinaryTreeMechanism.bank(8, NoiseContext(1))
+        clock = Clock(8)
+        bank = BinaryTreeMechanism.bank(8, NoiseContext(1), clock)
+        bank.join(fold_key(1, ("tree",)), [0, 1], 1.0)
+        assert not hasattr(bank, "tick")
+        for _ in range(2):
+            with pytest.raises(StateError):
+                bank.feed(1.0)
+            clock.tick()
+        assert bank.t == clock.t == 2
+        assert bank.running.tolist() == [0.0, 0.0]
+
     def test_join_needs_a_positive_epsilon(self):
-        bank = BinaryTreeMechanism.bank(8, NoiseContext(1))
+        bank = bank_on_clock(8, NoiseContext(1))
         for eps in (None, 0.0, -1.0):
             with pytest.raises(ValueError):
                 bank.join(fold_key(1, ("tree",)), [0], eps)
@@ -236,7 +252,7 @@ class TestLowFreqSmall:
     def test_equals_reference_at_every_t(self, seed):
         n, k, T, eps = 16, 5, 300, 0.25
         stream = generate_stream("zipf", StreamConfig(T=T, n=n), seed=seed, s=1.1)
-        d = LowFreqSmall(n, k, T, eps, NoiseContext(seed))
+        d = standalone_lowfreq(n, k, T, eps, NoiseContext(seed))
         refs = [ReferenceNoise(seed, ("tree", "lfs", i), T, eps) for i in range(1, k + 1)]
         freq = {}
         counts = [0.0] * k
@@ -260,7 +276,7 @@ class TestCountSketch:
     def test_outputs_match_reference_and_point_reads(self, seed):
         k, T, eps = 24, 200, 0.3
         stream = generate_stream("zipf", StreamConfig(T=T, n=64), seed=seed, s=1.2)
-        s = CountSketchState(k, T, eps, NoiseContext(seed), key=(2,))
+        s = standalone_sketch(k, T, eps, NoiseContext(seed), key=(2,))
         refs = [ReferenceNoise(seed, ("cs", 2, "bucket", i), T, eps) for i in range(k)]
         counts = [0] * k
         for t, e in enumerate(stream, start=1):
@@ -288,7 +304,11 @@ class TestCountSketch:
         clock = Clock(T)
         ctx = NoiseContext(21)
         sketches = [
-            CountSketchState(k, T, 1.0, ctx, key=("sub", i), clock=clock) for i in range(3)
+            CountSketchState(
+                k, 1.0, BinaryTreeMechanism.bank(T, ctx, clock),
+                CountSketchState.key_folds(ctx, ("sub", i)),
+            )
+            for i in range(3)
         ]
         refs = [
             [ReferenceNoise(21, ("cs", "sub", i, "bucket", b), T, 1.0) for b in range(k)]
@@ -310,7 +330,7 @@ class TestCountSketch:
     def test_noise_memory_stays_bounded_in_t(self):
         # the earlier per-node cache grew by about k entries per tick
         k, T = 2000, 512
-        s = CountSketchState(k, T, 1.0, NoiseContext(4))
+        s = standalone_sketch(k, T, 1.0, NoiseContext(4))
         gc.collect()
         tracemalloc.start()
         try:
