@@ -261,16 +261,18 @@ class MomentState:
 
     def current(self) -> float:
         floor = self.shape.qualify_floor
-        # interval populations from the levels' reports, counted per slot q - q1
-        z_hat = [0.0] * len(self._interval_weights)
-        for i, sketch in enumerate(self.hh):
-            for slot, cnt in sketch.report().items():
-                if i == 0 or cnt >= floor:
-                    z_hat[slot] = max(z_hat[slot], cnt * 2.0**i)
         total = 0.0
-        for z, w in zip(z_hat, self._interval_weights):
-            if z:
-                total += z * w
+        reports = [sketch.report() for sketch in self.hh]
+        if any(reports):  # most ticks no level reports, and every z would be 0
+            # interval populations from the levels' reports, counted per slot q - q1
+            z_hat = [0.0] * len(self._interval_weights)
+            for i, report in enumerate(reports):
+                for slot, cnt in report.items():
+                    if i == 0 or cnt >= floor:
+                        z_hat[slot] = max(z_hat[slot], cnt * 2.0**i)
+            for z, w in zip(z_hat, self._interval_weights):
+                if z:
+                    total += z * w
         # the clamped head max(0, s) * w, left to right after the intervals
         for s_hat, w in zip(self.low_freq.current(), self._low_freq_weights):
             if s_hat > 0:

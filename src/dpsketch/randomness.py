@@ -98,7 +98,7 @@ def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
 # node_laplace and NoiseContext.laplace, map their words this way.
 
 
-def node_laplace(base, a: int, b: int, scale: float):
+def node_laplace(base, a, b, scale: float):
     """Laplace draw keyed by (a, b) under a pre-folded base; one mix round.
 
     The linear combination is injective over the node-index ranges in use and
@@ -106,10 +106,15 @@ def node_laplace(base, a: int, b: int, scale: float):
     effectively independent uniforms.  ``base`` may be a uint64 array of
     bases, and ``scale`` a float or one scale per base: one draw per entry
     comes back, each bit-identical to the scalar draw under that base and
-    scale.
+    scale.  With array bases, ``a`` and ``b`` may be equal-length uint64
+    arrays, a block of (a, b) pairs: row i is then the draw of pair i for
+    every base.
     """
-    offset = (a * _NODE_A + b * _NODE_B) & _MASK64
     if isinstance(base, np.ndarray):
+        if isinstance(a, np.ndarray):  # uint64 arithmetic wraps modulo 2^64
+            offset = (a * np.uint64(_NODE_A) + b * np.uint64(_NODE_B))[:, None]
+        else:
+            offset = np.uint64((a * _NODE_A + b * _NODE_B) & _MASK64)
         # the scalar draw below, one numpy pass per step.  With m the top 53
         # bits (0 taken as 1), d = m - 2^52 is 2^53 q and -|d| 2^-52 is
         # exactly -2|q|, so the log is the scalar's.  The scalar multiplies
@@ -118,7 +123,7 @@ def node_laplace(base, a: int, b: int, scale: float):
         # only the magnitude, so no negated copy of a scale array is made).
         # Steps run in place: a bank of some 25,000 lanes page-faulted on
         # each of a dozen fresh temporaries of its width.
-        m = _mix64_array(base ^ np.uint64(offset))
+        m = _mix64_array(base ^ offset)
         m >>= _U11
         np.maximum(m, np.uint64(1), out=m)
         d = m.view(np.int64)
@@ -131,7 +136,7 @@ def node_laplace(base, a: int, b: int, scale: float):
     # stale node.  The log comes from np.log1p, as in the array form, which
     # runs one kernel for 0-d and 1-d input, so the two agree bit for bit;
     # math.log1p may differ from it in the last bit.
-    z = base ^ offset
+    z = base ^ ((a * _NODE_A + b * _NODE_B) & _MASK64)
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     q = (((z ^ (z >> 31)) >> 11) or 1) * 2.0**-53 - 0.5

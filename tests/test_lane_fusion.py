@@ -92,11 +92,14 @@ class TestFusedL2:
 
     def test_one_array_draw_per_tick(self, monkeypatch):
         # one new dyadic node per tick: the fused bank draws it once for
-        # every copy, where per-copy banks drew it once per copy
-        calls = []
+        # every copy, where per-copy banks drew it once per copy.  Read every
+        # tick, the bank draws the new nodes of several ticks in one call, so
+        # a tick makes at most one call, each over every lane of the bank
+        widths, pairs, calls_per_tick = [], [], []
 
         def counting(base, a, b, scale):
-            calls.append(np.size(base))
+            widths.append(np.size(base))
+            pairs.extend(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
             return node_laplace(base, a, b, scale)
 
         node_laplace = summing.node_laplace
@@ -105,10 +108,17 @@ class TestFusedL2:
         cfg = L2Config(epsilon=1.0, eta=0.2, xi=0.1, n=64, T=T, copies=copies, buckets=k)
         est = L2Estimator(cfg, NoiseContext(2))
         for t in range(1, T + 1):
+            before = len(widths)
             est.feed(element(t % 5))
             est.f2()
             est.point_query(0)
-        assert calls == [k * copies] * T
+            calls_per_tick.append(len(widths) - before)
+        assert set(widths) == {k * copies}
+        assert max(calls_per_tick) == 1 and sum(calls_per_tick) < T
+        # each tick's new node, drawn exactly once over the run
+        new_nodes = [((t & -t).bit_length() - 1, (t >> ((t & -t).bit_length() - 1)) - 1)
+                     for t in range(1, T + 1)]
+        assert sorted(pairs) == sorted(new_nodes)
 
 
 class TestMemo:
@@ -358,9 +368,9 @@ class TestFusedHeads:
 
     def test_general_universe_blocks_share_one_draw_per_stale_level(self, monkeypatch):
         # noise on, the distinct estimate above the floor: with 1, 2 or 4
-        # blocks on one bank, a tick's reads make the same node draws, each
-        # over every lane of the bank, and each block releases its selected
-        # level's slice of the bank's full read, rescaled
+        # blocks on one bank, the reads draw the same nodes, each once over
+        # the run and over every lane of the bank, and each block releases
+        # its selected level's slice of the bank's full read, rescaled
         class Distinct:
             def __init__(self):
                 self.seen = set()
@@ -375,13 +385,14 @@ class TestFusedHeads:
         T, k, L, floor = 256, 3, 6, 2.0
         params = SubsampleLowFreqParams(L=L, lam=4, m=1 << 30, gamma1=0.0, selection_floor=floor)
         stream = list(generate_stream("uniform", StreamConfig(T=T, n=1 << 15), seed=5))
-        draw, widths = summing.node_laplace, []
+        draw, widths, pairs = summing.node_laplace, [], []
 
-        def counted(base, *args):
+        def counted(base, a, b, scale):
             widths.append(np.size(base))
-            return draw(base, *args)
+            pairs.extend(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
+            return draw(base, a, b, scale)
 
-        draws_per_tick = {}
+        drawn = {}
         for count in (1, 2, 4):
             ctx = NoiseContext(5)
             bank = bank_on_clock(T, ctx)
@@ -389,16 +400,16 @@ class TestFusedHeads:
                 LowFreqGeneral(params, k, 1.0, ctx.child("block", b), Distinct(), bank)
                 for b in range(count)
             ]
-            draws, selected = [], set()
+            selected = set()
+            widths.clear()
+            pairs.clear()
             for e in stream:
                 bank.clock.tick()
                 for block in blocks:
                     block.ingest(e)
-                widths.clear()
                 monkeypatch.setattr(summing, "node_laplace", counted)
                 got = [block.current() for block in blocks]
                 monkeypatch.setattr(summing, "node_laplace", draw)
-                draws.append(len(widths))
                 assert set(widths) <= {L * k * count}
                 d = blocks[0].d_hat.current()
                 deep = [i for i in range(1, L + 1) if 2**i * floor <= d]
@@ -412,10 +423,11 @@ class TestFusedHeads:
                         want = np.zeros(k)
                     assert _bits(out) == _bits(want)
             assert len(selected) >= 3
-            draws_per_tick[count] = draws
-        assert sum(draws_per_tick[1]) > 0
-        assert draws_per_tick[2] == draws_per_tick[1]
-        assert draws_per_tick[4] == draws_per_tick[1]
+            assert len(set(pairs)) == len(pairs)  # no node drawn twice
+            drawn[count] = set(pairs)
+        assert drawn[1]
+        assert drawn[2] == drawn[1]
+        assert drawn[4] == drawn[1]
 
     def test_lowfreq_estimator_copies(self):
         n, k, T, copies, seed = 64, 4, 256, 3, 12

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dpsketch import heavy_hitters, moment, randomness
+from dpsketch import heavy_hitters, moment, randomness, summing
+from dpsketch.heavy_hitters import INNER_BUCKETS
 from dpsketch.sensitivity import _routed_streams
 from dpsketch.low_freq import (
     LowFreqConfig,
@@ -26,6 +27,7 @@ from dpsketch.moment import (
     moment_estimator,
 )
 from dpsketch.randomness import NoiseContext
+from dpsketch.summing import BLOCK_LANES, tree_levels
 from dpsketch.streams import (
     EMPTY_EVENT,
     StreamConfig,
@@ -339,6 +341,33 @@ class TestPerTickWork:
         assert held[-1] >= 3 * held[W - 1]
         early, late = sum(per_tick[:W]) / W, sum(per_tick[-W:]) / W
         assert late <= 1.5 * early
+
+
+class TestHeadDraws:
+    def test_head_bank_read_every_tick_draws_blocks(self, monkeypatch):
+        # moment-tick's shape at T = 512: three copies' head counters are one
+        # bank, read every tick.  A one-row draw per tick makes T array draws
+        # over its lanes; blocks of B rows make at most ceil(T/B) + levels
+        T = 512
+        cfg = MomentConfig(p=2, epsilon=1.0, eta=0.25, xi=0.1, T=T, n=1024, copies=3)
+        est = moment_estimator(cfg, NoiseContext(7))
+        head = est.copies[0].low_freq.counters
+        assert all(copy.low_freq.counters is head for copy in est.copies)
+        assert head.k > INNER_BUCKETS  # a substream bank's draws are not counted
+        rows_ahead = min(BLOCK_LANES // head.k, head.levels)
+        assert rows_ahead > 1
+        draws = [0]
+        draw = summing.node_laplace
+
+        def counted(base, *args):
+            draws[0] += np.size(base) == head.k
+            return draw(base, *args)
+
+        monkeypatch.setattr(summing, "node_laplace", counted)
+        for e in generate_stream("zipf", StreamConfig(T=T, n=1024), seed=1, s=1.2):
+            est.ingest(e)
+            est.current()
+        assert 0 < draws[0] <= math.ceil(T / rows_ahead) + tree_levels(T)
 
 
 class TestPerArrivalWork:

@@ -15,11 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dpsketch import summing
 from dpsketch.countsketch import CountSketchState
 from dpsketch.randomness import NoiseContext, fold_key, fold_lanes, node_laplace
 from dpsketch.randomness import _NODE_A, _NODE_B
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
-from dpsketch.summing import BinaryTreeMechanism, Clock, StateError
+from dpsketch.summing import BLOCK_LANES, BinaryTreeMechanism, Clock, StateError
 
 from standalone import bank_on_clock, standalone_lowfreq, standalone_sketch
 
@@ -345,3 +346,102 @@ class TestCountSketch:
         finally:
             tracemalloc.stop()
         assert end - mid < 1 << 20
+
+
+class TestBlocksAhead:
+    """A bank read at consecutive ticks draws its next ticks' new nodes in one
+    block.  Reads in every pattern must equal the per-node reference loop."""
+
+    @staticmethod
+    def new_node(t):
+        level = (t & -t).bit_length() - 1
+        return level, (t >> level) - 1
+
+    @pytest.mark.parametrize("lanes", [5, 96, 215, 2100])
+    @pytest.mark.parametrize("pattern", ["every", "alternate", "bursts"])
+    def test_reads_equal_reference_loop(self, lanes, pattern):
+        T, seed, eps = 96, lanes, 0.5
+        read = {
+            "every": lambda t: True,
+            "alternate": lambda t: t % 2 == 0,
+            "bursts": lambda t: t % 11 < 4 or t == T,
+        }[pattern]
+        key = ("tree", "blk", 0)
+        bank = bank_on_clock(T, NoiseContext(seed))
+        rows_ahead = min(BLOCK_LANES // lanes, bank.levels)
+        assert (rows_ahead > 1) == (lanes <= 1024)
+        bank.join(fold_key(seed, key), range(lanes), eps)
+        refs = [ReferenceNoise(seed, key + (i,), T, eps) for i in range(lanes)]
+        running = np.zeros(lanes)
+        rng = np.random.default_rng(seed)
+        t, reads, held, joined, restored = 0, 0, 0, False, False
+        while t < T:
+            t = bank.clock.tick()
+            if t == 30 and not joined:  # a group of 7 lanes joins mid-stream
+                joined, key = True, ("tree", "blk", 1)
+                assert bank.join(fold_key(seed, key), range(7), 2.0) == lanes
+                refs += [ReferenceNoise(seed, key + (i,), T, 2.0) for i in range(7)]
+                running = np.append(running, np.zeros(7))
+                assert bank._ahead is None
+            if t == 60 and not restored:  # a snapshot restore rewinds the clock
+                restored = True
+                running = rng.integers(-5, 6, size=bank.k).astype(float)
+                bank.restore(t - 9, running)
+                t -= 9
+            for j in rng.integers(0, bank.k, size=3).tolist():
+                x = float(rng.integers(-2, 3))
+                bank.add(x, j)
+                running[j] += x
+            if not read(t):
+                continue
+            reads += 1
+            ref = [r.tree_output(float(running[j]), t) for j, r in enumerate(refs)]
+            probe = rng.integers(0, bank.k, size=4).tolist()
+            if t % 3 == 0:  # lane reads before the full read, from lane records
+                got = [bank.lane_current(j) for j in probe]
+                assert np.array_equal(_bits(got), _bits([ref[j] for j in probe]))
+            assert np.array_equal(_bits(bank.current()), _bits(ref))
+            assert [bank.lane_current(j) for j in probe] == [ref[j] for j in probe]
+            ahead = bank._ahead
+            if ahead is not None:  # one block, of at most BLOCK_LANES draws
+                first, block = ahead
+                held += 1
+                assert block.shape == (len(block), bank.k) and 1 < len(block)
+                assert len(block) <= min(BLOCK_LANES // bank.k, bank.levels)
+                assert block.size <= BLOCK_LANES
+                for i, row in enumerate(block):  # row i: the new node of tick first + i
+                    level, index = self.new_node(first + i)
+                    want = [node_laplace(r.base, level, index, r.scale) for r in refs]
+                    assert np.array_equal(_bits(row), _bits(want))
+            if pattern == "alternate" or rows_ahead == 1:
+                assert ahead is None
+        assert t == T and read(T) and reads > 20
+        assert (held > 0) == (pattern != "alternate" and rows_ahead > 1)
+
+    @pytest.mark.parametrize("lanes, B", [(215, 9), (8, 10)])
+    def test_consecutive_reads_draw_blocks_of_the_next_ticks(self, monkeypatch, lanes, B):
+        # at T = 512 (10 levels), 215 lanes draw blocks of 2048 // 215 = 9
+        # rows, and 8 lanes blocks of 10, one row per level: one call per B
+        # ticks after the first
+        calls = []
+        draw = summing.node_laplace
+
+        def counted(base, a, b, scale):
+            calls.append(list(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist())))
+            return draw(base, a, b, scale)
+
+        monkeypatch.setattr(summing, "node_laplace", counted)
+        T = 512
+        bank = bank_on_clock(T, NoiseContext(1))
+        bank.join(fold_key(1, ("tree",)), range(lanes), 1.0)
+        for _ in range(T):
+            bank.clock.tick()
+            bank.current()
+            if bank._ahead is not None:  # never more rows than the bank's own
+                assert bank._ahead[1].size <= bank.levels * lanes
+        assert B == min(BLOCK_LANES // lanes, bank.levels)
+        # t = 1 is no block (no read at t = 0); t = 2 on draws ticks 2..10, ...
+        want = [[self.new_node(1)]] + [
+            [self.new_node(u) for u in range(s, min(s + B, T + 1))] for s in range(2, T + 1, B)
+        ]
+        assert calls == want
