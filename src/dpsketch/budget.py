@@ -91,12 +91,40 @@ def equal_shares(epsilon: float, xi: float, copies: int) -> MechanismBudget:
     return budget
 
 
-def check_accuracy(eta: float, epsilon: float, xi: float | None = None) -> None:
-    """The shared config checks: eta in (0, 0.5), xi in (0, 0.5) when given,
-    and epsilon > 0."""
-    if not 0 < eta < 0.5:
-        raise ValueError(f"eta must be in (0, 0.5), got {eta}")
-    if xi is not None and not 0 < xi < 0.5:
-        raise ValueError(f"xi must be in (0, 0.5), got {xi}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+def check_epsilon(epsilon: float | None) -> None:
+    """The one rule for a valid epsilon: finite and > 0."""
+    if epsilon is None or not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class BoostedConfig:
+    """The parameter block every boosted estimator shares: an epsilon-DP
+    release within (1 + eta) w.p. 1 - xi at each of T ticks over ids in
+    [0, n), from ``copies`` copies combined by a per-tick median.  A config's
+    default copy count is a union bound over ``EVENTS_PER_TICK`` failure
+    events per tick, and over each of the n elements too if ``PER_ELEMENT``."""
+
+    EVENTS_PER_TICK = 2
+    PER_ELEMENT = False
+
+    epsilon: float
+    eta: float
+    xi: float
+    n: int
+    T: int
+    copies: int | None = None  # None: see n_copies
+
+    def __post_init__(self) -> None:
+        if not 0 < self.eta < 0.5:
+            raise ValueError(f"eta must be in (0, 0.5), got {self.eta}")
+        if not 0 < self.xi < 0.5:
+            raise ValueError(f"xi must be in (0, 0.5), got {self.xi}")
+        check_epsilon(self.epsilon)
+        if self.n < 1 or self.T < 1:
+            raise ValueError(f"n and T must be >= 1, got n={self.n}, T={self.T}")
+
+    def n_copies(self) -> int:
+        """``copies``, or the median trick's default over this config's union bound."""
+        n = self.n if self.PER_ELEMENT else 1
+        return copy_count(self.copies, self.T, self.xi, n, self.EVENTS_PER_TICK)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import check_accuracy, copy_count, equal_shares
+from .budget import BoostedConfig, equal_shares
 from .randomness import NoiseContext, PolyHashFamily, SignHash, fold_key, fold_on, median_boost
 from .randomness import node_laplace  # noqa: F401  (traced by perfbench/run.py)
 from .streams import StreamEvent
@@ -38,7 +38,7 @@ class CountSketchState:
     output is its running sum plus the noise of the dyadic nodes tiling
     [1, t], each node carrying an independent Laplace draw of scale
     (ceil(log2 T)+1)/epsilon_bucket.  The owner of the bank's clock ticks it
-    and then calls ``observe``.  A sketch keyed ``key`` under ``ctx`` takes
+    and then calls ``ingest``.  A sketch keyed ``key`` under ``ctx`` takes
     ``folded = key_folds(ctx, key)``: bucket i is the lane keyed ("cs",) + key
     + ("bucket", i), and the hash seeds are the children ("cs",) + key + ("h",)
     and (..., "g") of ``ctx``.  An owner of many sketches whose keys share a
@@ -91,7 +91,7 @@ class CountSketchState:
             self._route_cache[ident] = hit
         return hit
 
-    def observe(self, e: StreamEvent) -> None:
+    def ingest(self, e: StreamEvent) -> None:
         """Ingest the current timestamp's event without advancing the clock."""
         if e.is_element():
             bucket, sign = self._route(e.value)
@@ -124,18 +124,10 @@ class CountSketchState:
         return self._bank.error_bound(xi / self.k, self._lo)
 
 
-@dataclass(frozen=True)
-class L2Config:
-    epsilon: float
-    eta: float
-    xi: float
-    n: int
-    T: int
-    copies: int | None = None  # None: ceil(50 (ln(2T/xi) + ln n))
+@dataclass(frozen=True, kw_only=True)
+class L2Config(BoostedConfig):
+    PER_ELEMENT = True  # a point query of every id at every tick
     buckets: int | None = None  # None: ceil(400 / eta^2)
-
-    def __post_init__(self) -> None:
-        check_accuracy(self.eta, self.epsilon, self.xi)
 
 
 def default_l2_buckets(eta: float) -> int:
@@ -153,7 +145,7 @@ class L2Estimator:
     def __init__(self, cfg: L2Config, ctx: NoiseContext) -> None:
         self.cfg = cfg
         self.ctx = ctx
-        copies = copy_count(cfg.copies, cfg.T, cfg.xi, cfg.n)
+        copies = cfg.n_copies()
         k = cfg.buckets if cfg.buckets is not None else default_l2_buckets(cfg.eta)
         eps_bucket = cfg.epsilon / (BUCKET_SENSITIVITY * copies)
         self._clock = Clock(cfg.T)
@@ -169,7 +161,7 @@ class L2Estimator:
     def feed(self, e: StreamEvent) -> None:
         self._clock.tick()
         for sketch in self.copies:
-            sketch.observe(e)
+            sketch.ingest(e)
 
     @property
     def t(self) -> int:

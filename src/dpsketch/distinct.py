@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .budget import MechanismBudget, check_accuracy, copy_count, equal_shares
+from .budget import BoostedConfig, MechanismBudget, equal_shares
 from .randomness import (
     HASH_RANGE_CAP,
     LevelRouter,
@@ -173,18 +173,12 @@ class BoostedEstimator:
         return self.combiner([c.current() for c in self.copies])
 
 
-@dataclass(frozen=True)
-class DistinctConfig:
-    epsilon: float
-    eta: float
-    xi: float
-    n: int
-    T: int
+@dataclass(frozen=True, kw_only=True)
+class DistinctConfig(BoostedConfig):
     variant: str = GROUP
-    copies: int | None = None  # None: ceil(50 ln(2T/xi)) per the boosting recipe
 
     def __post_init__(self) -> None:
-        check_accuracy(self.eta, self.epsilon, self.xi)
+        super().__post_init__()
         if self.variant not in (TREE, GROUP):
             raise ValueError(f"variant must be tree or group, got {self.variant!r}")
 
@@ -197,7 +191,7 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
     change flips at most 5 indicator entries.  Parameter evaluation order:
     copies -> xi share -> (alpha, gamma) -> m.
     """
-    copies = copy_count(cfg.copies, cfg.T, cfg.xi)
+    copies = cfg.n_copies()
     eps_copy = cfg.epsilon / copies
     eps_sum = eps_copy / INDICATOR_SENSITIVITY
     xi_inner = (cfg.xi / 2) / (subsample_depth(cfg.n, cfg.T) * copies)

@@ -20,7 +20,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from .budget import check_accuracy, copy_count, equal_shares
+from .budget import BoostedConfig, equal_shares
 from .distinct import BoostedEstimator
 from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily, fold_on
 from .streams import StreamEvent
@@ -41,8 +41,8 @@ INNER_BUCKETS = 8
 SUBSTREAM_SENSITIVITY = 2
 
 
-@dataclass(frozen=True)
-class HHConfig:
+@dataclass(frozen=True, kw_only=True)
+class HHConfig(BoostedConfig):
     """Heavy-hitter shape and error knobs.
 
     ``gamma2_factor`` scales the bucket noise scale into the additive error
@@ -53,14 +53,9 @@ class HHConfig:
     and the level counts all of its candidates.
     """
 
+    PER_ELEMENT = True  # every id's report at every tick
     p: float
     k: int
-    eta: float
-    epsilon: float
-    xi: float
-    T: int
-    n: int
-    copies: int | None = None  # None: ceil(50 (ln(2T/xi) + ln n))
     gamma2_factor: float = 0.1
     m_override: int | None = None
 
@@ -69,7 +64,7 @@ class HHConfig:
             raise ValueError(f"p must be >= 0, got {self.p}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        check_accuracy(self.eta, self.epsilon, self.xi)
+        super().__post_init__()
 
     @property
     def phi(self) -> float:
@@ -86,9 +81,6 @@ class HHConfig:
     @property
     def report_cap(self) -> int:
         return math.floor(((1 + self.eta) / (1 - self.eta)) ** self.p * self.k)
-
-    def n_copies(self) -> int:
-        return copy_count(self.copies, self.T, self.xi, self.n)
 
 
 def tree_epsilon(epsilon: float) -> float:
@@ -196,7 +188,7 @@ class HHSketch:
             arrived = e.value
             idx = self._route(arrived)
             sketch = self._substream(idx)
-            sketch.observe(e)
+            sketch.ingest(e)
         elif e.is_integer():
             raise ValueError("heavy-hitter detection requires an elements-mode stream")
         else:

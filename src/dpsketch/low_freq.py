@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import check_accuracy, copy_count, equal_shares
+from .budget import BoostedConfig, equal_shares
 from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
 from .randomness import (
     HASH_RANGE_CAP,
@@ -155,18 +155,13 @@ class LowFreqGeneral:
         return self.outputs().tolist()
 
 
-@dataclass(frozen=True)
-class LowFreqConfig:
-    epsilon: float
-    eta: float
-    xi: float
+@dataclass(frozen=True, kw_only=True)
+class LowFreqConfig(BoostedConfig):
+    EVENTS_PER_TICK = 3
     k: int
-    n: int
-    T: int
-    copies: int | None = None  # None: ceil(50 ln(3T/xi))
 
     def __post_init__(self) -> None:
-        check_accuracy(self.eta, self.epsilon, self.xi)
+        super().__post_init__()
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
@@ -219,7 +214,7 @@ def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator
     """Boosted per-frequency count estimator with budget ledger: one
     :func:`low_freq_block` per copy at epsilon/copies, all of their counters
     windows of one bank on the estimator's clock."""
-    copies = copy_count(cfg.copies, cfg.T, cfg.xi, c=3)
+    copies = cfg.n_copies()
     eps_copy = cfg.epsilon / copies
     xi_dhat = dhat_xi(cfg.xi, copies)
     clock = Clock(cfg.T)

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .budget import check_accuracy, copy_count, equal_shares
+from .budget import BoostedConfig, equal_shares
 from .heavy_hitters import HHConfig, HHSketch, noise_floor, tree_epsilon
 from .low_freq import dhat_xi, low_freq_block
 from .summing import BinaryTreeMechanism, Clock
@@ -60,31 +60,25 @@ def beta_sample(ctx: NoiseContext, eta: float, T: int) -> float:
     return min(max(beta, 0.5), 1.0)
 
 
-@dataclass(frozen=True)
-class MomentConfig:
+@dataclass(frozen=True, kw_only=True)
+class MomentConfig(BoostedConfig):
     """Parameter block of the level-set estimator.
 
     ``tau`` is the heavy-hitter recall threshold splitting low from high
     frequencies; None derives it from the heavy-hitter backend's candidacy
-    floor.  Either is capped at ``MAX_LOW_FREQ_K``.
+    floor; a given one must be > 0.  Either is capped at ``MAX_LOW_FREQ_K``.
     """
 
+    EVENTS_PER_TICK = 3  # as its low-frequency head's
     p: float
-    epsilon: float
-    eta: float
-    xi: float
-    T: int
-    n: int
-    copies: int | None = None  # None: ceil(50 ln(3T/xi))
     tau: float | None = None
 
     def __post_init__(self) -> None:
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
-        check_accuracy(self.eta, self.epsilon, self.xi)
-
-    def n_copies(self) -> int:
-        return copy_count(self.copies, self.T, self.xi, c=3)
+        super().__post_init__()
+        if self.tau is not None and not self.tau > 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
 
 
 @dataclass(frozen=True)

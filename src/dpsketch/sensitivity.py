@@ -103,7 +103,7 @@ def _bucket_mapping(events, n, T, seed, params):
     ctx, clock = NoiseContext(seed, noise_off=True), Clock(T)
     bank = BinaryTreeMechanism.bank(T, ctx, clock)
     cs = CountSketchState(params["k"], 1.0, bank, CountSketchState.key_folds(ctx, ()))
-    return _counter_streams(cs.observe, cs.outputs, events, clock)
+    return _counter_streams(cs.ingest, cs.outputs, events, clock)
 
 
 def _substream_mapping(events, n, T, seed, params):

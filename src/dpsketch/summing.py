@@ -16,6 +16,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from .budget import check_epsilon
 from .randomness import NoiseContext, fold_key, fold_lanes, fold_on, node_laplace
 
 
@@ -164,8 +165,7 @@ class BinaryTreeMechanism:
         """Append a lane group, folded key ``base``, at its own epsilon;
         returns its first lane.  Its lanes start at 0 and draw from the next
         read on."""
-        if epsilon is None or epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        check_epsilon(epsilon)
         lo = self.k
         self.k = lo + (1 if ids is None else len(ids))
         self._groups.append((base, ids, self.levels / float(epsilon), lo))

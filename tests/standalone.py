@@ -19,11 +19,10 @@ class Standalone:
     def __init__(self, block, bank):
         self.block = block
         self._clock = bank.clock
-        self._take = block.observe if isinstance(block, CountSketchState) else block.ingest
 
     def feed(self, e):
         self._clock.tick()
-        self._take(e)
+        self.block.ingest(e)
 
     ingest = feed
 

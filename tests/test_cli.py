@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -332,6 +333,12 @@ class TestSnapshotRoundTrip:
         assert (head["seed"], head["noise_off"], head["t"]) == (5, False, 64)
         assert len(snapshot) == 11 + size + 3 * 32 * 8
 
+    def test_snapshot_bytes_are_pinned(self, snapshot):
+        # blake2b-128 of the whole file before the configs shared one parameter
+        # block; the header's keys follow L2Config's field order, base class first
+        digest = hashlib.blake2b(snapshot, digest_size=16).hexdigest()
+        assert digest == "1bf715f9c8f1a585286a7328fbbc6ca5"
+
 
 class TestSlidingShift:
     @pytest.mark.parametrize("stat,p,sensitivity", [("sum", 1.0, 1), ("distinct", 0.0, 5)])
@@ -418,6 +425,26 @@ class TestRefusedValues:
         code = run(_with(STREAMING_ARGS[name], "--xi", xi) + ["--input", stream_file])
         assert code == 2
         assert f"xi must be in (0, 0.5), got {float(xi)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "name",
+        ["sum-tree", "distinct", "distinct-general", "f2", "heavy-hitters", "low-freq", "moment"],
+    )
+    def test_epsilon_not_finite(self, name, epsilon, stream_file, capsys):
+        # inf once released exact prefix sums as noisy ones; nan released nan,
+        # 0 at every tick, or an empty heavy-hitter report, and exited 0
+        code = run(_with(STREAMING_ARGS[name], "--epsilon", epsilon) + ["--input", stream_file])
+        assert code == 2
+        assert f"epsilon must be > 0 and finite, got {float(epsilon)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["-5", "0", "nan"])
+    @pytest.mark.parametrize("name", ["moment", "sliding-moment"])
+    def test_tau_not_above_zero(self, name, tau, stream_file, capsys):
+        # once run with tau silently raised to 1
+        code = run(_with(STREAMING_ARGS[name], "--tau", tau) + ["--input", stream_file])
+        assert code == 2
+        assert f"tau must be > 0, got {float(tau)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("element", ["99", "4", "-1"])
     def test_point_query_outside_the_snapshot_universe(self, element, tmp_path, capsys):

@@ -309,7 +309,7 @@ class TestSubstreamKeys:
                     seeds = [level._ctx.child_seed("cs", *key, part) for part in ("h", "g")]
                     assert ref.h.coefficients == PolyHashFamily(4, INNER_BUCKETS, seeds[0]).coefficients
                     assert ref.g._base.coefficients == PolyHashFamily(4, 2, seeds[1]).coefficients
-                ref.observe(e)
+                ref.ingest(e)
                 members[i].setdefault(idx, set()).add(e.value)
             for level, ref_of, member_of in zip(levels, refs, members):
                 assert level._sketches.keys() == ref_of.keys()

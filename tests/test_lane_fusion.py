@@ -191,7 +191,7 @@ class TestMemo:
         est = L2Estimator(cfg, NoiseContext(1, noise_off=True))
         est.feed(element(3))
         before = est.copies[1].outputs().tolist()
-        est.copies[1].observe(element(3))  # a second credit at the same t
+        est.copies[1].ingest(element(3))  # a second credit at the same t
         after = est.copies[1].outputs().tolist()
         bucket, sign = est.copies[1]._route(3)
         assert after[bucket] == before[bucket] + sign
@@ -216,7 +216,7 @@ class TestLaneReadMemory:
             for i in range(count):
                 bank = BinaryTreeMechanism.bank(T, ctx, clock)
                 sketch = CountSketchState(k, 0.5, bank, CountSketchState.key_folds(ctx, ("sub", i)))
-                sketch.observe(element(i))
+                sketch.ingest(element(i))
                 sketch.point_query(i)
                 sketches.append(sketch)
             gc.collect()

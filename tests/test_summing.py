@@ -1,12 +1,16 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dpsketch.budget import BudgetEntry, MechanismBudget, copy_count, equal_shares
+from dpsketch.budget import BoostedConfig, BudgetEntry, MechanismBudget, copy_count, equal_shares
+from dpsketch.countsketch import L2Config
+from dpsketch.distinct import DistinctConfig
 from dpsketch.heavy_hitters import HHConfig
-from dpsketch.moment import MomentConfig
+from dpsketch.low_freq import LowFreqConfig
+from dpsketch.moment import MomentConfig, build_shape
 from dpsketch.randomness import NoiseContext
 from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism, StateError
 
@@ -299,15 +303,77 @@ class TestBudget:
         for T in (1, 1024, 2**20):
             for xi in (0.01, 0.1, 0.49):
                 for n in (1, 2**16):
-                    l2 = math.ceil(50 * (math.log(2 * T / xi) + math.log(n)))
-                    hh = math.ceil(50 * (math.log(2 * T / xi) + math.log(n)))
-                    distinct = math.ceil(50 * math.log(2 * T / xi))
-                    lowfreq = math.ceil(50 * math.log(3 * T / xi))
-                    moment = math.ceil(50 * math.log(3 * T / xi))
-                    assert copy_count(None, T, xi, n) == l2
-                    assert HHConfig(p=2, k=1, eta=0.2, epsilon=1, xi=xi, T=T, n=n).n_copies() == hh
-                    assert copy_count(None, T, xi) == distinct
-                    assert copy_count(None, T, xi, c=3) == lowfreq
-                    cfg = MomentConfig(p=2, epsilon=1, eta=0.2, xi=xi, T=T, n=n)
-                    assert cfg.n_copies() == moment
+                    per_element = math.ceil(50 * (math.log(2 * T / xi) + math.log(n)))
+                    want = {
+                        L2Config: per_element,
+                        HHConfig: per_element,
+                        DistinctConfig: math.ceil(50 * math.log(2 * T / xi)),
+                        LowFreqConfig: math.ceil(50 * math.log(3 * T / xi)),
+                        MomentConfig: math.ceil(50 * math.log(3 * T / xi)),
+                    }
+                    for cls, copies in want.items():
+                        assert boosted(cls, T=T, xi=xi, n=n).n_copies() == copies
+                        assert boosted(cls, T=T, xi=xi, n=n, copies=7).n_copies() == 7
+                    assert copy_count(None, T, xi, n) == per_element
                     assert copy_count(7, T, xi, n) == 7
+
+
+# a valid value of each boosted config's own fields
+OWN_FIELDS = {
+    DistinctConfig: {},
+    L2Config: {},
+    HHConfig: dict(p=2.0, k=1),
+    LowFreqConfig: dict(k=2),
+    MomentConfig: dict(p=2.0),
+}
+
+
+def boosted(cls, **shared):
+    """A ``cls`` at a valid shared block, overridden by ``shared``."""
+    return cls(**dict(epsilon=1.0, eta=0.2, xi=0.1, n=16, T=64) | OWN_FIELDS[cls] | shared)
+
+
+@pytest.mark.parametrize("cls", list(OWN_FIELDS), ids=lambda cls: cls.__name__)
+class TestBoostedConfig:
+    def test_declares_only_its_own_fields(self, cls):
+        assert issubclass(cls, BoostedConfig)
+        names = [f.name for f in fields(cls)]
+        assert names == ["epsilon", "eta", "xi", "n", "T", "copies", *names[6:]]
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            # n = 0 once built every config; its estimator then failed with a
+            # math domain error, accepted any id, or refused every element
+            (dict(n=0), "n and T must be >= 1"),
+            (dict(n=-1), "n and T must be >= 1"),
+            (dict(T=0), "n and T must be >= 1"),
+            (dict(T=-1), "n and T must be >= 1"),
+            # inf once released exact counts, and nan released nan, 0 or nothing
+            (dict(epsilon=math.inf), "epsilon must be > 0 and finite"),
+            (dict(epsilon=math.nan), "epsilon must be > 0 and finite"),
+        ],
+    )
+    def test_refuses_a_value_outside_its_range(self, cls, bad, message):
+        with pytest.raises(ValueError, match=message):
+            boosted(cls, **bad)
+
+    def test_checks_the_shared_block_in_order(self, cls):
+        with pytest.raises(ValueError, match=r"eta must be in \(0, 0.5\)"):
+            boosted(cls, eta=0.5, xi=0.5, epsilon=0.0, n=0)
+        with pytest.raises(ValueError, match=r"xi must be in \(0, 0.5\)"):
+            boosted(cls, xi=0.5, epsilon=0.0, n=0)
+        with pytest.raises(ValueError, match="epsilon must be"):
+            boosted(cls, epsilon=0.0, n=0)
+
+
+class TestMomentTau:
+    @pytest.mark.parametrize("tau", [0.0, -5.0, math.nan])
+    def test_refuses_a_tau_not_above_zero(self, tau):
+        # once run with tau silently raised to 1
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            boosted(MomentConfig, tau=tau)
+
+    def test_a_large_tau_keeps_its_cap(self):
+        cfg = boosted(MomentConfig, tau=1000.0)
+        assert build_shape(cfg, 0.75, cfg.tau).tau == 64.0

@@ -243,7 +243,7 @@ class TestJoinedGroups:
 
     def test_join_needs_a_positive_epsilon(self):
         bank = bank_on_clock(8, NoiseContext(1))
-        for eps in (None, 0.0, -1.0):
+        for eps in (None, 0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 bank.join(fold_key(1, ("tree",)), [0], eps)
 
@@ -318,7 +318,7 @@ class TestCountSketch:
         for t in range(1, T + 1):
             clock.tick()
             i = t % 3
-            sketches[i].observe(element(t))
+            sketches[i].ingest(element(t))
             counts = sketches[i].running
             for b in (t % k, (3 * t) % k):
                 got = sketches[i].bucket_output(b)
