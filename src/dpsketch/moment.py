@@ -66,7 +66,8 @@ class MomentConfig(BoostedConfig):
 
     ``tau`` is the heavy-hitter recall threshold splitting low from high
     frequencies; None derives it from the heavy-hitter backend's candidacy
-    floor; a given one must be > 0.  Either is capped at ``MAX_LOW_FREQ_K``.
+    floor, raised to 1 if below; a given one must be >= 1.  Either is capped
+    at ``MAX_LOW_FREQ_K``.
     """
 
     EVENTS_PER_TICK = 3  # as its low-frequency head's
@@ -79,6 +80,8 @@ class MomentConfig(BoostedConfig):
         super().__post_init__()
         if self.tau is not None and not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        if self.tau is not None and self.tau < 1:  # no frequency lies in (0, 1)
+            raise ValueError(f"tau must be >= 1, got {self.tau}")
 
 
 @dataclass(frozen=True)

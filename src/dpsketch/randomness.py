@@ -98,11 +98,32 @@ def fold_lanes(base: int, lanes: np.ndarray) -> np.ndarray:
 # node_laplace and NoiseContext.laplace, map their words this way.
 
 
+def node_offset(a: int, b: int) -> int:
+    """The 64-bit offset of node (a, b): a node's draw under a base mixes
+    ``base ^ node_offset(a, b)``.  The linear combination is injective over
+    the node-index ranges in use."""
+    return (a * _NODE_A + b * _NODE_B) & _MASK64
+
+
+def word_laplace(z: int, scale: float) -> float:
+    """The Laplace draw of one keyed word ``base ^ node_offset(a, b)``:
+    _mix64 and the inverse CDF, inlined, as lane reads draw here once per
+    stale node."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    q = (((z ^ (z >> 31)) >> 11) or 1) * 2.0**-53 - 0.5
+    # the inverse CDF -scale * sign(q) * log1p(-2|q|): rounding to nearest is
+    # symmetric, so the magnitude of scale * log1p(...) takes q's sign.  The
+    # log is numpy's, as in the array form: np.log1p runs one kernel for 0-d
+    # and 1-d input, so the two agree bit for bit, where math.log1p may
+    # differ from it in the last bit
+    return math.copysign(scale * float(np.log1p(-2.0 * abs(q))), q)
+
+
 def node_laplace(base, a, b, scale: float):
     """Laplace draw keyed by (a, b) under a pre-folded base; one mix round.
 
-    The linear combination is injective over the node-index ranges in use and
-    the final mix provides the avalanche, so draws for distinct nodes are
+    The final mix provides the avalanche, so draws for distinct nodes are
     effectively independent uniforms.  ``base`` may be a uint64 array of
     bases, and ``scale`` a float or one scale per base: one draw per entry
     comes back, each bit-identical to the scalar draw under that base and
@@ -110,37 +131,26 @@ def node_laplace(base, a, b, scale: float):
     arrays, a block of (a, b) pairs: row i is then the draw of pair i for
     every base.
     """
-    if isinstance(base, np.ndarray):
-        if isinstance(a, np.ndarray):  # uint64 arithmetic wraps modulo 2^64
-            offset = (a * np.uint64(_NODE_A) + b * np.uint64(_NODE_B))[:, None]
-        else:
-            offset = np.uint64((a * _NODE_A + b * _NODE_B) & _MASK64)
-        # the scalar draw below, one numpy pass per step.  With m the top 53
-        # bits (0 taken as 1), d = m - 2^52 is 2^53 q and -|d| 2^-52 is
-        # exactly -2|q|, so the log is the scalar's.  The scalar multiplies
-        # it by -scale * sign(q); rounding to nearest is symmetric, so
-        # |scale * log| given the sign of d is the same float (copysign reads
-        # only the magnitude, so no negated copy of a scale array is made).
-        # Steps run in place: a bank of some 25,000 lanes page-faulted on
-        # each of a dozen fresh temporaries of its width.
-        m = _mix64_array(base ^ offset)
-        m >>= _U11
-        np.maximum(m, np.uint64(1), out=m)
-        d = m.view(np.int64)
-        d -= 1 << 52
-        u = np.abs(d) * -(2.0**-52)
-        np.log1p(u, out=u)
-        u *= scale
-        return np.copysign(u, d, out=u)
-    # _mix64 and the inverse CDF, inlined: lane reads draw here once per
-    # stale node.  The log comes from np.log1p, as in the array form, which
-    # runs one kernel for 0-d and 1-d input, so the two agree bit for bit;
-    # math.log1p may differ from it in the last bit.
-    z = base ^ ((a * _NODE_A + b * _NODE_B) & _MASK64)
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    q = (((z ^ (z >> 31)) >> 11) or 1) * 2.0**-53 - 0.5
-    return -scale * math.copysign(1.0, q) * float(np.log1p(-2.0 * abs(q)))
+    if not isinstance(base, np.ndarray):
+        return word_laplace(base ^ node_offset(a, b), scale)
+    if isinstance(a, np.ndarray):  # uint64 arithmetic wraps modulo 2^64
+        offset = (a * np.uint64(_NODE_A) + b * np.uint64(_NODE_B))[:, None]
+    else:
+        offset = np.uint64(node_offset(a, b))
+    # word_laplace, one numpy pass per step.  With m the top 53 bits (0 taken
+    # as 1), d = m - 2^52 is 2^53 q and -|d| 2^-52 is exactly -2|q|, so the
+    # log is the scalar's, and scale * log takes the sign of d as the scalar
+    # takes q's.  Steps run in place: a bank of some 25,000 lanes
+    # page-faulted on each of a dozen fresh temporaries of its width.
+    m = _mix64_array(base ^ offset)
+    m >>= _U11
+    np.maximum(m, np.uint64(1), out=m)
+    d = m.view(np.int64)
+    d -= 1 << 52
+    u = np.abs(d) * -(2.0**-52)
+    np.log1p(u, out=u)
+    u *= scale
+    return np.copysign(u, d, out=u)
 
 
 class NoiseContext:
@@ -209,10 +219,13 @@ class PolyHashFamily:
         # k-wise independent: the top 61 bits of successive splitmix64
         # outputs of the seed, rejecting the one value 2^61 - 1 outside it
         coefficients = []
+        # (_mix64 inlined: substream sketches build two families each)
         state = int(seed) & _MASK64
         while len(coefficients) < k:
             state = (state + _GOLDEN) & _MASK64
-            c = _mix64(state) >> 3
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            c = (z ^ (z >> 31)) >> 3
             if c < MERSENNE_PRIME:
                 coefficients.append(c)
         self.coefficients = tuple(coefficients)

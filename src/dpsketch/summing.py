@@ -18,6 +18,7 @@ import numpy as np
 
 from .budget import check_epsilon
 from .randomness import NoiseContext, fold_key, fold_lanes, fold_on, node_laplace
+from .randomness import node_offset, word_laplace
 
 
 # Lane-draws per block of rows drawn ahead.  A ``node_laplace`` array call
@@ -44,18 +45,21 @@ class Clock:
     """Shared 1-based timestamp for a family of tree counters.
 
     ``nodes()`` is the dyadic decomposition of [1, t] that every counter on
-    the clock reads, computed once per timestamp.
+    the clock reads, computed once per timestamp, and ``keyed_nodes()`` the
+    same nodes with their key offsets, computed at a timestamp's first lane
+    read that draws.
     """
 
-    __slots__ = ("t", "T", "_nodes_t", "_nodes")
+    __slots__ = ("t", "T", "_nodes_t", "_nodes", "_keyed_t", "_keyed")
 
     def __init__(self, T: int) -> None:
         if T < 1:
             raise ValueError(f"T must be >= 1, got {T}")
         self.T = T
         self.t = 0
-        self._nodes_t = 0
+        self._nodes_t = self._keyed_t = 0
         self._nodes: list[tuple[int, int]] = []
+        self._keyed: list[tuple[int, int, int]] = []
 
     def tick(self) -> int:
         if self.t >= self.T:
@@ -78,6 +82,14 @@ class Clock:
             self._nodes = nodes
             self._nodes_t = t
         return self._nodes
+
+    def keyed_nodes(self) -> list[tuple[int, int, int]]:
+        """``nodes()`` as (level, node, node_offset(level, node)): every lane
+        read at t draws a stale level from its base xor the same offset."""
+        if self._keyed_t != self.t:
+            self._keyed = [(level, node, node_offset(level, node)) for level, node in self.nodes()]
+            self._keyed_t = self.t
+        return self._keyed
 
 
 class BinaryTreeMechanism:
@@ -106,9 +118,10 @@ class BinaryTreeMechanism:
     A lane read uses the memo when it is current, else the lane's own record
     of base, scale, node and draw per level, built at its first lane read
     (Python lists: numpy indexing per element slowed point-query-heavy
-    workloads by about 5%).  Array and scalar draws are bit for bit equal, so
-    a record's draw is the row's, and both reads add noise from the highest
-    level down.
+    workloads by about 5%); it draws a stale level with ``word_laplace`` from
+    its base xor the clock's offset of the node, which every lane read at t
+    shares.  Array and scalar draws are bit for bit equal, so a record's draw
+    is the row's, and both reads add noise from the highest level down.
     """
 
     alpha = 1.0  # the guarantee is purely additive: (1, error_bound(xi))
@@ -276,9 +289,9 @@ class BinaryTreeMechanism:
                 base = fold_on(base, (ids[j - lo],))
             record = self._lane_records[j] = (base, scale, [-1] * self.levels, [0.0] * self.levels)
         base, scale, lane_node, draw = record
-        for level, node in self._clock.nodes():
+        for level, node, offset in self._clock.keyed_nodes():
             if lane_node[level] != node:
-                draw[level] = node_laplace(base, level, node, scale)
+                draw[level] = word_laplace(base ^ offset, scale)
                 lane_node[level] = node
             total += draw[level]
         return total

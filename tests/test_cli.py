@@ -446,6 +446,14 @@ class TestRefusedValues:
         assert code == 2
         assert f"tau must be > 0, got {float(tau)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["0.5", "0.999"])
+    @pytest.mark.parametrize("name", ["moment", "sliding-moment"])
+    def test_tau_below_one(self, name, tau, stream_file, capsys):
+        # once run as tau = 1, to which the level-set shape raised it
+        code = run(_with(STREAMING_ARGS[name], "--tau", tau) + ["--input", stream_file])
+        assert code == 2
+        assert f"tau must be >= 1, got {float(tau)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("element", ["99", "4", "-1"])
     def test_point_query_outside_the_snapshot_universe(self, element, tmp_path, capsys):
         # an element outside [0, n) once printed an estimate and exited 0

@@ -331,7 +331,7 @@ class TestSpecErrors:
         # None is the default of --copies, --buckets, --tau and sum's --mode
         for mechanism, grid in [("distinct", {"copies": [None, 2]}),
                                 ("f2", {"buckets": [None, 4]}),
-                                ("moment", {"tau": [None, 0.5], "p": [2.0]}),
+                                ("moment", {"tau": [None, 2.0], "p": [2.0]}),
                                 ("sum", {"mode": [None, "elements"]})]:
             spec = ExperimentSpec(mechanism=mechanism, grid={**grid, "T": [8]},
                                   generator={"kind": "uniform", "n": 4}, noise_off=True)

@@ -244,19 +244,31 @@ class TestKeyedDerivation:
         assert h.coefficients == tuple(v >> 3 for v in outputs)
         assert all(0 <= c < MERSENNE_PRIME for c in h.coefficients)
 
-    def test_out_of_field_value_is_rejected(self, monkeypatch):
-        # top 61 bits all ones is 2^61 - 1, outside GF(2^61 - 1): skipped
+    @staticmethod
+    def _unmix64(z):
+        # the inverse of the splitmix64 finalizer, a bijection of 64-bit words:
+        # undo each xorshift by iterating it, each multiply by its inverse
+        def unshift(y, s):
+            x = y
+            for _ in range(64 // s + 1):
+                x = y ^ (x >> s)
+            return x
+
+        z = unshift(z, 31)
+        z = unshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64, 27)
+        return unshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64, 30)
+
+    def test_out_of_field_value_is_rejected(self):
+        # top 61 bits all ones is 2^61 - 1, outside GF(2^61 - 1): skipped.  The
+        # seed whose first splitmix64 output is all ones, found by inversion
         mix = randomness._mix64
-        calls = []
-
-        def first_all_ones(z):
-            calls.append(z)
-            return _MASK64 if len(calls) == 1 else mix(z)
-
-        monkeypatch.setattr(randomness, "_mix64", first_all_ones)
-        h = PolyHashFamily(2, 97, seed=5)
-        assert len(calls) == 3
-        assert h.coefficients == (mix(calls[1]) >> 3, mix(calls[2]) >> 3)
+        assert all(mix(self._unmix64(z)) == z for z in (0, 1, _MASK64, 0x0123456789ABCDEF))
+        seed = (self._unmix64(_MASK64) - _GOLDEN) & _MASK64
+        states = [(seed + i * _GOLDEN) & _MASK64 for i in (1, 2, 3)]
+        assert mix(states[0]) >> 3 == MERSENNE_PRIME
+        h = PolyHashFamily(2, 97, seed=seed)
+        assert h.coefficients == (mix(states[1]) >> 3, mix(states[2]) >> 3)
+        assert all(c < MERSENNE_PRIME for c in h.coefficients)
 
     def test_fold_key_encodes_strings_as_before(self):
         def reference(seed, key):

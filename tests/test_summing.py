@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpsketch.budget import BoostedConfig, BudgetEntry, MechanismBudget, copy_count, equal_shares
 from dpsketch.countsketch import L2Config
@@ -11,8 +13,8 @@ from dpsketch.distinct import DistinctConfig
 from dpsketch.heavy_hitters import HHConfig
 from dpsketch.low_freq import LowFreqConfig
 from dpsketch.moment import MomentConfig, build_shape
-from dpsketch.randomness import NoiseContext
-from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism, StateError
+from dpsketch.randomness import NoiseContext, fold_key, node_laplace, node_offset, word_laplace
+from dpsketch.summing import BinaryTreeMechanism, Clock, GroupingMechanism, StateError
 
 # 99th percentile of max-over-t |error| over the 500 fixed seeds below
 # (eps=1, T=2^12), frozen from a calibration run
@@ -73,6 +75,97 @@ class TestBinaryTree:
     def test_analytic_bound_dominates_empirical(self):
         m = BinaryTreeMechanism(2**12, 1.0, NoiseContext(0))
         assert m.error_bound(0.05) >= TREE_EMPIRICAL_BOUND
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _all_nodes(T):
+    """Every (level, node, offset) a read at some t in [1, T] sums, from the clock."""
+    clock, seen = Clock(T), {}
+    for _ in range(T):
+        clock.tick()
+        for level, node, offset in clock.keyed_nodes():
+            seen[level, node] = offset
+    return [(level, node, offset) for (level, node), offset in seen.items()]
+
+
+class TestLaneDraws:
+    """A lane read draws a stale level as ``word_laplace(base ^ offset)``, the
+    offset from its clock; it must equal ``node_laplace`` bit for bit, in
+    scalar and in array form, and so a full read's entry."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 1000, 8192])
+    def test_every_node_of_the_tree(self, T):
+        nodes = _all_nodes(T)
+        # one new node per tick, each with its own offset
+        assert len(nodes) == T and len({offset for *_, offset in nodes}) == T
+        levels = np.array([level for level, _, _ in nodes], dtype=np.uint64)
+        indices = np.array([node for _, node, _ in nodes], dtype=np.uint64)
+        for base in (0, 1, fold_key(7, ("tree", T)), (1 << 64) - 1):
+            for scale in (1e-3, 1.0, 14.0 / 3):
+                got = [word_laplace(base ^ offset, scale) for _, _, offset in nodes]
+                block = node_laplace(np.array([base], dtype=np.uint64), levels, indices, scale)
+                assert np.array_equal(_bits(got), _bits(block[:, 0]))
+                want = [node_laplace(base, level, node, scale) for level, node, _ in nodes]
+                assert np.array_equal(_bits(got), _bits(want))
+        # base == offset: the mixed word is 0, which the uniform takes as 1
+        zero = word_laplace(0, 2.0)
+        assert math.isfinite(zero)
+        for level, node, offset in nodes:
+            assert _bits([node_laplace(offset, level, node, 2.0)]) == _bits([zero])
+            row = node_laplace(np.array([offset], dtype=np.uint64), level, node, 2.0)
+            assert _bits(row) == _bits([zero])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.integers(0, (1 << 64) - 1),
+        scale=st.floats(1e-6, 1e6),
+        T=st.sampled_from([1, 2, 3, 1000, 8192]),
+        t=st.integers(1, 8192),
+        same=st.booleans(),
+    )
+    @example(base=0, scale=1.0, T=1, t=1, same=True)
+    def test_random_bases_and_scales(self, base, scale, T, t, same):
+        clock = Clock(T)
+        clock.t = 1 + (t - 1) % T
+        for level, node, offset in clock.keyed_nodes():
+            assert offset == node_offset(level, node)
+            b = offset if same else base
+            got = word_laplace(b ^ offset, scale)
+            assert _bits([got]) == _bits([node_laplace(b, level, node, scale)])
+            row = node_laplace(np.array([b, base], dtype=np.uint64), level, node, scale)
+            assert _bits([got]) == _bits(row[:1])
+
+    @pytest.mark.parametrize("seed", [1, 99])
+    def test_lane_reads_at_random_gaps_equal_full_reads(self, seed):
+        # two banks of two groups each on their own clocks, one only read by
+        # lane, the other only in full: ticks skip a random number of reads,
+        # so a lane read finds several levels stale at once
+        T, rng = 1000, np.random.default_rng(seed)
+        banks = []
+        for _ in range(2):
+            bank = BinaryTreeMechanism.bank(T, NoiseContext(seed), Clock(T))
+            bank.join(fold_key(seed, ("tree", "a")), range(5), 1.0)
+            bank.join(fold_key(seed, ("tree", "b")), range(3), 0.25)
+            banks.append(bank)
+        by_lane, full = banks
+        t = 0
+        while t < T:
+            gap = int(rng.integers(1, 40))
+            for _ in range(min(gap, T - t)):
+                t += 1
+                for bank in banks:
+                    bank.clock.tick()
+                lane = int(rng.integers(0, 8))
+                for bank in banks:
+                    bank.add(float(t % 3 - 1), lane)
+            lanes = rng.integers(0, 8, size=3).tolist()
+            got = [by_lane.lane_current(j) for j in lanes]
+            want = full.current()
+            assert np.array_equal(_bits(got), _bits(want[lanes]))
+        assert by_lane._memo is None and t == T
 
 
 class TestGrouping:
@@ -373,6 +466,16 @@ class TestMomentTau:
         # once run with tau silently raised to 1
         with pytest.raises(ValueError, match="tau must be > 0"):
             boosted(MomentConfig, tau=tau)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.999])
+    def test_refuses_a_given_tau_below_one(self, tau):
+        # once run as tau = 1, which build_shape clamps it to
+        with pytest.raises(ValueError, match="tau must be >= 1"):
+            boosted(MomentConfig, tau=tau)
+
+    def test_a_derived_tau_below_one_is_raised_to_one(self):
+        assert build_shape(boosted(MomentConfig, tau=1.0), 0.75, 1.0).tau == 1.0
+        assert build_shape(boosted(MomentConfig), 0.75, 0.25).tau == 1.0
 
     def test_a_large_tau_keeps_its_cap(self):
         cfg = boosted(MomentConfig, tau=1000.0)
