@@ -177,7 +177,8 @@ class L2Estimator:
         if not 0 <= t <= self.cfg.T or len(running) != len(self.running):
             raise ValueError(f"t={t} and {len(running)} counts: want t in [0, {self.cfg.T}] "
                              f"and {len(self.running)} counts")
-        self._bank.restore(t, running)
+        self._clock.t = int(t)
+        self._bank.restore(running)
 
     def point_query(self, ident: int) -> float:
         return median_boost([s.point_query(ident) for s in self.copies])

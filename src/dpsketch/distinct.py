@@ -142,15 +142,11 @@ class SubsampledDistinct:
 
 class BoostedEstimator:
     """Independent copies, each driven by ``ingest(e)`` and read by ``current()``,
-    combined per timestamp (lower median by default).  Copies built on one
-    shared ``clock`` leave it to the estimator, which ticks it once per event."""
+    combined per timestamp by ``combiner``.  The copies share ``clock``, which
+    the estimator ticks once per event, and ``budget`` is their ledger."""
 
     def __init__(
-        self,
-        copies: Sequence,
-        combiner: Callable[[Sequence[float]], float] = median_boost,
-        budget: MechanismBudget | None = None,
-        clock: Clock | None = None,
+        self, copies: Sequence, combiner: Callable, budget: MechanismBudget, clock: Clock
     ) -> None:
         if not copies:
             raise ValueError("boosted estimator needs at least one copy")
@@ -164,13 +160,28 @@ class BoostedEstimator:
         return self.current()
 
     def ingest(self, e: StreamEvent) -> None:
-        if self._clock is not None:
-            self._clock.tick()
+        self._clock.tick()
         for c in self.copies:
             c.ingest(e)
 
     def current(self) -> float:
         return self.combiner([c.current() for c in self.copies])
+
+
+def boosted(
+    cfg: BoostedConfig, ctx: NoiseContext, name: str, build: Callable, combiner: Callable
+) -> BoostedEstimator:
+    """The median trick over ``cfg.n_copies()`` copies, combined by
+    ``combiner``, with an equal-share ledger.  Copy c is ``build(c,
+    ctx.child(name, c), cfg.epsilon / copies, bank)``: its context, its
+    epsilon, and one bank on the clock the estimator ticks, which a copy may
+    join or read the clock of."""
+    copies = cfg.n_copies()
+    bank = BinaryTreeMechanism.bank(cfg.T, ctx, Clock(cfg.T))
+    instances = [build(c, ctx.child(name, c), cfg.epsilon / copies, bank) for c in range(copies)]
+    return BoostedEstimator(
+        instances, combiner, equal_shares(cfg.epsilon, cfg.xi, copies), bank.clock
+    )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -189,25 +200,21 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
     Per copy: the level tuple is released once (partition-style sensitivity),
     each level's indicator summing runs at eps_copy/5 since one universe
     change flips at most 5 indicator entries.  Parameter evaluation order:
-    copies -> xi share -> (alpha, gamma) -> m.
+    copies -> xi share -> (alpha, gamma) -> m.  Levels run their own
+    backends and take no lanes of the bank.
     """
     copies = cfg.n_copies()
-    eps_copy = cfg.epsilon / copies
-    eps_sum = eps_copy / INDICATOR_SENSITIVITY
+    eps_sum = cfg.epsilon / copies / INDICATOR_SENSITIVITY
     xi_inner = (cfg.xi / 2) / (subsample_depth(cfg.n, cfg.T) * copies)
     probe = make_summing_backend(
         cfg.variant, cfg.T, eps_sum, cfg.eta, xi_inner, ctx.child("distinct-probe")
     )
     params = subsample_params(cfg.n, cfg.T, cfg.eta, probe.alpha, probe.error_bound(xi_inner))
 
-    instances = []
-    for c in range(copies):
-        copy_ctx = ctx.child("distinct-copy", c)
+    def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
+        eps_level = eps / INDICATOR_SENSITIVITY
+        return SubsampledDistinct(params, copy_ctx, lambda key: make_summing_backend(
+            cfg.variant, cfg.T, eps_level, cfg.eta, xi_inner, copy_ctx.child(*key)
+        ))
 
-        def factory(key: tuple, _ctx=copy_ctx) -> object:
-            return make_summing_backend(
-                cfg.variant, cfg.T, eps_sum, cfg.eta, xi_inner, _ctx.child(*key)
-            )
-
-        instances.append(SubsampledDistinct(params, copy_ctx, factory))
-    return BoostedEstimator(instances, median_boost, equal_shares(cfg.epsilon, cfg.xi, copies))
+    return boosted(cfg, ctx, "distinct-copy", build, median_boost)

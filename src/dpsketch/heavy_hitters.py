@@ -20,8 +20,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from .budget import BoostedConfig, equal_shares
-from .distinct import BoostedEstimator
+from .budget import BoostedConfig
+from .distinct import BoostedEstimator, boosted
 from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily, fold_on
 from .streams import StreamEvent
 from .summing import BinaryTreeMechanism, Clock, tree_levels
@@ -261,19 +261,15 @@ def union_median(reports: list[dict[int, float]]) -> dict[int, float]:
 
 
 def hh_estimator(cfg: HHConfig, ctx: NoiseContext) -> BoostedEstimator:
-    """Boosted heavy hitters: :class:`HHSketch` copies on one clock, combined by
-    :func:`union_median`.  A copy's trees run at epsilon/copies over the
-    substream and bucket sensitivities."""
-    copies = cfg.n_copies()
-    epsilon_tree = tree_epsilon(cfg.epsilon / copies)
-    clock = Clock(cfg.T)
-    sketches = [
-        HHSketch(cfg, ctx.child("hh-copy", c), epsilon_tree, clock, key=(c,))
-        for c in range(copies)
-    ]
-    return BoostedEstimator(
-        sketches, union_median, equal_shares(cfg.epsilon, cfg.xi, copies), clock=clock
-    )
+    """Boosted heavy hitters: :class:`HHSketch` copies on the bank's clock,
+    combined by :func:`union_median`.  A copy's trees run at epsilon/copies
+    over the substream and bucket sensitivities; each substream sketch builds
+    its own bank, so a copy takes no lanes of the shared one."""
+
+    def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
+        return HHSketch(cfg, copy_ctx, tree_epsilon(eps), bank.clock, key=(c,))
+
+    return boosted(cfg, ctx, "hh-copy", build, union_median)
 
 
 def recall_threshold(cfg: HHConfig, sketch: HHSketch) -> float:

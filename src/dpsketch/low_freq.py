@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import BoostedConfig, equal_shares
-from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
+from .budget import BoostedConfig
+from .distinct import GROUP, BoostedEstimator, DistinctConfig, boosted, distinct_estimator
 from .randomness import (
     HASH_RANGE_CAP,
     LevelRouter,
@@ -27,7 +27,7 @@ from .randomness import (
     subsample_depth,
 )
 from .streams import StreamEvent, element
-from .summing import BinaryTreeMechanism, Clock
+from .summing import BinaryTreeMechanism
 
 # one universe change perturbs each counter stream in at most 8 unit steps
 COUNTER_SENSITIVITY_PER_K = 8
@@ -214,17 +214,9 @@ def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator
     """Boosted per-frequency count estimator with budget ledger: one
     :func:`low_freq_block` per copy at epsilon/copies, all of their counters
     windows of one bank on the estimator's clock."""
-    copies = cfg.n_copies()
-    eps_copy = cfg.epsilon / copies
-    xi_dhat = dhat_xi(cfg.xi, copies)
-    clock = Clock(cfg.T)
-    bank = BinaryTreeMechanism.bank(cfg.T, ctx, clock)
-    instances = [
-        low_freq_block(
-            cfg.n, cfg.k, cfg.T, cfg.eta, eps_copy, xi_dhat, ctx.child("lowfreq-copy", c), bank
-        )
-        for c in range(copies)
-    ]
-    return BoostedEstimator(
-        instances, _median_vectors, equal_shares(cfg.epsilon, cfg.xi, copies), clock=clock
-    )
+    xi_dhat = dhat_xi(cfg.xi, cfg.n_copies())
+
+    def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
+        return low_freq_block(cfg.n, cfg.k, cfg.T, cfg.eta, eps, xi_dhat, copy_ctx, bank)
+
+    return boosted(cfg, ctx, "lowfreq-copy", build, _median_vectors)

@@ -14,10 +14,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .budget import BoostedConfig, equal_shares
+from .budget import BoostedConfig
 from .heavy_hitters import HHConfig, HHSketch, noise_floor, tree_epsilon
 from .low_freq import dhat_xi, low_freq_block
-from .summing import BinaryTreeMechanism, Clock
+from .summing import BinaryTreeMechanism
 from .randomness import (
     GeometricLevelHash,
     NoiseContext,
@@ -25,7 +25,7 @@ from .randomness import (
     median_boost,
 )
 from .streams import FrequencyTable, StreamEvent
-from .distinct import BoostedEstimator
+from .distinct import BoostedEstimator, boosted
 
 BELOW = "below"
 ABOVE = "above"
@@ -282,13 +282,8 @@ def moment_estimator(cfg: MomentConfig, ctx: NoiseContext) -> BoostedEstimator:
     ``LEVEL_TUPLE_UNITS`` for the level-stream tuple and one for the
     low-frequency block.  Every copy runs on one clock, and the head counters
     of all copies are windows of one bank, each at its copy's epsilon."""
-    copies = cfg.n_copies()
-    eps_unit = cfg.epsilon / ((LEVEL_TUPLE_UNITS + 1) * copies)
-    clock = Clock(cfg.T)
-    bank = BinaryTreeMechanism.bank(cfg.T, ctx, clock)
-    instances = [
-        MomentState(cfg, ctx.child("moment-copy", c), eps_unit, bank) for c in range(copies)
-    ]
-    return BoostedEstimator(
-        instances, median_boost, equal_shares(cfg.epsilon, cfg.xi, copies), clock=clock
-    )
+
+    def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
+        return MomentState(cfg, copy_ctx, eps / (LEVEL_TUPLE_UNITS + 1), bank)
+
+    return boosted(cfg, ctx, "moment-copy", build, median_boost)

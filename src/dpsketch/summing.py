@@ -199,9 +199,9 @@ class BinaryTreeMechanism:
         self._running[lane] += x
         self._memo = None
 
-    def restore(self, t: int, running) -> None:
-        """Set the clock and running sums from a snapshot; noise is keyed by node."""
-        self._clock.t = int(t)
+    def restore(self, running) -> None:
+        """Set the running sums from a snapshot taken at the clock's current
+        timestamp, which the clock's owner sets; noise is keyed by node."""
         self._running[:] = running
         self._memo = None
 
@@ -330,8 +330,7 @@ class GroupingMechanism:
         ctx: NoiseContext,
         threshold_offset: float | None = None,
     ) -> None:
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        check_epsilon(epsilon)
         if not 0 < eta < 1:
             raise ValueError(f"eta must be in (0, 1), got {eta}")
         if not 0 < xi < 1:

@@ -429,11 +429,13 @@ class TestRefusedValues:
     @pytest.mark.parametrize("epsilon", ["inf", "nan"])
     @pytest.mark.parametrize(
         "name",
-        ["sum-tree", "distinct", "distinct-general", "f2", "heavy-hitters", "low-freq", "moment"],
+        ["sum-tree", "sum-group", "distinct", "distinct-general", "f2", "heavy-hitters",
+         "low-freq", "moment", "sliding-sum", "sliding-distinct"],
     )
     def test_epsilon_not_finite(self, name, epsilon, stream_file, capsys):
         # inf once released exact prefix sums as noisy ones; nan released nan,
-        # 0 at every tick, or an empty heavy-hitter report, and exited 0
+        # 0 at every tick, or an empty heavy-hitter report, and exited 0.  The
+        # grouping backend once refused them naming no flag
         code = run(_with(STREAMING_ARGS[name], "--epsilon", epsilon) + ["--input", stream_file])
         assert code == 2
         assert f"epsilon must be > 0 and finite, got {float(epsilon)}" in capsys.readouterr().err

@@ -13,7 +13,14 @@ import math
 import pytest
 
 from dpsketch.countsketch import L2Config, L2Estimator
-from dpsketch.distinct import DistinctConfig, SubsampleParams, distinct_estimator
+from dpsketch.distinct import (
+    GROUP,
+    INDICATOR_SENSITIVITY,
+    TREE,
+    DistinctConfig,
+    SubsampleParams,
+    distinct_estimator,
+)
 from dpsketch.budget import copy_count
 from dpsketch.heavy_hitters import (
     ETA_F2,
@@ -25,7 +32,7 @@ from dpsketch.heavy_hitters import (
     noise_floor,
     recall_threshold,
 )
-from dpsketch.low_freq import low_freq_block
+from dpsketch.low_freq import LowFreqConfig, LowFreqSmall, low_freq_block, lowfreq_estimator
 from dpsketch.moment import (
     GAMMA2_FACTOR,
     MAX_LOW_FREQ_K,
@@ -120,12 +127,55 @@ class TestHeavyHitterFloor:
         assert inside > 0 or noise_off
 
 
+def _joined_epsilons(monkeypatch):
+    """The epsilon of every lane group joined to any bank from now on."""
+    seen = []
+    join = BinaryTreeMechanism.join
+
+    def recording(self, base, ids, epsilon):
+        seen.append(epsilon)
+        return join(self, base, ids, epsilon)
+
+    monkeypatch.setattr(BinaryTreeMechanism, "join", recording)
+    return seen
+
+
 class TestEpsilonSplits:
     """Each factory's epsilon split equals its integer-divisor form bit for
     bit: 2 per L2 copy, 4 per heavy-hitter copy and per moment unit, 4 moment
-    units per copy."""
+    units per copy, 5 per distinct level and 8k per low-frequency counter
+    group, each of a copy's epsilon/copies."""
 
     GRID = list(itertools.product([1e-3, 0.1, 1.0, 3.7, 64.0, 1e6], [1, 2, 3, 7, 50]))
+
+    def test_distinct_level_epsilon(self, monkeypatch):
+        joined = _joined_epsilons(monkeypatch)
+        for epsilon, copies in self.GRID:
+            want = epsilon / copies / INDICATOR_SENSITIVITY
+            for variant in (TREE, GROUP):
+                cfg = DistinctConfig(epsilon=epsilon, eta=0.2, xi=0.1, n=16, T=8,
+                                     variant=variant, copies=copies)
+                joined.clear()
+                est = distinct_estimator(cfg, NoiseContext(1))
+                levels = [level.inner for copy in est.copies for level in copy.levels]
+                assert len(levels) == copies * subsample_depth(16, 8)
+                if variant == GROUP:
+                    assert all(inner.epsilon == want for inner in levels)
+                else:  # the levels' counters and the probe
+                    assert len(joined) == len(levels) + 1
+                    assert all(eps == want for eps in joined)
+
+    def test_lowfreq_small_counter_epsilon(self, monkeypatch):
+        joined = _joined_epsilons(monkeypatch)
+        k = 3
+        for epsilon, copies in self.GRID:
+            cfg = LowFreqConfig(k=k, epsilon=epsilon, eta=0.25, xi=0.1, n=16, T=8,
+                                copies=copies)
+            joined.clear()
+            est = lowfreq_estimator(cfg, NoiseContext(1))
+            assert all(isinstance(copy, LowFreqSmall) for copy in est.copies)
+            assert len(joined) == copies
+            assert all(eps == epsilon / copies / (8 * k) for eps in joined)
 
     def test_l2_bucket_epsilon(self):
         for epsilon, copies in self.GRID:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dpsketch.budget import copy_count
+from dpsketch.budget import copy_count, equal_shares
 from dpsketch.distinct import (
     GROUP,
     TREE,
@@ -15,10 +15,13 @@ from dpsketch.distinct import (
     make_summing_backend,
     subsample_params,
 )
+from dpsketch.heavy_hitters import HHConfig, hh_estimator
+from dpsketch.low_freq import LowFreqConfig, lowfreq_estimator
+from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.sensitivity import _indicator_mapping, _level_mapping
-from dpsketch.randomness import GeometricLevelHash, NoiseContext, PolyHashFamily
+from dpsketch.randomness import GeometricLevelHash, NoiseContext, PolyHashFamily, median_boost
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream, integer
-from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism
+from dpsketch.summing import BinaryTreeMechanism, Clock, GroupingMechanism, StateError
 
 
 def su(m, T, seed=0, noise_off=True, variant=TREE, epsilon=1.0):
@@ -253,5 +256,47 @@ class TestDistinctEstimator:
 
 class TestBoostedEstimator:
     def test_needs_copies(self):
-        with pytest.raises(ValueError):
-            BoostedEstimator([])
+        with pytest.raises(ValueError, match="at least one copy"):
+            BoostedEstimator([], median_boost, equal_shares(1.0, 0.1, 1), Clock(4))
+
+    @pytest.mark.parametrize("copies", [1, 3, 7])
+    def test_ledger_splits_epsilon_and_xi_equally(self, copies):
+        # one entry per copy, whose exact shares sum to the whole budget
+        epsilon, xi, n, T = 0.7, 0.1, 16, 8
+        estimators = [
+            distinct_estimator(
+                DistinctConfig(epsilon=epsilon, eta=0.2, xi=xi, n=n, T=T, copies=copies),
+                NoiseContext(1),
+            ),
+            hh_estimator(
+                HHConfig(p=2.0, k=2, eta=0.2, epsilon=epsilon, xi=xi, T=T, n=n, copies=copies),
+                NoiseContext(1),
+            ),
+            lowfreq_estimator(
+                LowFreqConfig(k=2, epsilon=epsilon, eta=0.25, xi=xi, n=n, T=T, copies=copies),
+                NoiseContext(1),
+            ),
+            moment_estimator(
+                MomentConfig(p=2.0, epsilon=epsilon, eta=0.25, xi=xi, T=T, n=n, copies=copies,
+                             tau=4.0),
+                NoiseContext(1),
+            ),
+        ]
+        for est in estimators:
+            entries = est.budget.entries
+            assert len(est.copies) == len(entries) == copies
+            assert [e.name for e in entries] == [f"copy-{c}" for c in range(copies)]
+            assert sum(e.epsilon_fraction for e in entries) == 1
+            assert sum(e.xi_fraction for e in entries) == 1
+            assert (est.budget.total_epsilon, est.budget.total_xi) == (epsilon, xi)
+            assert est.budget.epsilon_allocated == epsilon
+
+    @pytest.mark.parametrize("variant", [TREE, GROUP])
+    def test_horizon_is_the_shared_clock(self, variant):
+        T = 4
+        cfg = DistinctConfig(epsilon=1.0, eta=0.2, xi=0.1, n=16, T=T, variant=variant, copies=2)
+        est = distinct_estimator(cfg, NoiseContext(1))
+        for i in range(T):
+            est.feed(element(i))
+        with pytest.raises(StateError, match=f"stream horizon T={T} exhausted"):
+            est.feed(element(0))

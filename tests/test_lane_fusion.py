@@ -166,13 +166,15 @@ class TestMemo:
         for s in singles:
             s.feed(0.0)
         agree()
-        bank.restore(9, np.arange(8.0))  # a restore
+        bank.clock.t = 9  # a restore: the clock's owner sets its time
+        bank.restore(np.arange(8.0))
         for j, s in enumerate(singles):
-            s.restore(9, [float(j)])
+            s.clock.t = 9
+            s.restore([float(j)])
         agree()
-        bank.restore(9, np.arange(8.0) * 2)  # a restore to the memo's timestamp
+        bank.restore(np.arange(8.0) * 2)  # a restore at the memo's timestamp
         for j, s in enumerate(singles):
-            s.restore(9, [2.0 * j])
+            s.restore([2.0 * j])
         agree()
 
     def test_shared_clock_tick_clears_the_memo(self):

@@ -140,7 +140,8 @@ class TestClock:
             if t <= 5:
                 restored.feed(e)
                 restored.outputs()  # the clock's cache now holds t = 5
-        restored._bank.restore(live.t, live.running)
+        restored._clock.t = live.t
+        restored._bank.restore(live.running)
         assert restored._bank._clock.nodes() == _dyadic_nodes(T)
         assert restored.outputs().tolist() == live.outputs().tolist()
         assert [restored.bucket_output(i) for i in range(k)] == live.outputs().tolist()
@@ -201,7 +202,8 @@ class TestJoinedGroups:
                 assert bank.join(fold_key(seed, key), ids, eps) == 4
                 for i in ids:  # counters that start at 0 now
                     singles.append(BinaryTreeMechanism(T, eps, NoiseContext(seed), key=(key[1], i)))
-                    singles[-1].restore(t - 1, [0.0])
+                    singles[-1].clock.t = t - 1
+                    singles[-1].restore([0.0])
             bank.clock.tick()
             for j, single in enumerate(singles):
                 bank.add(j % 3 - 1, j)
@@ -386,8 +388,8 @@ class TestBlocksAhead:
             if t == 60 and not restored:  # a snapshot restore rewinds the clock
                 restored = True
                 running = rng.integers(-5, 6, size=bank.k).astype(float)
-                bank.restore(t - 9, running)
-                t -= 9
+                t = bank.clock.t = t - 9
+                bank.restore(running)
             for j in rng.integers(0, bank.k, size=3).tolist():
                 x = float(rng.integers(-2, 3))
                 bank.add(x, j)
