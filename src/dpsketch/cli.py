@@ -110,16 +110,16 @@ def _load_events(args) -> list[StreamEvent]:
 
 class _Released:
     """Event-fed view of an estimator whose own feed does not return its
-    release (summing mechanisms take event counts; L2 reads ``f2``)."""
+    release ``current()`` (summing mechanisms take event counts; L2 only
+    ingests)."""
 
-    def __init__(self, est, read: str, counts: bool = False) -> None:
+    def __init__(self, est, counts: bool = False) -> None:
         self.est = est
-        self._read = getattr(est, read)
         self._counts = counts
 
     def feed(self, e: StreamEvent) -> float:
         self.est.feed(event_count(e) if self._counts else e)
-        return self._read()
+        return self.est.current()
 
 
 def _config(cls, a):
@@ -129,7 +129,7 @@ def _config(cls, a):
 
 def _build_sum(a, ctx):
     mech = make_summing_backend(a.mechanism, a.T, a.epsilon, a.eta, a.xi, ctx)
-    return _Released(mech, "current", counts=True)
+    return _Released(mech, counts=True)
 
 
 def _build_distinct(a, ctx):
@@ -141,7 +141,7 @@ def _build_distinct(a, ctx):
 
 
 def _build_f2(a, ctx):
-    return _Released(L2Estimator(_config(L2Config, a), ctx), "f2")
+    return _Released(L2Estimator(_config(L2Config, a), ctx))
 
 
 def _build_heavy_hitters(a, ctx):

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import BoostedConfig, equal_shares
+from .budget import BoostedConfig
+from .distinct import BoostedEstimator
 from .randomness import NoiseContext, PolyHashFamily, SignHash, fold_key, fold_on, median_boost
 from .randomness import node_laplace  # noqa: F401  (traced by perfbench/run.py)
 from .streams import StreamEvent
-from .summing import BinaryTreeMechanism, Clock
+from .summing import BinaryTreeMechanism
 
 # one universe change moves +-1 between two buckets of one sketch
 BUCKET_SENSITIVITY = 2
@@ -134,43 +135,31 @@ def default_l2_buckets(eta: float) -> int:
     return math.ceil(400 / eta**2)
 
 
-class L2Estimator:
+class L2Estimator(BoostedEstimator):
     """Boosted frequency and F2 estimator: per-timestamp medians over copies.
-    The copies are windows of one bank on one clock, each keyed as a standalone
-    sketch under ``ctx.child("l2-copy", c)``: a tick draws a stale level once
-    for all copies, and one memoised full read serves every copy's f2.  Its
-    state is ``cfg``, ``ctx``, ``t`` and ``running``: hashes and noise are keyed
-    draws under ``ctx``, so a new estimator ``restore``d to them reads the same."""
+    The copies are windows of the bank, each keyed as a standalone sketch
+    under its copy context: a tick draws a stale level once for all copies,
+    and one memoised full read serves every copy's f2, which is the release.
+    ``feed`` only ingests, so that a tick may read both ``f2`` and point
+    queries.  Its state is ``cfg``, ``ctx``, ``t`` and ``running``: hashes and
+    noise are keyed draws under ``ctx``, so a new estimator ``restore``d to
+    them reads the same."""
 
     def __init__(self, cfg: L2Config, ctx: NoiseContext) -> None:
-        self.cfg = cfg
-        self.ctx = ctx
-        copies = cfg.n_copies()
         k = cfg.buckets if cfg.buckets is not None else default_l2_buckets(cfg.eta)
-        eps_bucket = cfg.epsilon / (BUCKET_SENSITIVITY * copies)
-        self._clock = Clock(cfg.T)
-        self._bank = BinaryTreeMechanism.bank(cfg.T, ctx, self._clock)
-        self.copies = [
-            CountSketchState(
-                k, eps_bucket, self._bank, CountSketchState.key_folds(ctx.child("l2-copy", c), (c,))
-            )
-            for c in range(copies)
-        ]
-        self.budget = equal_shares(cfg.epsilon, cfg.xi, copies)
 
-    def feed(self, e: StreamEvent) -> None:
-        self._clock.tick()
-        for sketch in self.copies:
-            sketch.ingest(e)
+        def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
+            folded = CountSketchState.key_folds(copy_ctx, (c,))
+            return CountSketchState(k, eps / BUCKET_SENSITIVITY, bank, folded)
 
-    @property
-    def t(self) -> int:
-        return self._bank.t
+        super().__init__(cfg, ctx, "l2-copy", build, median_boost)
+
+    feed = BoostedEstimator.ingest
 
     @property
     def running(self) -> np.ndarray:
         """Exact bucket counts, copy after copy (private state, not a release)."""
-        return self._bank.running
+        return self.bank.running
 
     def restore(self, t: int, running) -> None:
         """Set the clock and the bucket counts, as ``t`` and ``running`` read them."""
@@ -178,10 +167,13 @@ class L2Estimator:
             raise ValueError(f"t={t} and {len(running)} counts: want t in [0, {self.cfg.T}] "
                              f"and {len(self.running)} counts")
         self._clock.t = int(t)
-        self._bank.restore(running)
+        self.bank.restore(running)
 
     def point_query(self, ident: int) -> float:
         return median_boost([s.point_query(ident) for s in self.copies])
 
     def f2(self) -> float:
         return median_boost([s.f2().value for s in self.copies])
+
+    def current(self) -> float:
+        return self.f2()

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from .budget import BoostedConfig, MechanismBudget, equal_shares
+from .budget import BoostedConfig, equal_shares
 from .randomness import (
     HASH_RANGE_CAP,
     LevelRouter,
@@ -141,19 +141,30 @@ class SubsampledDistinct:
 
 
 class BoostedEstimator:
-    """Independent copies, each driven by ``ingest(e)`` and read by ``current()``,
-    combined per timestamp by ``combiner``.  The copies share ``clock``, which
-    the estimator ticks once per event, and ``budget`` is their ledger."""
+    """The median trick: ``cfg.n_copies()`` independent copies, each driven by
+    ``ingest(e)`` and read by ``current()``, combined per timestamp by
+    ``combiner``, with an equal-share ledger ``budget``.  Copy c is
+    ``build(c, ctx.child(name, c), cfg.epsilon / copies, bank)``: its context,
+    its epsilon, and one ``bank`` on the clock the estimator ticks once per
+    event, which a copy may join or read the clock of."""
 
     def __init__(
-        self, copies: Sequence, combiner: Callable, budget: MechanismBudget, clock: Clock
+        self, cfg: BoostedConfig, ctx: NoiseContext, name: str, build: Callable, combiner: Callable
     ) -> None:
-        if not copies:
-            raise ValueError("boosted estimator needs at least one copy")
-        self.copies = list(copies)
+        self.cfg = cfg
+        self.ctx = ctx
+        copies = cfg.n_copies()
+        self.bank = BinaryTreeMechanism.bank(cfg.T, ctx, Clock(cfg.T))
+        self.copies = [
+            build(c, ctx.child(name, c), cfg.epsilon / copies, self.bank) for c in range(copies)
+        ]
         self.combiner = combiner
-        self.budget = budget
-        self._clock = clock
+        self.budget = equal_shares(cfg.epsilon, cfg.xi, copies)
+        self._clock = self.bank.clock
+
+    @property
+    def t(self) -> int:
+        return self._clock.t
 
     def feed(self, e: StreamEvent) -> float:
         self.ingest(e)
@@ -166,22 +177,6 @@ class BoostedEstimator:
 
     def current(self) -> float:
         return self.combiner([c.current() for c in self.copies])
-
-
-def boosted(
-    cfg: BoostedConfig, ctx: NoiseContext, name: str, build: Callable, combiner: Callable
-) -> BoostedEstimator:
-    """The median trick over ``cfg.n_copies()`` copies, combined by
-    ``combiner``, with an equal-share ledger.  Copy c is ``build(c,
-    ctx.child(name, c), cfg.epsilon / copies, bank)``: its context, its
-    epsilon, and one bank on the clock the estimator ticks, which a copy may
-    join or read the clock of."""
-    copies = cfg.n_copies()
-    bank = BinaryTreeMechanism.bank(cfg.T, ctx, Clock(cfg.T))
-    instances = [build(c, ctx.child(name, c), cfg.epsilon / copies, bank) for c in range(copies)]
-    return BoostedEstimator(
-        instances, combiner, equal_shares(cfg.epsilon, cfg.xi, copies), bank.clock
-    )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -217,4 +212,4 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
             cfg.variant, cfg.T, eps_level, cfg.eta, xi_inner, copy_ctx.child(*key)
         ))
 
-    return boosted(cfg, ctx, "distinct-copy", build, median_boost)
+    return BoostedEstimator(cfg, ctx, "distinct-copy", build, median_boost)

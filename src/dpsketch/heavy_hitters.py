@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from .budget import BoostedConfig
-from .distinct import BoostedEstimator, boosted
+from .distinct import BoostedEstimator
 from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily, fold_on
 from .streams import StreamEvent
 from .summing import BinaryTreeMechanism, Clock, tree_levels
@@ -269,7 +269,7 @@ def hh_estimator(cfg: HHConfig, ctx: NoiseContext) -> BoostedEstimator:
     def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
         return HHSketch(cfg, copy_ctx, tree_epsilon(eps), bank.clock, key=(c,))
 
-    return boosted(cfg, ctx, "hh-copy", build, union_median)
+    return BoostedEstimator(cfg, ctx, "hh-copy", build, union_median)
 
 
 def recall_threshold(cfg: HHConfig, sketch: HHSketch) -> float:

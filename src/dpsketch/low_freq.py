@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import BoostedConfig
-from .distinct import GROUP, BoostedEstimator, DistinctConfig, boosted, distinct_estimator
+from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
 from .randomness import (
     HASH_RANGE_CAP,
     LevelRouter,
@@ -219,4 +219,4 @@ def lowfreq_estimator(cfg: LowFreqConfig, ctx: NoiseContext) -> BoostedEstimator
     def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
         return low_freq_block(cfg.n, cfg.k, cfg.T, cfg.eta, eps, xi_dhat, copy_ctx, bank)
 
-    return boosted(cfg, ctx, "lowfreq-copy", build, _median_vectors)
+    return BoostedEstimator(cfg, ctx, "lowfreq-copy", build, _median_vectors)

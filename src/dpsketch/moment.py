@@ -25,7 +25,7 @@ from .randomness import (
     median_boost,
 )
 from .streams import FrequencyTable, StreamEvent
-from .distinct import BoostedEstimator, boosted
+from .distinct import BoostedEstimator
 
 BELOW = "below"
 ABOVE = "above"
@@ -286,4 +286,4 @@ def moment_estimator(cfg: MomentConfig, ctx: NoiseContext) -> BoostedEstimator:
     def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
         return MomentState(cfg, copy_ctx, eps / (LEVEL_TUPLE_UNITS + 1), bank)
 
-    return boosted(cfg, ctx, "moment-copy", build, median_boost)
+    return BoostedEstimator(cfg, ctx, "moment-copy", build, median_boost)

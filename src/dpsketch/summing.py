@@ -330,6 +330,8 @@ class GroupingMechanism:
         ctx: NoiseContext,
         threshold_offset: float | None = None,
     ) -> None:
+        if T < 1:
+            raise ValueError(f"T must be >= 1, got {T}")
         check_epsilon(epsilon)
         if not 0 < eta < 1:
             raise ValueError(f"eta must be in (0, 1), got {eta}")
@@ -388,6 +390,8 @@ class GroupingMechanism:
     def error_bound(self, xi: float | None = None) -> float:
         """Additive part of the (1 ± eta) envelope over every interval [l, r]."""
         xi = self.xi if xi is None else xi
+        if not 0 < xi < 1:
+            raise ValueError(f"xi must be in (0, 1), got {xi}")
         if self._ctx.noise_off:
             return 0.0
         return (

@@ -177,12 +177,16 @@ class TestEpsilonSplits:
             assert len(joined) == copies
             assert all(eps == epsilon / copies / (8 * k) for eps in joined)
 
-    def test_l2_bucket_epsilon(self):
+    def test_l2_bucket_epsilon(self, monkeypatch):
+        joined = _joined_epsilons(monkeypatch)
         for epsilon, copies in self.GRID:
             cfg = L2Config(epsilon=epsilon, eta=0.2, xi=0.1, n=16, T=8, copies=copies,
                            buckets=2)
+            joined.clear()
             est = L2Estimator(cfg, NoiseContext(1))
-            assert all(s.epsilon_bucket == epsilon / (2 * copies) for s in est.copies)
+            assert len(joined) == copies
+            assert all(eps == epsilon / copies / 2 == epsilon / (2 * copies) for eps in joined)
+            assert all(s.epsilon_bucket == epsilon / copies / 2 for s in est.copies)
 
     def test_hh_tree_epsilon(self):
         for epsilon, copies in self.GRID:

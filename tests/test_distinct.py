@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from dpsketch.budget import copy_count, equal_shares
+from dpsketch.budget import copy_count
+from dpsketch.countsketch import L2Config, L2Estimator
 from dpsketch.distinct import (
     GROUP,
     TREE,
@@ -21,7 +22,7 @@ from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.sensitivity import _indicator_mapping, _level_mapping
 from dpsketch.randomness import GeometricLevelHash, NoiseContext, PolyHashFamily, median_boost
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream, integer
-from dpsketch.summing import BinaryTreeMechanism, Clock, GroupingMechanism, StateError
+from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism, StateError
 
 
 def su(m, T, seed=0, noise_off=True, variant=TREE, epsilon=1.0):
@@ -256,8 +257,12 @@ class TestDistinctEstimator:
 
 class TestBoostedEstimator:
     def test_needs_copies(self):
-        with pytest.raises(ValueError, match="at least one copy"):
-            BoostedEstimator([], median_boost, equal_shares(1.0, 0.1, 1), Clock(4))
+        cfg = DistinctConfig(epsilon=1.0, eta=0.2, xi=0.1, n=16, T=4, copies=0)
+        with pytest.raises(ValueError, match="copies must be >= 1, got 0"):
+            BoostedEstimator(cfg, NoiseContext(1), "copy", None, median_boost)
+        cfg = L2Config(epsilon=1.0, eta=0.2, xi=0.1, n=16, T=4, copies=0, buckets=2)
+        with pytest.raises(ValueError, match="copies must be >= 1, got 0"):
+            L2Estimator(cfg, NoiseContext(1))
 
     @pytest.mark.parametrize("copies", [1, 3, 7])
     def test_ledger_splits_epsilon_and_xi_equally(self, copies):
@@ -276,6 +281,10 @@ class TestBoostedEstimator:
                 LowFreqConfig(k=2, epsilon=epsilon, eta=0.25, xi=xi, n=n, T=T, copies=copies),
                 NoiseContext(1),
             ),
+            L2Estimator(
+                L2Config(epsilon=epsilon, eta=0.2, xi=xi, n=n, T=T, copies=copies, buckets=2),
+                NoiseContext(1),
+            ),
             moment_estimator(
                 MomentConfig(p=2.0, epsilon=epsilon, eta=0.25, xi=xi, T=T, n=n, copies=copies,
                              tau=4.0),
@@ -283,6 +292,7 @@ class TestBoostedEstimator:
             ),
         ]
         for est in estimators:
+            assert isinstance(est, BoostedEstimator)
             entries = est.budget.entries
             assert len(est.copies) == len(entries) == copies
             assert [e.name for e in entries] == [f"copy-{c}" for c in range(copies)]
@@ -291,12 +301,27 @@ class TestBoostedEstimator:
             assert (est.budget.total_epsilon, est.budget.total_xi) == (epsilon, xi)
             assert est.budget.epsilon_allocated == epsilon
 
-    @pytest.mark.parametrize("variant", [TREE, GROUP])
+    @pytest.mark.parametrize("variant", [TREE, GROUP, "f2"])
     def test_horizon_is_the_shared_clock(self, variant):
         T = 4
-        cfg = DistinctConfig(epsilon=1.0, eta=0.2, xi=0.1, n=16, T=T, variant=variant, copies=2)
-        est = distinct_estimator(cfg, NoiseContext(1))
+        if variant == "f2":
+            cfg = L2Config(epsilon=1.0, eta=0.2, xi=0.1, n=16, T=T, copies=2, buckets=2)
+            est = L2Estimator(cfg, NoiseContext(1))
+        else:
+            cfg = DistinctConfig(epsilon=1.0, eta=0.2, xi=0.1, n=16, T=T, variant=variant,
+                                 copies=2)
+            est = distinct_estimator(cfg, NoiseContext(1))
         for i in range(T):
             est.feed(element(i))
+            assert est.t == i + 1
         with pytest.raises(StateError, match=f"stream horizon T={T} exhausted"):
             est.feed(element(0))
+
+    def test_f2_release_is_current(self):
+        # the L2 estimator's release, as for every other boosted estimator
+        T = 64
+        cfg = L2Config(epsilon=1.0, eta=0.2, xi=0.1, n=32, T=T, copies=3, buckets=16)
+        est = L2Estimator(cfg, NoiseContext(3))
+        for e in generate_stream("zipf", StreamConfig(T=T, n=32), seed=3, s=1.2):
+            est.feed(e)
+            assert est.current() == est.f2()

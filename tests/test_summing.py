@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dpsketch.budget import BoostedConfig, BudgetEntry, MechanismBudget, copy_count, equal_shares
 from dpsketch.countsketch import L2Config
-from dpsketch.distinct import DistinctConfig
+from dpsketch.distinct import GROUP, TREE, DistinctConfig, make_summing_backend
 from dpsketch.heavy_hitters import HHConfig
 from dpsketch.low_freq import LowFreqConfig
 from dpsketch.moment import MomentConfig, build_shape
@@ -326,6 +326,25 @@ class TestGroupingPrivacy:
                 slack = 4 * math.sqrt((1 - p1) / a + (1 - p2) / b)
                 assert max(p1 / p2, p2 / p1) <= bound * (1 + slack)
             assert informative >= 8  # closures actually happened
+
+
+class TestBackendRefusals:
+    """Both summing backends refuse a horizon below 1 and a xi outside (0, 1)
+    with the same ValueError, noise on or off."""
+
+    @pytest.mark.parametrize("variant", [TREE, GROUP])
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_horizon_below_one(self, variant, T):
+        with pytest.raises(ValueError, match=f"T must be >= 1, got {T}"):
+            make_summing_backend(variant, T, 1.0, 0.25, 0.1, NoiseContext(1))
+
+    @pytest.mark.parametrize("variant", [TREE, GROUP])
+    @pytest.mark.parametrize("noise_off", [False, True])
+    @pytest.mark.parametrize("xi", [0.0, 1.0, 1.5, -0.1])
+    def test_error_bound_xi_outside_unit_interval(self, variant, noise_off, xi):
+        mech = make_summing_backend(variant, 16, 1.0, 0.25, 0.1, NoiseContext(1, noise_off))
+        with pytest.raises(ValueError, match=r"xi must be in \(0, 1\)"):
+            mech.error_bound(xi)
 
 
 def _envelope_holds(counts, released, eta, gamma) -> bool:
