@@ -1,9 +1,9 @@
 """Continual-release distinct-element counting.
 
 Small universes reduce to summing a 0/1 first-appearance indicator stream;
-general universes subsample elements into geometric levels, count distinct
-hashed values per level with the small-universe counter, and rescale the
-deepest level that still holds enough mass.  Boosting takes the per-timestamp
+general universes subsample elements into geometric levels, sum the
+indicator of each level's first hashed values, and rescale the deepest level
+that still holds enough mass.  Boosting takes the per-timestamp
 lower median over independent copies.
 """
 
@@ -19,10 +19,11 @@ from .randomness import (
     LevelRouter,
     NoiseContext,
     even_independence,
+    fold_key,
     median_boost,
     subsample_depth,
 )
-from .streams import EMPTY_EVENT, StreamEvent, element
+from .streams import StreamEvent
 from .summing import BinaryTreeMechanism, Clock, GroupingMechanism
 
 TREE = "tree"
@@ -104,39 +105,52 @@ def subsample_params(
 class SubsampledDistinct:
     """Distinct count for a general universe via geometric subsampling.
 
-    Each element lands on one level (or none) under the level hash; the level
-    stream stores the pairwise-hashed id.  The output rescales the deepest
-    level whose estimate clears the selection threshold.
+    Each element lands on one level (or none) under the level hash; its first
+    (level, pairwise-hashed id) pair credits 1 to level i's counter, keyed as
+    a single tree counter under ``ctx.child("level", i)``: a lane of ``bank``,
+    or with ``grouping`` = (eta, xi) a grouping mechanism fed every tick.  The
+    output rescales the deepest level whose estimate clears the threshold.
     """
 
     def __init__(
-        self,
-        params: SubsampleParams,
-        ctx: NoiseContext,
-        summing_factory: Callable[[tuple], object],
+        self, params: SubsampleParams, ctx: NoiseContext, bank: BinaryTreeMechanism,
+        epsilon: float, grouping: tuple[float, float] | None = None,
     ) -> None:
         self.params = params
         self._route = LevelRouter(params.L, params.lam, params.m, ctx, "subsample")
-        self.levels = [
-            SmallUniverseDistinct(params.m, summing_factory(("level", i)))
-            for i in range(1, params.L + 1)
-        ]
+        self._seen: set[tuple[int, int]] = set()
+        self._bank, self._lo = bank, bank.k  # tree level i is lane _lo + i - 1
+        self.groups = []  # the grouping mechanisms, level 1 first
+        for level in (ctx.child("level", i) for i in range(1, params.L + 1)):
+            if grouping:
+                self.groups.append(GroupingMechanism(bank.T, epsilon, *grouping, level))
+            else:
+                bank.join(fold_key(level.master_seed, ("tree",)), None, epsilon)
 
     def ingest(self, e: StreamEvent) -> None:
         """Advance one timestamp without computing the estimate."""
-        level, hashed = (None, 0)
-        if e.is_element():
-            level, hashed = self._route(e.value)
-        elif e.is_integer():
+        if e.is_integer():
             raise ValueError("distinct counting requires an elements-mode stream")
-        for i, counter in enumerate(self.levels, start=1):
-            counter.feed(element(hashed) if level == i else EMPTY_EVENT)
+        level, hashed = self._route(e.value) if e.is_element() else (None, 0)
+        first = level is not None and (level, hashed) not in self._seen
+        if first:
+            self._seen.add((level, hashed))
+        for i, counter in enumerate(self.groups, start=1):
+            counter.feed(int(first and i == level))
+        if first and not self.groups:
+            self._bank.add(1, self._lo + level - 1)
+
+    def level_outputs(self):
+        """Every level's noisy distinct count, level 1 first."""
+        if self.groups:
+            return [level.current() for level in self.groups]
+        return self._bank.current()[self._lo : self._lo + self.params.L]
 
     def current(self) -> float:
+        s = self.level_outputs()
         for i in range(self.params.L, 0, -1):
-            s_i = self.levels[i - 1].current()
-            if s_i >= self.params.threshold:
-                return s_i * 2.0**i
+            if s[i - 1] >= self.params.threshold:
+                return float(s[i - 1]) * 2.0**i
         return 0.0
 
 
@@ -195,8 +209,9 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
     Per copy: the level tuple is released once (partition-style sensitivity),
     each level's indicator summing runs at eps_copy/5 since one universe
     change flips at most 5 indicator entries.  Parameter evaluation order:
-    copies -> xi share -> (alpha, gamma) -> m.  Levels run their own
-    backends and take no lanes of the bank.
+    copies -> xi share -> (alpha, gamma) -> m.  Tree-variant levels are
+    lanes of the estimator's bank, so a tick draws each stale level once for
+    every copy's levels; grouping-variant levels are grouping mechanisms.
     """
     copies = cfg.n_copies()
     eps_sum = cfg.epsilon / copies / INDICATOR_SENSITIVITY
@@ -206,10 +221,9 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
     )
     params = subsample_params(cfg.n, cfg.T, cfg.eta, probe.alpha, probe.error_bound(xi_inner))
 
+    grouping = None if cfg.variant == TREE else (cfg.eta, xi_inner)
+
     def build(c: int, copy_ctx: NoiseContext, eps: float, bank: BinaryTreeMechanism):
-        eps_level = eps / INDICATOR_SENSITIVITY
-        return SubsampledDistinct(params, copy_ctx, lambda key: make_summing_backend(
-            cfg.variant, cfg.T, eps_level, cfg.eta, xi_inner, copy_ctx.child(*key)
-        ))
+        return SubsampledDistinct(params, copy_ctx, bank, eps / INDICATOR_SENSITIVITY, grouping)
 
     return BoostedEstimator(cfg, ctx, "distinct-copy", build, median_boost)

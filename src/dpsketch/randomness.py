@@ -53,7 +53,8 @@ def fold_on(folded: int, key: tuple) -> int:
     return h
 
 
-def _fold_key(seed: int, key: tuple) -> int:
+def fold_key(seed: int, key: tuple) -> int:
+    """Stable 64-bit digest of a key tuple under a master seed."""
     return fold_on(_mix64(seed ^ _GOLDEN), key)
 
 
@@ -61,11 +62,6 @@ _NODE_A = 0xD2B74407B1CE6E93
 _NODE_B = 0xCA5A826395121157
 # separates a context's sequential stream from its keyed draws
 _STREAM = 0x3C6EF372FE94F82B
-
-
-def fold_key(seed: int, key: tuple) -> int:
-    """Stable 64-bit digest of a key tuple under a master seed."""
-    return _fold_key(seed, key)
 
 
 _U11, _U27, _U30, _U31 = (np.uint64(n) for n in (11, 27, 30, 31))
@@ -190,7 +186,7 @@ class NoiseContext:
         return (_mix64(self._stream + self.draw_counter * _GOLDEN) >> 11) * 2.0**-53
 
     def child_seed(self, *key) -> int:
-        return _fold_key(self.master_seed, ("child",) + key)
+        return fold_key(self.master_seed, ("child",) + key)
 
     def child(self, *key) -> "NoiseContext":
         """Independent sub-context; copies built from distinct keys share nothing."""

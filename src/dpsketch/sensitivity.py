@@ -116,11 +116,8 @@ def _substream_mapping(events, n, T, seed, params):
 def _level_mapping(events, n, T, seed, params):
     L = params["L"]
     ctx = NoiseContext(seed, noise_off=True)
-    sub = SubsampledDistinct(
-        SubsampleParams(L=L, lam=4, m=64, alpha=1.0, gamma=0.0, threshold=1.0),
-        ctx,
-        lambda key: BinaryTreeMechanism(T, 1.0, ctx.child(*key)),
-    )
+    shape = SubsampleParams(L=L, lam=4, m=64, alpha=1.0, gamma=0.0, threshold=1.0)
+    sub = SubsampledDistinct(shape, ctx, BinaryTreeMechanism.bank(T, ctx, Clock(T)), 1.0)
 
     def route(ident: int):
         level, hashed = sub._route(ident)
@@ -162,6 +159,8 @@ def sensitivity_check(
         raise ValueError(f"unknown mapping {mapping_id!r}; known: {sensitivity_mappings()}")
     if not seeds:
         raise ValueError("a sensitivity check needs at least one hash seed")
+    if n < 1 or T < 1:  # no neighbouring pair to compare: a PASS would say nothing
+        raise ValueError(f"n and T must be >= 1, got n={n}, T={T}")
     mapping, claim, aggregate = _MAPPINGS[mapping_id]
     mapped = [partial(mapping, n=n, T=T, seed=s, params=params) for s in seeds]
     observed = max(mapping_sensitivity(m, n, T, budget, aggregate) for m in mapped)

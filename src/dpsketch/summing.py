@@ -106,7 +106,8 @@ class BinaryTreeMechanism:
     ``join`` at its own epsilon, so the owners of windows of lanes share one
     clock and one draw per stale level.  A group's base is its folded key,
     ``fold_key(seed, key)``; group lane i is keyed ``key + (ids[i],)``, one
-    fold round on from the base, and draws at the group's scale.
+    fold round on from the base (a group without ids is one lane keyed by the
+    base, as a single counter is), and draws at the group's scale.
     A full read refills each stale level for every lane with one array draw,
     scaled per lane, into one row per level that the bank keeps until a
     ``join``.  Each tick brings one new node; a full read at t that follows
@@ -266,8 +267,9 @@ class BinaryTreeMechanism:
         """The folded key and the scale of every lane of a bank."""
         bases, scales = [], []
         for base, ids, scale, _ in self._groups:
-            bases.append(fold_lanes(base, np.asarray(ids, dtype=np.uint64)))
-            scales.append(np.full(len(ids), scale))
+            lanes = [base] if ids is None else fold_lanes(base, np.asarray(ids, dtype=np.uint64))
+            bases.append(np.asarray(lanes, dtype=np.uint64))
+            scales.append(np.full(len(lanes), scale))
         return np.concatenate(bases), np.concatenate(scales)
 
     def _group_of(self, lane: int) -> tuple:

@@ -157,12 +157,14 @@ class TestEpsilonSplits:
                                      variant=variant, copies=copies)
                 joined.clear()
                 est = distinct_estimator(cfg, NoiseContext(1))
-                levels = [level.inner for copy in est.copies for level in copy.levels]
-                assert len(levels) == copies * subsample_depth(16, 8)
+                levels = copies * subsample_depth(16, 8)
                 if variant == GROUP:
-                    assert all(inner.epsilon == want for inner in levels)
-                else:  # the levels' counters and the probe
-                    assert len(joined) == len(levels) + 1
+                    groups = [level for copy in est.copies for level in copy.groups]
+                    assert len(groups) == levels
+                    assert all(level.epsilon == want for level in groups)
+                else:  # one lane per level of every copy, and the probe
+                    assert est.bank.k == levels
+                    assert len(joined) == levels + 1
                     assert all(eps == want for eps in joined)
 
     def test_lowfreq_small_counter_epsilon(self, monkeypatch):

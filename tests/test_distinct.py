@@ -22,7 +22,9 @@ from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.sensitivity import _indicator_mapping, _level_mapping
 from dpsketch.randomness import GeometricLevelHash, NoiseContext, PolyHashFamily, median_boost
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream, integer
-from dpsketch.summing import BinaryTreeMechanism, GroupingMechanism, StateError
+from dpsketch.summing import GroupingMechanism, StateError
+
+from standalone import Standalone, bank_on_clock
 
 
 def su(m, T, seed=0, noise_off=True, variant=TREE, epsilon=1.0):
@@ -92,16 +94,20 @@ def forced_level_seed(n_elems, level, L, lam, base_seed=0):
     raise AssertionError("no forcing seed found")
 
 
+def subsampled(params, ctx, T):
+    """A subsampled estimator at epsilon 1 on tree lanes of a bank of its
+    own, whose clock ``ingest`` ticks."""
+    bank = bank_on_clock(T, ctx)
+    return Standalone(SubsampledDistinct(params, ctx, bank, 1.0), bank)
+
+
 class TestSubsampled:
     def test_zero_when_below_threshold(self):
         # all elements forced to level 1, distinct count below the selection
         # threshold: the estimator must output 0
         params = SubsampleParams(L=3, lam=4, m=1 << 20, alpha=1.0, gamma=0.0, threshold=50.0)
         seed = forced_level_seed(5, 1, params.L, params.lam)
-        ctx = NoiseContext(seed, noise_off=True)
-        sub = SubsampledDistinct(
-            params, ctx, lambda key: BinaryTreeMechanism(32, 1.0, ctx.child(*key))
-        )
+        sub = subsampled(params, NoiseContext(seed, noise_off=True), 32)
         for x in range(5):
             sub.ingest(element(x))
             assert sub.current() == 0.0
@@ -110,10 +116,7 @@ class TestSubsampled:
         # forced level, low threshold: output is the exact level count * 2^i
         params = SubsampleParams(L=3, lam=4, m=1 << 20, alpha=1.0, gamma=0.0, threshold=2.0)
         seed = forced_level_seed(6, 2, params.L, params.lam)
-        ctx = NoiseContext(seed, noise_off=True)
-        sub = SubsampledDistinct(
-            params, ctx, lambda key: BinaryTreeMechanism(32, 1.0, ctx.child(*key))
-        )
+        sub = subsampled(params, NoiseContext(seed, noise_off=True), 32)
         out = 0.0
         for x in range(6):
             sub.ingest(element(x))
@@ -141,12 +144,7 @@ class TestSubsampled:
         stream = generate_stream("uniform", cfg, seed=5)
         outs = []
         for _ in range(2):
-            ctx = NoiseContext(99)
-            sub = SubsampledDistinct(
-                params,
-                ctx,
-                lambda key: BinaryTreeMechanism(256, 1.0, ctx.child(*key)),
-            )
+            sub = subsampled(params, NoiseContext(99), 256)
             run = []
             for e in stream:
                 sub.ingest(e)
@@ -157,10 +155,7 @@ class TestSubsampled:
     def test_output_form(self):
         # output is always s_hat * 2^i or 0 (noise off: integer level counts)
         params = SubsampleParams(L=4, lam=4, m=1 << 20, alpha=1.0, gamma=0.0, threshold=2.0)
-        ctx = NoiseContext(3, noise_off=True)
-        sub = SubsampledDistinct(
-            params, ctx, lambda key: BinaryTreeMechanism(128, 1.0, ctx.child(*key))
-        )
+        sub = subsampled(params, NoiseContext(3, noise_off=True), 128)
         for x in range(128):
             sub.ingest(element(x))
             out = sub.current()
@@ -168,7 +163,7 @@ class TestSubsampled:
             if out:
                 assert any(
                     out == s * 2**i
-                    for i, s in enumerate([c.current() for c in sub.levels], start=1)
+                    for i, s in enumerate(sub.level_outputs(), start=1)
                 )
 
 
@@ -325,3 +320,26 @@ class TestBoostedEstimator:
         for e in generate_stream("zipf", StreamConfig(T=T, n=32), seed=3, s=1.2):
             est.feed(e)
             assert est.current() == est.f2()
+
+
+class TestGeneralUniverseAccuracy:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_noisy_tree_release_within_eta(self, seed):
+        # once the deepest level clears the selection threshold (from about
+        # t = 10,000 here) every release lies within (1 ± eta) of the exact
+        # distinct count
+        n, T, eta = 1 << 15, 1 << 14, 0.45
+        cfg = DistinctConfig(epsilon=64.0, eta=eta, xi=0.1, n=n, T=T, variant=TREE, copies=3)
+        est = distinct_estimator(cfg, NoiseContext(seed))
+        seen: set[int] = set()
+        first, worst = None, 0.0
+        stream = generate_stream("uniform", StreamConfig(T=T, n=n), seed=seed)
+        for t, e in enumerate(stream, start=1):
+            if e.is_element():
+                seen.add(e.value)
+            out = est.feed(e)
+            if out:
+                first = first or t
+                worst = max(worst, abs(out - len(seen)) / len(seen))
+        assert first is not None and first < 12_000
+        assert worst <= eta

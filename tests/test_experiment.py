@@ -56,6 +56,16 @@ class TestSensitivityChecks:
         assert (lowfreq.observed, buckets.observed) == (24, 4)
         assert not lowfreq.passed and not buckets.passed
 
+    @pytest.mark.parametrize("mapping", sensitivity_mappings())
+    @pytest.mark.parametrize("n, T", [(0, 4), (2, 0)])
+    def test_refuses_a_shape_without_neighbours(self, capsys, mapping, n, T):
+        # n < 1 or T < 1 leaves no neighbouring pair to compare, so a PASS
+        # would check nothing
+        with pytest.raises(ValueError, match="must be >= 1"):
+            sensitivity_check(mapping, n=n, T=T, k=2, m=2, L=2)
+        assert main(["sensitivity-check", "--mapping", mapping, "--n", str(n), "--T", str(T)]) == 2
+        assert "PASS" not in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "owner, name, mapping, params",
         [

@@ -24,6 +24,13 @@ from dpsketch.cli import (
     main,
 )
 from dpsketch.countsketch import CountSketchState, L2Config, L2Estimator
+from dpsketch.distinct import (
+    GROUP,
+    INDICATOR_SENSITIVITY,
+    TREE,
+    DistinctConfig,
+    distinct_estimator,
+)
 from dpsketch.heavy_hitters import HHConfig, HHSketch, hh_estimator
 from dpsketch.low_freq import (
     LowFreqConfig,
@@ -34,10 +41,10 @@ from dpsketch.low_freq import (
     lowfreq_estimator,
 )
 from dpsketch.moment import MomentConfig, MomentState, moment_estimator
-from dpsketch.randomness import NoiseContext, fold_key, median_boost
+from dpsketch.randomness import LevelRouter, NoiseContext, fold_key, median_boost
 from dpsketch.streamio import write_stream_file
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream
-from dpsketch.summing import BinaryTreeMechanism, Clock, StateError
+from dpsketch.summing import BinaryTreeMechanism, Clock, GroupingMechanism, StateError
 
 from standalone import bank_on_clock, standalone_lowfreq, standalone_sketch
 
@@ -448,3 +455,83 @@ class TestFusedHeads:
             want = [ref.current() for ref in refs]
             assert _bits([block.current() for block in est.copies]) == _bits(want)
             assert _bits(got) == _bits(_median_vectors(want))
+
+
+class TestDistinctLevelLanes:
+    """General-universe distinct levels against standalone counters: a
+    single tree counter or a grouping mechanism per level under
+    ``ctx.child("distinct-copy", c).child("level", i)``, fed the indicator
+    of each first (level, hashed id) pair."""
+
+    n, T, eps, eta, xi = 1 << 15, 1024, 64.0, 0.45, 0.1
+
+    def _estimator(self, variant, copies, seed, noise_off=False):
+        cfg = DistinctConfig(epsilon=self.eps, eta=self.eta, xi=self.xi, n=self.n, T=self.T,
+                             variant=variant, copies=copies)
+        return distinct_estimator(cfg, NoiseContext(seed, noise_off))
+
+    @pytest.mark.parametrize("variant", [TREE, GROUP])
+    @pytest.mark.parametrize("noise_off", [False, True])
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_levels_equal_standalone_counters(self, variant, noise_off, copies):
+        seed = 11 + copies
+        est = self._estimator(variant, copies, seed, noise_off)
+        p = est.copies[0].params
+        eps_level = self.eps / copies / INDICATOR_SENSITIVITY
+        xi_level = (self.xi / 2) / (p.L * copies)
+        copy_ctxs = [NoiseContext(seed, noise_off).child("distinct-copy", c) for c in range(copies)]
+        routers = [LevelRouter(p.L, p.lam, p.m, ctx, "subsample") for ctx in copy_ctxs]
+        refs = [
+            [BinaryTreeMechanism(self.T, eps_level, ctx.child("level", i)) if variant == TREE
+             else GroupingMechanism(self.T, eps_level, self.eta, xi_level, ctx.child("level", i))
+             for i in range(1, p.L + 1)]
+            for ctx in copy_ctxs
+        ]
+        seen = [set() for _ in range(copies)]
+        filled = set()
+        stream = generate_stream("uniform", StreamConfig(T=self.T, n=self.n), seed=seed)
+        for e in stream:
+            got = est.feed(e)
+            selections = []
+            for c, (copy, levels) in enumerate(zip(est.copies, refs)):
+                pair = routers[c](e.value) if e.is_element() else (None, 0)
+                first = pair[0] is not None and pair not in seen[c]
+                seen[c].add(pair)
+                for i, ref in enumerate(levels, start=1):
+                    ref.feed(int(first and i == pair[0]))
+                want = [ref.current() for ref in levels]
+                assert _bits(copy.level_outputs()) == _bits(want)
+                filled.update(i for i, s in enumerate(want, start=1) if s >= 1)
+                deep = [i for i, s in enumerate(want, start=1) if s >= p.threshold]
+                selections.append(float(want[deep[-1] - 1]) * 2.0 ** deep[-1] if deep else 0.0)
+            assert _bits([got]) == _bits([median_boost(selections)])
+        assert len(filled) >= 2  # the grouping variant releases on the top levels only
+
+    def test_tree_levels_share_one_draw_per_stale_level(self, monkeypatch):
+        # every array draw spans all copies' level lanes, each node is drawn
+        # once over the run, and no level draws a scalar of its own
+        copies = 3
+        est = self._estimator(TREE, copies, 4)
+        lanes = copies * est.copies[0].params.L
+        widths, pairs, scalars = [], [], [0]
+        draw, scalar = summing.node_laplace, summing.word_laplace
+
+        def counted(base, a, b, scale):
+            widths.append(np.size(base))
+            pairs.extend(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
+            return draw(base, a, b, scale)
+
+        def counted_scalar(z, scale):
+            scalars[0] += 1
+            return scalar(z, scale)
+
+        monkeypatch.setattr(summing, "node_laplace", counted)
+        monkeypatch.setattr(summing, "word_laplace", counted_scalar)
+        for e in generate_stream("uniform", StreamConfig(T=self.T, n=self.n), seed=4):
+            est.feed(e)
+        assert est.bank.k == lanes
+        assert set(widths) == {lanes}
+        assert scalars[0] == 0
+        ticks = range(1, self.T + 1)
+        levels = [(s & -s).bit_length() - 1 for s in ticks]  # tick s brings one new node
+        assert sorted(pairs) == sorted((l, (s >> l) - 1) for s, l in zip(ticks, levels))

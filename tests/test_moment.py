@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -381,13 +382,16 @@ class TestPerArrivalWork:
         cfg = MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=N, n=1 << 14, copies=3)
         est = moment_estimator(cfg, NoiseContext(7))
         folds = [0]
-        fold = randomness._fold_key
+        fold = randomness.fold_key
 
         def counted(seed, key):
             folds[0] += 1
             return fold(seed, key)
 
-        monkeypatch.setattr(randomness, "_fold_key", counted)
+        # every module that binds fold_key, randomness's child_seed included
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("dpsketch") and getattr(module, "fold_key", None) is fold:
+                monkeypatch.setattr(module, "fold_key", counted)
         for a in range(N):
             est.ingest(element(a))
         levels = [level for copy in est.copies for level in copy.hh]
