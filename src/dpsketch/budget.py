@@ -97,6 +97,12 @@ def check_epsilon(epsilon: float | None) -> None:
         raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
 
 
+def check_p(p: float) -> None:
+    """The one rule for a valid moment order p: finite and >= 0."""
+    if not 0 <= p < math.inf:
+        raise ValueError(f"p must be >= 0 and finite, got {p}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class BoostedConfig:
     """The parameter block every boosted estimator shares: an epsilon-DP

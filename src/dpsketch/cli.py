@@ -29,15 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .countsketch import L2Config, L2Estimator
-from .distinct import (
-    GROUP,
-    INDICATOR_SENSITIVITY,
-    TREE,
-    DistinctConfig,
-    SmallUniverseDistinct,
-    distinct_estimator,
-    make_summing_backend,
-)
+from .distinct import INDICATOR_SENSITIVITY, DistinctConfig, SmallUniverseDistinct
+from .distinct import distinct_estimator
 from .heavy_hitters import HHConfig, hh_estimator
 from .low_freq import LowFreqConfig, lowfreq_estimator
 from .moment import MomentConfig, moment_estimator
@@ -53,7 +46,7 @@ from .streams import (
     event_count,
     generate_stream,
 )
-from .summing import GroupingMechanism
+from .summing import GROUP, TREE, make_summing_backend, summing_guarantee
 
 SNAPSHOT_MAGIC = b"DPCS1"
 # an L2Estimator's state: magic, u16 version, u32 header length, a JSON header
@@ -160,10 +153,10 @@ def _build_sliding(a, ctx):
     """Smooth histogram over single-copy instances of the --stat subcommand,
     each built at its per-instance epsilon over the remaining horizon.
 
-    The shift takes its (alpha, gamma) from a grouping probe over the full
-    horizon: the backend an instance of sum runs, at the per-instance epsilon,
-    or of distinct, over a small universe at that epsilon/5.  The other stats
-    probe at unit epsilon."""
+    The shift takes its (alpha, gamma) from the grouping guarantee over the
+    full horizon: of the backend an instance of sum runs, at the per-instance
+    epsilon, or of distinct, over a small universe at that epsilon/5.  The
+    other stats read it at unit epsilon."""
     inner = STREAMING[a.stat]
     shared = dict(eta=a.eta, xi=a.xi, n=a.n, p=a.p, tau=a.tau, copies=1)
     smoothness = SmoothnessParams.for_moment(inner.p(a), a.eta)
@@ -178,16 +171,12 @@ def _build_sliding(a, ctx):
     eps_instance = SlidingBudget(a.epsilon, max_live).per_instance_epsilon
     # distinct: small universe, as sliding has no --universe flag.  f2, moment:
     # unit epsilon, a known bug open in ROADMAP.md ("Shift for --stat f2|moment")
-    eps_probe = {"sum": eps_instance, "distinct": eps_instance / INDICATOR_SENSITIVITY}
-    backend = GroupingMechanism(a.T, eps_probe.get(a.stat, 1.0), a.eta, a.xi, ctx.child("probe"))
+    eps_inner = {"sum": eps_instance, "distinct": eps_instance / INDICATOR_SENSITIVITY}
+    alpha, gamma = summing_guarantee(
+        GROUP, a.T, eps_inner.get(a.stat, 1.0), a.eta, a.xi, ctx.noise_off
+    )
     hist, _ = window_estimator(
-        inner_factory,
-        smoothness,
-        a.W,
-        a.T,
-        a.epsilon,
-        inner_alpha=backend.alpha,
-        inner_gamma=backend.error_bound(a.xi),
+        inner_factory, smoothness, a.W, a.T, a.epsilon, inner_alpha=alpha, inner_gamma=gamma
     )
     return hist
 
@@ -353,8 +342,8 @@ def drive(name: str, params, events, ctx: NoiseContext):
     record the subcommand's rows against the incremental exact oracle.
     Returns the estimator and the rows."""
     cmd = STREAMING[name]
-    est = cmd.build(params, ctx)
     exact = IncrementalOracle(cmd.p(params), getattr(params, "W", None))
+    est = cmd.build(params, ctx)
     rows = []
     for t, e in enumerate(events, start=1):
         exact.add(e)

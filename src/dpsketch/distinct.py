@@ -24,29 +24,10 @@ from .randomness import (
     subsample_depth,
 )
 from .streams import StreamEvent
-from .summing import BinaryTreeMechanism, Clock, GroupingMechanism
-
-TREE = "tree"
-GROUP = "group"
+from .summing import GROUP, TREE, BinaryTreeMechanism, Clock, GroupingMechanism, summing_guarantee
 
 # one universe change flips at most 5 entries of the indicator stream
 INDICATOR_SENSITIVITY = 5
-
-
-def make_summing_backend(
-    variant: str,
-    T: int,
-    epsilon: float,
-    eta: float,
-    xi: float,
-    ctx: NoiseContext,
-):
-    """A summing backend; either kind guarantees (alpha, error_bound(xi))."""
-    if variant == TREE:
-        return BinaryTreeMechanism(T, epsilon, ctx)
-    if variant == GROUP:
-        return GroupingMechanism(T, epsilon, eta, xi, ctx)
-    raise ValueError(f"unknown summing variant {variant!r}")
 
 
 class SmallUniverseDistinct:
@@ -209,17 +190,16 @@ def distinct_estimator(cfg: DistinctConfig, ctx: NoiseContext) -> BoostedEstimat
     Per copy: the level tuple is released once (partition-style sensitivity),
     each level's indicator summing runs at eps_copy/5 since one universe
     change flips at most 5 indicator entries.  Parameter evaluation order:
-    copies -> xi share -> (alpha, gamma) -> m.  Tree-variant levels are
-    lanes of the estimator's bank, so a tick draws each stale level once for
-    every copy's levels; grouping-variant levels are grouping mechanisms.
+    copies -> xi share -> (alpha, gamma) -> m, the level backend's
+    ``summing_guarantee``, read without building one.  Tree-variant levels
+    are lanes of the estimator's bank, so a tick draws each stale level once
+    for every copy's levels; grouping-variant levels are grouping mechanisms.
     """
     copies = cfg.n_copies()
     eps_sum = cfg.epsilon / copies / INDICATOR_SENSITIVITY
     xi_inner = (cfg.xi / 2) / (subsample_depth(cfg.n, cfg.T) * copies)
-    probe = make_summing_backend(
-        cfg.variant, cfg.T, eps_sum, cfg.eta, xi_inner, ctx.child("distinct-probe")
-    )
-    params = subsample_params(cfg.n, cfg.T, cfg.eta, probe.alpha, probe.error_bound(xi_inner))
+    guarantee = summing_guarantee(cfg.variant, cfg.T, eps_sum, cfg.eta, xi_inner, ctx.noise_off)
+    params = subsample_params(cfg.n, cfg.T, cfg.eta, *guarantee)
 
     grouping = None if cfg.variant == TREE else (cfg.eta, xi_inner)
 

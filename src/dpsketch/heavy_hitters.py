@@ -20,7 +20,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from .budget import BoostedConfig
+from .budget import BoostedConfig, check_p
 from .distinct import BoostedEstimator
 from .randomness import HASH_RANGE_CAP, NoiseContext, PolyHashFamily, fold_on
 from .streams import StreamEvent
@@ -60,8 +60,7 @@ class HHConfig(BoostedConfig):
     m_override: int | None = None
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
+        check_p(self.p)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         super().__post_init__()

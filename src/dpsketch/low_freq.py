@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import BoostedConfig
-from .distinct import GROUP, BoostedEstimator, DistinctConfig, distinct_estimator
+from .distinct import BoostedEstimator, DistinctConfig, distinct_estimator
 from .randomness import (
     HASH_RANGE_CAP,
     LevelRouter,
@@ -27,7 +27,7 @@ from .randomness import (
     subsample_depth,
 )
 from .streams import StreamEvent, element
-from .summing import BinaryTreeMechanism
+from .summing import GROUP, BinaryTreeMechanism
 
 # one universe change perturbs each counter stream in at most 8 unit steps
 COUNTER_SENSITIVITY_PER_K = 8

@@ -14,16 +14,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .budget import BoostedConfig
+from .budget import BoostedConfig, check_p
 from .heavy_hitters import HHConfig, HHSketch, noise_floor, tree_epsilon
 from .low_freq import dhat_xi, low_freq_block
 from .summing import BinaryTreeMechanism
-from .randomness import (
-    GeometricLevelHash,
-    NoiseContext,
-    even_independence,
-    median_boost,
-)
+from .randomness import LevelRouter, NoiseContext, even_independence, median_boost
 from .streams import FrequencyTable, StreamEvent
 from .distinct import BoostedEstimator
 
@@ -75,8 +70,7 @@ class MomentConfig(BoostedConfig):
     tau: float | None = None
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
+        check_p(self.p)
         super().__post_init__()
         if self.tau is not None and not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
@@ -222,7 +216,8 @@ class MomentState:
             )
             for i in range(shape.L + 1)
         ]
-        self._g = GeometricLevelHash(shape.L, shape.lam, ctx.child_seed("moment-g"))
+        # the level hash, seeded "moment-g"; its id hash (range 1) goes unread
+        self._route = LevelRouter(shape.L, shape.lam, 1, ctx, "moment")
         # the head block: one lowfreq_estimator copy at this copy's budget unit
         self.low_freq = low_freq_block(
             cfg.n, shape.k, cfg.T, cfg.eta, epsilon_unit,
@@ -232,7 +227,6 @@ class MomentState:
         # q = q1 .. q2 and l^p per low frequency
         self._interval_weights = [b**cfg.p for b in shape.boundaries[:-1]]
         self._low_freq_weights = [l**cfg.p for l in range(1, shape.k + 1)]
-        self._level_cache: dict[int, int | None] = {}
 
     def _interval_slot(self, f_hat: float) -> int | None:
         """q - q1 for the interval q holding a reported estimate, None below
@@ -240,18 +234,11 @@ class MomentState:
         q = interval_index(self.shape, max(0.0, f_hat))
         return q - self.shape.q1 if isinstance(q, int) else None
 
-    def _level(self, ident: int) -> int | None:
-        hit = self._level_cache.get(ident, -2)
-        if hit == -2:
-            hit = self._g.level(ident)
-            self._level_cache[ident] = hit
-        return hit
-
     def ingest(self, e: StreamEvent) -> None:
         """Take the current timestamp's event without computing the estimate."""
         self.hh[0].ingest(e)
         if e.is_element():
-            level = self._level(e.value)
+            level = self._route(e.value)[0]
             if level is not None:
                 self.hh[level].ingest(e)
         self.low_freq.ingest(e)

@@ -15,6 +15,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .budget import check_p
+
 ELEMENT = "element"
 EMPTY = "empty"
 INTEGER = "integer"
@@ -146,6 +148,7 @@ class IncrementalOracle:
     """
 
     def __init__(self, p: float = 2.0, W: int | None = None) -> None:
+        check_p(p)
         self.p = p
         self.W = W
         self.table = FrequencyTable()
@@ -198,8 +201,7 @@ def exact_frequencies(prefix: Sequence[StreamEvent]) -> FrequencyTable:
 
 def exact_lp_moment(table: FrequencyTable, p: float) -> float:
     """Sum of f_a^p over the table; p=0 counts distinct keys, p=1 the total."""
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
+    check_p(p)
     if p == 0:
         return float(len(table))
     if p == 1:
@@ -211,8 +213,7 @@ def exact_heavy_hitters(table: FrequencyTable, p: float, k: int) -> set[int]:
     """Elements whose frequency^p reaches a 1/k fraction of the lp moment."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
+    check_p(p)
     moment = exact_lp_moment(table, p)
     threshold = moment / k
     return {a for a, c in table.counts.items() if c**p >= threshold}

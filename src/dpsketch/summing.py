@@ -3,6 +3,9 @@ mechanism (better additive error for non-negative streams).
 
 Callers read the running estimate from ``current()``: ``feed`` returns the
 noisy prefix sum on a tree mechanism but the released increment on grouping.
+Both backends' (alpha, gamma) guarantee is :func:`summing_guarantee`, the one
+owner of their bounds, computed from public parameters without building a
+backend; a backend's ``error_bound`` returns its gamma.
 A tree mechanism is one counter on its own clock, or a bank of counters
 (CountSketch buckets, low-frequency counters) on a given clock, which the code
 that built it ticks once per event, however many banks share it.
@@ -125,8 +128,6 @@ class BinaryTreeMechanism:
     is the row's, and both reads add noise from the highest level down.
     """
 
-    alpha = 1.0  # the guarantee is purely additive: (1, error_bound(xi))
-
     # heavy-hitter substreams build one bank per sketch, thousands per stream
     __slots__ = (
         "T", "levels", "k", "_ctx", "_clock", "_single", "_groups", "_buffer",
@@ -147,7 +148,7 @@ class BinaryTreeMechanism:
         self._single = clock is None
         self._clock = Clock(self.T) if self._single else clock
         self.k = 0
-        # (base, ids, scale, first lane) per group
+        # (base, ids, epsilon, first lane) per group
         self._groups: list[tuple] = []
         self._buffer = self._running = np.zeros(0)
         self._memo = self._lane_records = self._rows = None
@@ -182,7 +183,7 @@ class BinaryTreeMechanism:
         check_epsilon(epsilon)
         lo = self.k
         self.k = lo + (1 if ids is None else len(ids))
-        self._groups.append((base, ids, self.levels / float(epsilon), lo))
+        self._groups.append((base, ids, float(epsilon), lo))
         if self.k > len(self._buffer):  # grow by doubling, so joins cost O(k) in all
             self._buffer = np.zeros(max(self.k, 2 * lo))
             self._buffer[:lo] = self._running
@@ -264,12 +265,12 @@ class BinaryTreeMechanism:
         return block[0]
 
     def _bases(self) -> tuple[np.ndarray, np.ndarray]:
-        """The folded key and the scale of every lane of a bank."""
+        """The folded key and the scale levels/epsilon of every lane of a bank."""
         bases, scales = [], []
-        for base, ids, scale, _ in self._groups:
+        for base, ids, epsilon, _ in self._groups:
             lanes = [base] if ids is None else fold_lanes(base, np.asarray(ids, dtype=np.uint64))
             bases.append(np.asarray(lanes, dtype=np.uint64))
-            scales.append(np.full(len(lanes), scale))
+            scales.append(np.full(len(lanes), self.levels / epsilon))
         return np.concatenate(bases), np.concatenate(scales)
 
     def _group_of(self, lane: int) -> tuple:
@@ -286,9 +287,10 @@ class BinaryTreeMechanism:
             self._lane_records = [None] * self.k
         record = self._lane_records[j]
         if record is None:
-            base, ids, scale, lo = self._group_of(j)
+            base, ids, epsilon, lo = self._group_of(j)
             if ids is not None:
                 base = fold_on(base, (ids[j - lo],))
+            scale = self.levels / epsilon
             record = self._lane_records[j] = (base, scale, [-1] * self.levels, [0.0] * self.levels)
         base, scale, lane_node, draw = record
         for level, node, offset in self._clock.keyed_nodes():
@@ -300,17 +302,9 @@ class BinaryTreeMechanism:
 
     def error_bound(self, xi: float, lane: int = 0) -> float:
         """Additive bound of ``lane``'s group holding for every t in [T]
-        jointly w.p. >= 1 - xi.
-
-        Each prefix output sums at most ``levels`` node noises; a union bound
-        over the <= 2T distinct nodes gives per-node magnitude
-        scale*ln(2T/xi).
-        """
-        if not 0 < xi < 1:
-            raise ValueError(f"xi must be in (0, 1), got {xi}")
-        if self._ctx.noise_off:
-            return 0.0
-        return self.levels * self._group_of(lane)[2] * math.log(2 * self.T / xi)
+        jointly w.p. >= 1 - xi: the tree's gamma at the group's epsilon."""
+        epsilon = self._group_of(lane)[2]
+        return summing_guarantee(TREE, self.T, epsilon, None, xi, self._ctx.noise_off)[1]
 
 
 class GroupingMechanism:
@@ -332,19 +326,12 @@ class GroupingMechanism:
         ctx: NoiseContext,
         threshold_offset: float | None = None,
     ) -> None:
-        if T < 1:
-            raise ValueError(f"T must be >= 1, got {T}")
-        check_epsilon(epsilon)
-        if not 0 < eta < 1:
-            raise ValueError(f"eta must be in (0, 1), got {eta}")
-        if not 0 < xi < 1:
-            raise ValueError(f"xi must be in (0, 1), got {xi}")
+        check_summing(T, epsilon, eta, xi)
         self.T = int(T)
         self.epsilon = float(epsilon)
         self.epsilon0 = self.epsilon / 2.0
         self.eta = float(eta)
         self.xi = float(xi)
-        self.alpha = 1.0 + self.eta
         self._ctx = ctx
         # deterministic part of the threshold; overridable for statistical DP
         # tests only (privacy does not depend on this offset)
@@ -390,14 +377,60 @@ class GroupingMechanism:
         return self.released_prefix
 
     def error_bound(self, xi: float | None = None) -> float:
-        """Additive part of the (1 ± eta) envelope over every interval [l, r]."""
+        """Additive part of the (1 ± eta) envelope over every interval [l, r]:
+        grouping's gamma at ``xi``, by default the one it was built with."""
         xi = self.xi if xi is None else xi
-        if not 0 < xi < 1:
-            raise ValueError(f"xi must be in (0, 1), got {xi}")
-        if self._ctx.noise_off:
-            return 0.0
-        return (
-            (1.0 / self.eta + 4.0)
-            * (7.0 / self.epsilon0)
-            * math.log(3.0 * self.T / xi)
-        )
+        return summing_guarantee(GROUP, self.T, self.epsilon, self.eta, xi, self._ctx.noise_off)[1]
+
+
+TREE = "tree"
+GROUP = "group"
+
+
+def check_summing(T: int, epsilon: float, eta: float | None, xi: float) -> None:
+    """The one input rule of both backends and their guarantee: T >= 1, a
+    valid epsilon, and eta and xi in (0, 1); a tree's own bound reads no eta
+    and passes None."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    check_epsilon(epsilon)
+    if eta is not None and not 0 < eta < 1:
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    if not 0 < xi < 1:
+        raise ValueError(f"xi must be in (0, 1), got {xi}")
+
+
+def summing_guarantee(
+    variant: str, T: int, epsilon: float, eta: float | None, xi: float, noise_off: bool
+) -> tuple[float, float]:
+    """(alpha, gamma) of a ``variant`` backend at (T, epsilon, eta), holding
+    for every t in [T] jointly w.p. >= 1 - xi; gamma is 0 with noise off.
+
+    A tree is purely additive: each prefix sums at most ``levels`` node
+    noises of scale levels/epsilon, and a union bound over the <= 2T nodes
+    bounds each by scale*ln(2T/xi).  Grouping is within (1 ± eta) plus its
+    envelope (1/eta + 4)(7/epsilon0)ln(3T/xi), epsilon0 = epsilon/2.
+    """
+    check_summing(T, epsilon, eta, xi)
+    if variant == TREE:
+        levels = tree_levels(T)
+        alpha, gamma = 1.0, levels * (levels / epsilon) * math.log(2 * T / xi)
+    elif variant == GROUP:
+        alpha = 1.0 + eta
+        gamma = (1.0 / eta + 4.0) * (7.0 / (epsilon / 2.0)) * math.log(3.0 * T / xi)
+    else:
+        raise ValueError(f"unknown summing variant {variant!r}")
+    return alpha, 0.0 if noise_off else gamma
+
+
+def make_summing_backend(
+    variant: str, T: int, epsilon: float, eta: float, xi: float, ctx: NoiseContext
+):
+    """A summing backend of either variant, which guarantees
+    ``summing_guarantee``; both refuse what the guarantee refuses."""
+    check_summing(T, epsilon, eta, xi)
+    if variant == TREE:
+        return BinaryTreeMechanism(T, epsilon, ctx)
+    if variant == GROUP:
+        return GroupingMechanism(T, epsilon, eta, xi, ctx)
+    raise ValueError(f"unknown summing variant {variant!r}")

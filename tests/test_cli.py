@@ -456,6 +456,30 @@ class TestRefusedValues:
         assert code == 2
         assert f"tau must be >= 1, got {float(tau)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("name", ["heavy-hitters", "moment", "sliding-moment"])
+    def test_p_negative_or_not_finite(self, name, p, stream_file, capsys):
+        # inf once exited 1 with an OverflowError traceback, nan exited 2
+        # naming no flag, and sliding-moment at -1 exited 1 with a
+        # ZeroDivisionError from the exact oracle
+        code = run(_with(STREAMING_ARGS[name], "--p", p) + ["--input", stream_file])
+        assert code == 2
+        assert f"p must be >= 0 and finite, got {float(p)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--eta", "0"), ("--eta", "1.5"),
+                                             ("--xi", "0"), ("--xi", "1")])
+    @pytest.mark.parametrize("variant", ["tree", "group"])
+    @pytest.mark.parametrize("name", ["sum", "distinct"])
+    def test_summing_eta_or_xi_outside_unit_interval(
+        self, name, variant, flag, value, stream_file, capsys
+    ):
+        # the tree variant once ignored both and exited 0
+        args = _with(STREAMING_ARGS[f"sum-{variant}" if name == "sum" else name],
+                     "--mechanism" if name == "sum" else "--variant", variant)
+        code = run(_with(args, flag, value) + ["--input", stream_file])
+        assert code == 2
+        assert f"{flag[2:]} must be in (0, 1), got {float(value)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("element", ["99", "4", "-1"])
     def test_point_query_outside_the_snapshot_universe(self, element, tmp_path, capsys):
         # an element outside [0, n) once printed an estimate and exited 0

@@ -9,9 +9,11 @@ which level and hashed id every element gets.
 
 import itertools
 import math
+import re
 
 import pytest
 
+from dpsketch.cli import STREAMING, command_params
 from dpsketch.countsketch import L2Config, L2Estimator
 from dpsketch.distinct import (
     GROUP,
@@ -49,7 +51,14 @@ from dpsketch.randomness import (
     even_independence,
     subsample_depth,
 )
-from dpsketch.summing import BinaryTreeMechanism, Clock, GroupingMechanism, tree_levels
+from dpsketch.summing import (
+    BinaryTreeMechanism,
+    Clock,
+    GroupingMechanism,
+    make_summing_backend,
+    summing_guarantee,
+    tree_levels,
+)
 
 from standalone import bank_on_clock, standalone_sketch
 
@@ -162,9 +171,9 @@ class TestEpsilonSplits:
                     groups = [level for copy in est.copies for level in copy.groups]
                     assert len(groups) == levels
                     assert all(level.epsilon == want for level in groups)
-                else:  # one lane per level of every copy, and the probe
+                else:  # one lane per level of every copy
                     assert est.bank.k == levels
-                    assert len(joined) == levels + 1
+                    assert len(joined) == levels
                     assert all(eps == want for eps in joined)
 
     def test_lowfreq_small_counter_epsilon(self, monkeypatch):
@@ -269,6 +278,70 @@ class TestSummingGuarantee:
                                        threshold=threshold)
             est = distinct_estimator(cfg, NoiseContext(9, noise_off=noise_off))
             assert all(copy.params == expected for copy in est.copies)
+
+    @pytest.mark.parametrize("noise_off", NOISE)
+    @pytest.mark.parametrize("variant", [TREE, GROUP])
+    def test_guarantee_is_each_backends_formula(self, variant, noise_off):
+        for T, epsilon, eta, xi in itertools.product(
+            [1, 2, 64, 4096, 1 << 17], [1e-3, 1.0, 64.0], [0.1, 0.45], [1e-6, 0.1, 0.9]
+        ):
+            # the formulas each backend evaluated in place, in their order
+            if variant == TREE:
+                levels = _levels(T)
+                alpha, gamma = 1.0, levels * (levels / epsilon) * math.log(2 * T / xi)
+            else:
+                alpha = 1.0 + eta
+                gamma = (1.0 / eta + 4.0) * (7.0 / (epsilon / 2.0)) * math.log(3.0 * T / xi)
+            gamma = 0.0 if noise_off else gamma
+            assert summing_guarantee(variant, T, epsilon, eta, xi, noise_off) == (alpha, gamma)
+            ctx = NoiseContext(1, noise_off=noise_off)
+            assert make_summing_backend(variant, T, epsilon, eta, xi, ctx).error_bound(xi) == gamma
+
+    @pytest.mark.parametrize("noise_off", NOISE)
+    @pytest.mark.parametrize("variant", [TREE, GROUP])
+    def test_refusals_keep_their_messages(self, variant, noise_off):
+        ctx = NoiseContext(1, noise_off=noise_off)
+        for T, epsilon, eta, xi, message in [
+            (0, 1.0, 0.1, 0.1, "T must be >= 1, got 0"),
+            (-3, 1.0, 0.1, 0.1, "T must be >= 1, got -3"),
+            (8, 0.0, 0.1, 0.1, "epsilon must be > 0 and finite, got 0.0"),
+            (8, math.inf, 0.1, 0.1, "epsilon must be > 0 and finite, got inf"),
+            (8, math.nan, 0.1, 0.1, "epsilon must be > 0 and finite, got nan"),
+            (8, 1.0, 0.0, 0.1, "eta must be in (0, 1), got 0.0"),
+            (8, 1.0, 1.0, 0.1, "eta must be in (0, 1), got 1.0"),
+            (8, 1.0, 0.1, 0.0, "xi must be in (0, 1), got 0.0"),
+            (8, 1.0, 0.1, 1.0, "xi must be in (0, 1), got 1.0"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                summing_guarantee(variant, T, epsilon, eta, xi, noise_off)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make_summing_backend(variant, T, epsilon, eta, xi, ctx)
+            if variant == GROUP:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    GroupingMechanism(T, epsilon, eta, xi, ctx)
+        with pytest.raises(ValueError, match="unknown summing variant 'f2'"):
+            summing_guarantee("f2", 8, 1.0, 0.1, 0.1, noise_off)
+
+    def test_no_backend_is_built_for_its_guarantee(self, monkeypatch):
+        built = []
+        for cls in (BinaryTreeMechanism, GroupingMechanism):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(self)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for variant in (TREE, GROUP):
+            cfg = DistinctConfig(epsilon=1.0, eta=0.2, xi=0.1, n=64, T=64, variant=variant,
+                                 copies=3)
+            built.clear()
+            est = distinct_estimator(cfg, NoiseContext(1))
+            # the bank of the copies' tree levels, and the grouping levels
+            assert built == [est.bank] + [level for copy in est.copies for level in copy.groups]
+        for stat in ("sum", "distinct"):
+            params = command_params("sliding", stat=stat, W=8, epsilon=8.0, eta=0.4, T=64, n=16)
+            built.clear()
+            STREAMING["sliding"].build(params, NoiseContext(1))
+            assert built == []
 
     @pytest.mark.parametrize("noise_off", NOISE)
     def test_countsketch_bound_within_one_ulp(self, noise_off):

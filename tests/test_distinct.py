@@ -13,7 +13,6 @@ from dpsketch.distinct import (
     SubsampleParams,
     SubsampledDistinct,
     distinct_estimator,
-    make_summing_backend,
     subsample_params,
 )
 from dpsketch.heavy_hitters import HHConfig, hh_estimator
@@ -22,7 +21,7 @@ from dpsketch.moment import MomentConfig, moment_estimator
 from dpsketch.sensitivity import _indicator_mapping, _level_mapping
 from dpsketch.randomness import GeometricLevelHash, NoiseContext, PolyHashFamily, median_boost
 from dpsketch.streams import EMPTY_EVENT, StreamConfig, element, generate_stream, integer
-from dpsketch.summing import GroupingMechanism, StateError
+from dpsketch.summing import GroupingMechanism, StateError, make_summing_backend
 
 from standalone import Standalone, bank_on_clock
 

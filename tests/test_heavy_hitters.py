@@ -332,7 +332,7 @@ class TestSubstreamKeys:
             state.ingest(e)
 
         def receivers(e):
-            level = state._level(e.value)
+            level = state._route(e.value)[0]
             return (0,) if level is None else (0, level)
 
         assert self.check(state.hh, advance, receivers, T, n) > 60

@@ -416,7 +416,7 @@ class TestLevelTupleSensitivity:
             # the copy routes it to
             state, _ = own_copy(cfg, NoiseContext(5, noise_off=True), 1.0)
             levels = _routed_streams(
-                lambda a: (state._level(a), element(a)), range(1, state.shape.L + 1), events
+                lambda a: (state._route(a)[0], element(a)), range(1, state.shape.L + 1), events
             )
             return (list(events),) + levels
 
@@ -507,7 +507,7 @@ class TestSharedClock:
         for e in generate_stream("zipf", StreamConfig(T=512, n=16), seed=4, s=1.2):
             bank.clock.tick()
             state.ingest(e)
-            level = state._level(e.value) if e.is_element() else None
+            level = state._route(e.value)[0] if e.is_element() else None
             for i, sketch in enumerate(twin.hh):
                 clocks[i].tick()
                 sketch.ingest(e if i == 0 or i == level else EMPTY_EVENT)

@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 
 from dpsketch.budget import BoostedConfig, BudgetEntry, MechanismBudget, copy_count, equal_shares
 from dpsketch.countsketch import L2Config
-from dpsketch.distinct import GROUP, TREE, DistinctConfig, make_summing_backend
+from dpsketch.distinct import DistinctConfig
 from dpsketch.heavy_hitters import HHConfig
 from dpsketch.low_freq import LowFreqConfig
 from dpsketch.moment import MomentConfig, build_shape
 from dpsketch.randomness import NoiseContext, fold_key, node_laplace, node_offset, word_laplace
-from dpsketch.summing import BinaryTreeMechanism, Clock, GroupingMechanism, StateError
+from dpsketch.summing import (
+    GROUP,
+    TREE,
+    BinaryTreeMechanism,
+    Clock,
+    GroupingMechanism,
+    StateError,
+    make_summing_backend,
+)
 
 # 99th percentile of max-over-t |error| over the 500 fixed seeds below
 # (eps=1, T=2^12), frozen from a calibration run
