@@ -11,7 +11,7 @@ The optional first line "#T=<int> n=<int> mode=<elements|integers>", each
 <int> [0-9]+, declares the stream shape: at most T events and, in elements
 mode, ids below n.  When
 no mode is declared, a file containing any signed token is read in integers
-mode (element and integer events never mix in one stream).  Equal lines parse
+mode (element and integer events never mix in one stream).  Equal tokens parse
 to one shared (immutable) event object.
 """
 
@@ -46,6 +46,51 @@ class StreamParseError(ValueError):
         self.line_no = line_no
 
 
+def _parse_token(token: str, integers: bool, n: int | None) -> StreamEvent | str | None:
+    """A stripped line's event, None if it is blank, or its error message."""
+    if not token:
+        return None
+    if token == "_":
+        if integers:
+            return "empty symbol is not valid in an integers-mode stream"
+        return EMPTY_EVENT
+    if not _TOKEN_RE.fullmatch(token):
+        return f"unrecognized token {token!r}"
+    value = int(token, 10)
+    if integers:
+        return integer(value)
+    if token[0] in "+-":
+        return f"signed token {token!r} in an elements-mode stream"
+    if n is not None and value >= n:
+        return f"element id {value} outside universe size {n}"
+    return element(value)
+
+
+class _LineMemo(dict):
+    """Line -> ``_parse_token`` of it, filled in at a line's first lookup.
+
+    A padded line shares its stripped token's entry, so each distinct token
+    is parsed once and equal tokens share one event.  ``blank`` and ``bad``
+    record whether a blank line or an error was seen.
+    """
+
+    def __init__(self, mode: str, n: int | None) -> None:
+        super().__init__()
+        self.integers, self.n = mode == INTEGERS_MODE, n
+        self.blank = self.bad = False
+
+    def __missing__(self, line: str) -> StreamEvent | str | None:
+        token = line.strip()
+        if token != line:
+            value = self[token]
+        else:
+            value = _parse_token(token, self.integers, self.n)
+            self.blank |= value is None
+            self.bad |= isinstance(value, str)
+        self[line] = value
+        return value
+
+
 def parse_stream_file(
     path: str | Path, mode: str | None = None
 ) -> tuple[list[StreamEvent], StreamConfig | None]:
@@ -67,52 +112,28 @@ def parse_stream_file(
 
     effective = header.mode if header else mode
     if effective is None:
-        signed = any(line.lstrip()[:1] in ("+", "-") for line in lines)
+        signed = any(line.lstrip()[:1] in ("+", "-") for line in set(lines))
         effective = INTEGERS_MODE if signed else ELEMENTS_MODE
 
-    def parse(i: int, token: str) -> StreamEvent | None:
-        if not token:
-            return None
-        if token == "_":
-            if effective == INTEGERS_MODE:
+    memo = _LineMemo(effective, header.n if header else None)
+    events = list(map(memo.__getitem__, lines[start:]))
+    if memo.blank:  # events are non-empty tuples, so only the Nones drop
+        events = list(filter(None, events))
+    if memo.bad or (header is not None and len(events) > header.T):
+        # an error exists: find its line, the first token error or the first
+        # event past T, whichever comes first (at one line, the token error)
+        count = 0
+        for i, line in enumerate(lines[start:], start=start + 1):
+            value = memo[line]
+            if isinstance(value, str):
+                raise StreamParseError(path, i, value)
+            if value is None:
+                continue
+            count += 1
+            if header is not None and count > header.T:
                 raise StreamParseError(
-                    path, i, "empty symbol is not valid in an integers-mode stream"
+                    path, i, f"{header.T + 1} events exceed declared T={header.T}"
                 )
-            return EMPTY_EVENT
-        try:
-            if not _TOKEN_RE.fullmatch(token):
-                raise ValueError(token)
-            value = int(token, 10)
-        except ValueError:
-            raise StreamParseError(path, i, f"unrecognized token {token!r}") from None
-        if effective == INTEGERS_MODE:
-            return integer(value)
-        if token[0] in "+-":
-            raise StreamParseError(
-                path, i, f"signed token {token!r} in an elements-mode stream"
-            )
-        if header is not None and value >= header.n:
-            raise StreamParseError(
-                path, i, f"element id {value} outside universe size {header.n}"
-            )
-        return element(value)
-
-    # equal lines share one immutable event: a line is parsed at its first
-    # occurrence, and every later copy of it is one dict lookup
-    memo: dict[str, StreamEvent | None] = {}
-    events: list[StreamEvent] = []
-    for i, line in enumerate(lines[start:], start=start + 1):
-        try:
-            event = memo[line]
-        except KeyError:
-            event = memo[line] = parse(i, line.strip())
-        if event is None:
-            continue
-        if header is not None and len(events) == header.T:
-            raise StreamParseError(
-                path, i, f"{header.T + 1} events exceed declared T={header.T}"
-            )
-        events.append(event)
     return events, header
 
 

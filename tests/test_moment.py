@@ -522,3 +522,63 @@ class TestSharedClock:
         assert [s.t for s in state.hh] == [512] * len(state.hh)
         with pytest.raises(StateError):
             bank.clock.tick()
+
+
+def _inert(copy):
+    """Whether every level of a moment copy is inert: its candidacy floor
+    exceeds the last interval boundary squared.  A candidate has
+    f_hat^2 >= floor, which puts f_hat above every boundary, or below zero,
+    which is below, so an inert level never bins one."""
+    return all(s._floor > copy.shape.boundaries[-1] ** 2 for s in copy.hh)
+
+
+class TestInertLevels:
+    SHAPES = {
+        # moment-tick's config: floor 1.28e8 against boundaries below 5,120;
+        # copy 2 holds noise-admitted candidates on 293 ticks
+        "moment-tick": (MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=4096, n=1024,
+                                     copies=3), 1),
+        # the release pins' moment_releases
+        "pins": (MomentConfig(p=2.0, epsilon=1.0, eta=0.25, xi=0.1, T=512, n=1024,
+                              copies=3), 7),
+        "live": (MomentConfig(p=2.0, epsilon=64.0, eta=0.25, xi=0.1, T=512, n=16, copies=1,
+                              tau=4.0), 1),
+    }
+
+    def _run(self, name):
+        """(estimator, ticks on which each copy held a candidate, ticks on
+        which each copy's levels binned one) over a noisy zipf run."""
+        cfg, noise_seed = self.SHAPES[name]
+        est = moment_estimator(cfg, NoiseContext(noise_seed))
+        held = [0] * len(est.copies)
+        binned = [0] * len(est.copies)
+        for e in generate_stream("zipf", StreamConfig(T=cfg.T, n=cfg.n), seed=1, s=1.2):
+            est.ingest(e)
+            est.current()
+            for j, copy in enumerate(est.copies):
+                held[j] += any(s.candidates for s in copy.hh)
+                binned[j] += any(s.report() for s in copy.hh)
+        return est, held, binned
+
+    @pytest.mark.parametrize("name", ["moment-tick", "pins"])
+    def test_inert_levels_never_bin(self, name):
+        est, held, binned = self._run(name)
+        assert all(_inert(copy) for copy in est.copies)
+        assert binned == [0] * len(est.copies)
+        if name == "moment-tick":
+            assert held[2] > 0  # candidates were admitted, and none was binned
+
+    def test_candidates_of_an_inert_copy_fall_in_no_interval(self):
+        cfg, noise_seed = self.SHAPES["moment-tick"]
+        copy = moment_estimator(cfg, NoiseContext(noise_seed)).copies[0]
+        assert _inert(copy)
+        root = math.sqrt(copy.hh[0]._floor)
+        for f_hat in np.geomspace(root, 1e12, 200):
+            for f in (float(f_hat), -float(f_hat)):
+                if f * f >= copy.hh[0]._floor:
+                    assert copy._interval_slot(f) is None, f
+
+    def test_live_levels_bin(self):
+        est, held, binned = self._run("live")
+        assert not any(_inert(copy) for copy in est.copies)
+        assert all(b > 0 for b in binned)

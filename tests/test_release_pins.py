@@ -28,6 +28,7 @@ from dpsketch import (
 )
 from dpsketch.cli import STREAMING, _csv_line, command_params, drive
 from dpsketch.sliding import default_max_live
+from dpsketch.summing import GROUP, summing_guarantee
 
 NOISE_SEED = 7
 
@@ -82,7 +83,7 @@ def window_releases(T=2048):
     def inner(start_t, eps):
         return SmallUniverseDistinct(n, grouping(T - start_t + 1, eps, ctx.child("sliding", start_t)))
 
-    gamma = grouping(T, eps_instance, ctx.child("probe")).error_bound()
+    gamma = summing_guarantee(GROUP, T, eps_instance / 5, eta, xi, False)[1]
     hist, _ = window_estimator(inner, params, W, T, epsilon, inner_alpha=1.0 + eta,
                                inner_gamma=gamma)
     return [hist.feed(e) for e in _stream(T, n)]

@@ -113,6 +113,51 @@ class TestParse:
         assert events == [element(3), EMPTY_EVENT, element(3), element(7)]
 
 
+class TestErrorPrecedence:
+    """Which error a file with several faults raises, and at which line: the
+    first failing line, and at one line the token error before the excess."""
+
+    def _error(self, tmp_path, text):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        with pytest.raises(StreamParseError) as err:
+            parse_stream_file(path)
+        return err.value
+
+    def test_repeated_bad_token_reported_at_its_first_line(self, tmp_path):
+        err = self._error(tmp_path, "1\n2\nxyz\n3\n xyz\nxyz\n")
+        assert err.line_no == 3
+        assert str(err).endswith("unrecognized token 'xyz'")
+
+    def test_excess_before_a_later_bad_token_raises_the_excess(self, tmp_path):
+        err = self._error(tmp_path, "#T=2 n=8 mode=elements\n1\n2\n3\n4\nxyz\n")
+        assert err.line_no == 4
+        assert str(err).endswith("3 events exceed declared T=2")
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("xyz", "unrecognized token 'xyz'"), ("9", "element id 9 outside universe size 8")],
+        ids=["unrecognized", "outside-universe"],
+    )
+    def test_bad_token_on_the_excess_line_raises_the_token_error(self, token, message,
+                                                                  tmp_path):
+        err = self._error(tmp_path, f"#T=2 n=8 mode=elements\n1\n2\n{token}\n3\n")
+        assert err.line_no == 4
+        assert str(err).endswith(message)
+
+    def test_blank_lines_before_the_excess_keep_its_line_number(self, tmp_path):
+        err = self._error(tmp_path, "#T=2 n=8 mode=elements\n\n1\n  \n\t\n2\n\n3\n")
+        assert err.line_no == 8
+        assert str(err).endswith("3 events exceed declared T=2")
+
+    @pytest.mark.parametrize("header", ["", "#T=1 n=8 mode=elements\n"], ids=["bare", "header"])
+    def test_blank_lines_only_give_no_events(self, header, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text(header + "\n  \n\t\n\n")
+        events, _ = parse_stream_file(path)
+        assert events == []
+
+
 class TestRoundTrip:
     def test_elements_round_trip_random(self, tmp_path):
         for seed in range(20):
